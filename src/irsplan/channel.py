@@ -261,19 +261,13 @@ def required_power_irs(cfg: RadioConfig, irs: IrsSpec, geom, eta0, p_no, quantil
 
     Inverts the Gamma tail: p = W eta0 beta / q where G_alpha(q) = p_no.
     ``quantile`` may supply a TailQuantile table; otherwise the direct
-    inverse is evaluated per element.
+    inverse is evaluated.
     """
     if isinstance(geom, LinkGeometry):
         r, l, d = geom.r, geom.l, geom.d
     else:
         r, l, d = geom
     _, _, alpha, beta = composite_stats_arrays(cfg, irs, r, l, d)
-    if quantile is not None:
-        q = quantile(alpha)
-    elif np.ndim(alpha) == 0:
-        q = inv_reg_upper_gamma(float(alpha), p_no)
-    else:
-        q = np.reshape([inv_reg_upper_gamma(a, p_no) for a in np.ravel(alpha)],
-                       np.shape(alpha))
+    q = inv_reg_upper_gamma(alpha, p_no) if quantile is None else quantile(alpha)
     out = cfg.W * np.asarray(eta0, float) * beta / q
     return float(out) if np.ndim(out) == 0 else out

@@ -1,25 +1,24 @@
 """Special functions, quadrature and root finding for the analytical layer.
 
 Everything in this module is domain-free.  The regularized upper incomplete
-gamma function and its inverse are implemented directly (power series below
-the ``x = alpha + 1`` ridge, modified-Lentz continued fraction above it;
-safeguarded Newton with a Wilson-Hilferty start for the inverse) because the
-planner evaluates them at shape parameters up to ~1e4 and we want a single
-code path whose iteration behaviour we control.  scipy is used only for
-log-gamma normalization constants and for the cubic spline backing the
-fixed-probability quantile accelerator; the scipy incomplete-gamma routines
-appear nowhere outside the test oracles.
+gamma function and its inverse are domain-checked wrappers around
+``scipy.special.gammaincc`` and ``scipy.special.gammainccinv`` (the
+DiDonato-Morris algorithms, ACM TOMS 12, 1986).  The planner evaluates the
+inverse at one fixed probability over millions of shapes, so
+``TailQuantile`` tabulates it once as a cubic spline in log-log space,
+which is several times cheaper per point than the direct inverse.
+Quadrature is composite Gauss-Legendre with dyadic refinement; root finding
+is bisection.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from statistics import NormalDist
 
 import numpy as np
-from scipy.interpolate import CubicSpline
-from scipy.special import gammaln
+from scipy.special import gammaincc, gammainccinv
 
 
 class NumericsError(RuntimeError):
@@ -48,74 +47,16 @@ class Tolerance:
 
 DEFAULT_TOL = Tolerance()
 
-_SERIES_EPS = 1e-15
-_SERIES_MAX_ITER = 50_000
-_STD_NORMAL = NormalDist()
-
 
 # ---------------------------------------------------------------------------
 # regularized upper incomplete gamma
 # ---------------------------------------------------------------------------
 
-def _lower_series(a, x):
-    """Regularized lower incomplete gamma by power series (valid x < a+1)."""
-    a = np.asarray(a, dtype=float)
-    x = np.asarray(x, dtype=float)
-    ap = a.copy()
-    summ = 1.0 / a
-    term = summ.copy()
-    active = x > 0.0
-    for _ in range(_SERIES_MAX_ITER):
-        if not active.any():
-            break
-        ap = np.where(active, ap + 1.0, ap)
-        term = np.where(active, term * x / ap, term)
-        summ = np.where(active, summ + term, summ)
-        active = active & (np.abs(term) > np.abs(summ) * _SERIES_EPS)
-    else:
-        raise NumericsError("lower-gamma series did not converge",
-                            estimates=(float(np.max(np.abs(term))),))
-    with np.errstate(divide="ignore"):
-        logpref = np.where(x > 0.0, a * np.log(np.where(x > 0.0, x, 1.0)) - x - gammaln(a), -np.inf)
-    return np.where(x > 0.0, summ * np.exp(logpref), 0.0)
-
-
-def _upper_cf(a, x):
-    """Regularized upper incomplete gamma by modified-Lentz continued fraction
-    (valid x >= a+1)."""
-    a = np.asarray(a, dtype=float)
-    x = np.asarray(x, dtype=float)
-    tiny = 1e-300
-    b = x + 1.0 - a
-    c = np.full(np.broadcast(a, x).shape, 1.0 / tiny)
-    d = 1.0 / np.where(np.abs(b) < tiny, tiny, b)
-    h = d.copy()
-    active = np.ones(np.broadcast(a, x).shape, dtype=bool)
-    for i in range(1, _SERIES_MAX_ITER + 1):
-        if not active.any():
-            break
-        an = -i * (i - a)
-        b = b + 2.0
-        d = an * d + b
-        d = np.where(np.abs(d) < tiny, tiny, d)
-        c = b + an / c
-        c = np.where(np.abs(c) < tiny, tiny, c)
-        d = 1.0 / d
-        delta = d * c
-        h = np.where(active, h * delta, h)
-        active = active & (np.abs(delta - 1.0) > _SERIES_EPS)
-    else:
-        raise NumericsError("upper-gamma continued fraction did not converge")
-    logpref = a * np.log(x) - x - gammaln(a)
-    return np.exp(logpref) * h
-
-
 def reg_upper_gamma(alpha, x):
     """Regularized upper incomplete gamma G_a(x) = Gamma(a, x)/Gamma(a).
 
     Monotone nonincreasing in x with G_a(0) = 1.  Accepts scalars or arrays
-    (broadcast).  Series representation for x < alpha+1, continued fraction
-    for x >= alpha+1.
+    (broadcast) and returns a float for scalar inputs.
     """
     scalar = np.isscalar(alpha) and np.isscalar(x)
     a = np.asarray(alpha, dtype=float)
@@ -124,184 +65,25 @@ def reg_upper_gamma(alpha, x):
         raise ValueError("reg_upper_gamma: inputs must be finite")
     if np.any(a <= 0.0) or np.any(xx < 0.0):
         raise ValueError("reg_upper_gamma: requires alpha > 0 and x >= 0")
-    a, xx = np.broadcast_arrays(a, xx)
-    a = a.astype(float, copy=True)
-    xx = xx.astype(float, copy=True)
-    out = np.empty(a.shape, dtype=float)
-    lo = xx < a + 1.0
-    if lo.any():
-        out[lo] = 1.0 - _lower_series(a[lo], xx[lo])
-    hi = ~lo
-    if hi.any():
-        out[hi] = _upper_cf(a[hi], xx[hi])
-    out = np.clip(out, 0.0, 1.0)
-    return float(out[()]) if scalar else out
+    out = gammaincc(a, xx)
+    return float(out) if scalar else out
 
 
-def _reg_upper_scalar(a, x):
-    """Scalar fast path of reg_upper_gamma (pure Python loops)."""
-    if x < 0.0 or a <= 0.0:
-        raise ValueError("reg_upper_gamma: requires alpha > 0 and x >= 0")
-    if x == 0.0:
-        return 1.0
-    lg = math.lgamma(a)
-    if x < a + 1.0:
-        ap = a
-        summ = 1.0 / a
-        term = summ
-        for _ in range(_SERIES_MAX_ITER):
-            ap += 1.0
-            term *= x / ap
-            summ += term
-            if abs(term) <= abs(summ) * _SERIES_EPS:
-                return min(1.0, max(0.0, 1.0 - summ * math.exp(a * math.log(x) - x - lg)))
-        raise NumericsError("lower-gamma series did not converge")
-    tiny = 1e-300
-    b = x + 1.0 - a
-    c = 1.0 / tiny
-    d = 1.0 / (b if abs(b) >= tiny else tiny)
-    h = d
-    for i in range(1, _SERIES_MAX_ITER + 1):
-        an = -i * (i - a)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < tiny:
-            d = tiny
-        c = b + an / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) <= _SERIES_EPS:
-            return min(1.0, max(0.0, h * math.exp(a * math.log(x) - x - lg)))
-    raise NumericsError("upper-gamma continued fraction did not converge")
-
-
-def _wilson_hilferty(alpha, p):
-    """Initial guess for the upper-tail quantile from the cube-root normal map."""
-    z = _STD_NORMAL.inv_cdf(1.0 - p)  # lower-tail position of the quantile
-    base = 1.0 - 1.0 / (9.0 * alpha) + z / (3.0 * math.sqrt(alpha))
-    if base <= 0.0:
-        base = 1e-3
-    return alpha * base ** 3
-
-
-def _small_shape_start(alpha, p):
-    """Quantile start from G(x) ~ 1 - x^alpha / Gamma(alpha+1) (x << alpha+1).
-
-    Exact to first order whenever the quantile is deep in the lower tail,
-    which is where a normal-based start is useless; may underflow to 0.0.
-    """
-    return math.exp((math.log1p(-p) + math.lgamma(alpha + 1.0)) / alpha)
-
-
-def inv_reg_upper_gamma(alpha, p, tol: Tolerance = DEFAULT_TOL):
+def inv_reg_upper_gamma(alpha, p):
     """Inverse of reg_upper_gamma in x: the x with G_alpha(x) = p.
 
-    Safeguarded Newton iteration inside a sign-changing bracket grown
-    geometrically from a Wilson-Hilferty start (small-tail start when the
-    quantile sits far below alpha, where the cube-root formula fails).
-    Quantiles can live on wildly different scales (1e-100s for small alpha
-    with p near 1), so every stopping rule is relative: residual in
-    probability or bracket width against the bracket itself; the safeguard
-    midpoint is geometric when the bracket spans decades.  p = 1 maps to 0.
+    Accepts scalars or arrays (broadcast) and returns a float for scalar
+    inputs.  p = 1 maps to 0.
     """
-    alpha = float(alpha)
-    p = float(p)
-    if not (alpha > 0.0 and math.isfinite(alpha)):
+    scalar = np.isscalar(alpha) and np.isscalar(p)
+    a = np.asarray(alpha, dtype=float)
+    pp = np.asarray(p, dtype=float)
+    if not np.all((a > 0.0) & np.isfinite(a)):
         raise ValueError("inv_reg_upper_gamma: alpha must be positive and finite")
-    if not (0.0 < p <= 1.0):
+    if not np.all((pp > 0.0) & (pp <= 1.0)):
         raise ValueError("inv_reg_upper_gamma: p must lie in (0, 1]")
-    if p == 1.0:
-        return 0.0
-
-    x_small = _small_shape_start(alpha, p)
-    if 0.0 < x_small < 0.2 * (alpha + 1.0):
-        x = x_small
-    else:
-        x = max(_wilson_hilferty(alpha, p), 1e-300)
-    # grow a bracket [lo, hi] with g(lo) >= 0 >= g(hi), g(x) = G(x) - p decreasing
-    lo, hi = x, x
-    glo = _reg_upper_scalar(alpha, lo) - p
-    ghi = glo
-    for _ in range(400):
-        if glo >= 0.0:
-            break
-        lo *= 0.5
-        glo = _reg_upper_scalar(alpha, lo) - p
-    for _ in range(400):
-        if ghi <= 0.0:
-            break
-        hi *= 2.0
-        ghi = _reg_upper_scalar(alpha, hi) - p
-    if glo < 0.0 or ghi > 0.0:
-        raise NumericsError("inv_reg_upper_gamma: bracket expansion failed",
-                            residual=min(abs(glo), abs(ghi)))
-
-    lg = math.lgamma(alpha)
-    x = min(max(x, lo), hi)
-    f = _reg_upper_scalar(alpha, x) - p
-    for _ in range(tol.max_iter):
-        if abs(f) <= 1e-13:
-            return x
-        if f >= 0.0:
-            lo = x
-        else:
-            hi = x
-        # Newton step; d/dx G_alpha(x) = -x^(alpha-1) e^(-x) / Gamma(alpha)
-        dfdx = -math.exp((alpha - 1.0) * math.log(x) - x - lg)
-        x_new = x - f / dfdx if dfdx != 0.0 else math.nan
-        if not (lo < x_new < hi) or not math.isfinite(x_new):
-            if hi > 4.0 * lo:
-                x_new = math.exp(0.5 * (math.log(lo) + math.log(hi)))
-            else:
-                x_new = 0.5 * (lo + hi)
-        x = x_new
-        f = _reg_upper_scalar(alpha, x) - p
-        if hi - lo <= 1e-2 * tol.rel_tol * lo:
-            if abs(f) > 1e-9:
-                raise NumericsError("inv_reg_upper_gamma: bracket collapsed "
-                                    "away from the root", residual=abs(f))
-            return x
-    raise NumericsError("inv_reg_upper_gamma: no convergence", residual=abs(f))
-
-
-def _inv_reg_upper_vec(alpha, p, newton_steps=60):
-    """Vectorized quantile for an array of shapes at one fixed p.
-
-    Newton from a Wilson-Hilferty start (small-tail start where the quantile
-    sits far below the shape) with a positivity safeguard; used to build
-    TailQuantile knots in bulk.  Residuals are verified and any stragglers
-    are repaired with the scalar safeguarded inverse, then re-verified.
-    """
-    alpha = np.asarray(alpha, dtype=float)
-    z = _STD_NORMAL.inv_cdf(1.0 - p)
-    base = np.maximum(1.0 - 1.0 / (9.0 * alpha) + z / (3.0 * np.sqrt(alpha)), 1e-3)
-    wh = alpha * base ** 3
-    with np.errstate(over="ignore", under="ignore"):
-        small = np.exp((math.log1p(-p) + gammaln(alpha + 1.0)) / alpha)
-    x = np.where((small > 0.0) & (small < 0.2 * (alpha + 1.0)), small, wh)
-    lg = gammaln(alpha)
-    for _ in range(newton_steps):
-        f = reg_upper_gamma(alpha, x) - p
-        with np.errstate(over="ignore", under="ignore"):
-            dfdx = -np.exp((alpha - 1.0) * np.log(x) - x - lg)
-        with np.errstate(invalid="ignore"):
-            x_new = x - f / dfdx
-        x_new = np.where(np.isfinite(x_new) & (x_new > 0.0), x_new, 0.5 * x)
-        if np.max(np.abs(x_new - x) / x) < 1e-14:
-            x = x_new
-            break
-        x = x_new
-    bad = np.abs(reg_upper_gamma(alpha, x) - p) > 1e-12
-    if bad.any():
-        x[bad] = [inv_reg_upper_gamma(ai, p) for ai in alpha[bad]]
-        residual = float(np.max(np.abs(reg_upper_gamma(alpha[bad], x[bad]) - p)))
-        if residual > 1e-9:
-            raise NumericsError("_inv_reg_upper_vec: repair left residuals",
-                                residual=residual)
-    return x
+    out = gammainccinv(a, pp)
+    return float(out) if scalar else out
 
 
 class TailQuantile:
@@ -311,19 +93,26 @@ class TailQuantile:
     inv_reg_upper_gamma at one fixed p across millions of shape values.
     A cubic spline of log x(alpha) over log alpha turns each evaluation
     into an interpolation (~1e-12 relative error over the table range,
-    certified against the direct inverse in the test suite).  Shapes
-    outside the table fall back to the direct inverse.
+    certified against the direct inverse in the test suite), several times
+    cheaper per point than the direct inverse.  Shapes outside the table
+    fall back to the direct inverse.
     """
 
     def __init__(self, p, alpha_lo=1e-2, alpha_hi=1e5, n_knots=6000):
+        # imported here: scipy.interpolate is a large share of the package's
+        # import time, which commands that never build a table (coverage)
+        # should not pay
+        from scipy.interpolate import CubicSpline
+
         if not (0.0 < p < 1.0):
             raise ValueError("TailQuantile: p must lie in (0, 1)")
         self.p = float(p)
         self.alpha_lo = float(alpha_lo)
         self.alpha_hi = float(alpha_hi)
         t = np.linspace(math.log(alpha_lo), math.log(alpha_hi), n_knots)
-        q = _inv_reg_upper_vec(np.exp(t), self.p)
-        logq = np.log(q)
+        q = gammainccinv(np.exp(t), self.p)
+        with np.errstate(divide="ignore"):
+            logq = np.log(q)
         if not np.all(np.isfinite(logq)):
             raise NumericsError("TailQuantile: quantiles underflow at the low "
                                 "end of the shape table; raise alpha_lo",
@@ -337,22 +126,18 @@ class TailQuantile:
         inside = (a >= self.alpha_lo) & (a <= self.alpha_hi)
         if inside.any():
             out[inside] = np.exp(self._spline(np.log(a[inside])))
-        if (~inside).any():
-            out[~inside] = [inv_reg_upper_gamma(ai, self.p) for ai in a[~inside]]
+        if not inside.all():
+            out[~inside] = inv_reg_upper_gamma(a[~inside], self.p)
         return float(out[0]) if scalar else out
 
 
-_TAIL_QUANTILE_CACHE: dict[float, TailQuantile] = {}
-
-
+@functools.lru_cache(maxsize=8)
 def get_tail_quantile(p) -> TailQuantile:
-    """Shared per-process TailQuantile table for a given target probability."""
-    key = float(p)
-    tq = _TAIL_QUANTILE_CACHE.get(key)
-    if tq is None:
-        tq = TailQuantile(key)
-        _TAIL_QUANTILE_CACHE[key] = tq
-    return tq
+    """Shared per-process TailQuantile table for a given target probability.
+
+    Tables for the eight most recently used targets are kept.
+    """
+    return TailQuantile(float(p))
 
 
 # ---------------------------------------------------------------------------

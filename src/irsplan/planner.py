@@ -25,6 +25,7 @@ returning it.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 from typing import Optional
@@ -182,16 +183,13 @@ class _RingCoefficientTable:
         return C
 
 
-_TABLE_CACHE: dict[tuple, _RingCoefficientTable] = {}
-
-
+@functools.lru_cache(maxsize=8)
 def _coefficient_table(cell, cfg, irs, p_no, step) -> _RingCoefficientTable:
-    key = (cell, cfg, irs.N, float(p_no), float(step))
-    table = _TABLE_CACHE.get(key)
-    if table is None:
-        table = _RingCoefficientTable(cell, cfg, irs, p_no, step)
-        _TABLE_CACHE[key] = table
-    return table
+    """Per-process table for the eight most recently used settings.
+
+    IrsSpec compares by N alone, so the cache key is (cell, cfg, N, p_no, step).
+    """
+    return _RingCoefficientTable(cell, cfg, irs, p_no, step)
 
 
 # ---------------------------------------------------------------------------

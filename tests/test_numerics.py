@@ -1,28 +1,35 @@
 """Numerics suite: incomplete gamma, inverses, quadrature.
 
-scipy.special is used here as an independent oracle only; library code
-evaluates its own series/continued-fraction implementation.
+Library code evaluates the incomplete gamma and its inverse with
+scipy.special, so the oracle here is mpmath's arbitrary-precision
+incomplete gamma, an implementation independent of scipy's.
 """
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
-from scipy.special import gammaincc
 
 from irsplan.numerics import (DEFAULT_TOL, NumericsError, TailQuantile,
                               Tolerance, bisect, get_tail_quantile,
                               integrate_polar_sector, integrate_radial,
-                              inv_reg_upper_gamma, reg_upper_gamma,
-                              _inv_reg_upper_vec)
+                              inv_reg_upper_gamma, reg_upper_gamma)
+
+
+def mp_reg_upper_gamma(a, x):
+    """G_a(x) by mpmath at 30 significant digits."""
+    with mpmath.workdps(30):
+        return mpmath.gammainc(mpmath.mpf(a), mpmath.mpf(x), mpmath.inf,
+                               regularized=True)
 
 
 class TestRegUpperGamma:
-    def test_against_scipy_wide_grid(self, rng):
+    def test_against_mpmath_wide_grid(self, rng):
         alpha = np.exp(rng.uniform(np.log(1e-2), np.log(1e4), 4000))
         x = np.exp(rng.uniform(np.log(1e-6), np.log(1e4), 4000))
         ours = reg_upper_gamma(alpha, x)
-        ref = gammaincc(alpha, x)
+        ref = np.array([float(mp_reg_upper_gamma(a, xx)) for a, xx in zip(alpha, x)])
         assert np.max(np.abs(ours - ref)) < 5e-12
 
     def test_known_values(self):
@@ -61,26 +68,31 @@ class TestInverse:
                 assert abs(reg_upper_gamma(float(a), x) - p) < 1e-8
 
     def test_extreme_small_shape(self):
-        # quantiles far below the shape: the WH start is useless here
+        # quantiles far below the shape, down to ~1e-130 at alpha = 0.01
         for a, p in ((0.02, 0.95), (0.1, 0.99), (0.01, 0.9)):
             x = inv_reg_upper_gamma(a, p)
             assert x > 0.0
             assert abs(reg_upper_gamma(a, x) - p) < 1e-10
 
-    def test_scipy_cross_check(self):
-        from scipy.special import gammainccinv
+    def test_mpmath_cross_check(self):
         for a in (0.5, 2.0, 37.0, 480.0):
             ours = inv_reg_upper_gamma(a, 0.95)
-            assert ours == pytest.approx(float(gammainccinv(a, 0.95)), rel=1e-10)
+            with mpmath.workdps(30):
+                ref = mpmath.findroot(
+                    lambda x: mp_reg_upper_gamma(a, x) - mpmath.mpf("0.95"), ours)
+            assert ours == pytest.approx(float(ref), rel=1e-10)
+
+    def test_array_form_matches_scalar(self):
+        alpha = np.array([[0.02, 1.5], [40.0, 3e4]])
+        vec = inv_reg_upper_gamma(alpha, 0.95)
+        assert vec.shape == alpha.shape
+        assert all(vec[i] == inv_reg_upper_gamma(float(alpha[i]), 0.95)
+                   for i in np.ndindex(alpha.shape))
+        with pytest.raises(ValueError):
+            inv_reg_upper_gamma(np.array([1.0, -1.0]), 0.95)
 
     def test_p_one_maps_to_zero(self):
         assert inv_reg_upper_gamma(3.0, 1.0) == 0.0
-
-    def test_vectorized_matches_scalar(self, rng):
-        alpha = np.exp(rng.uniform(np.log(1e-2), np.log(1e5), 400))
-        vec = _inv_reg_upper_vec(alpha, 0.95)
-        resid = np.abs(reg_upper_gamma(alpha, vec) - 0.95)
-        assert resid.max() < 1e-10
 
     def test_rejects_bad_domain(self):
         with pytest.raises(ValueError):
@@ -99,13 +111,35 @@ class TestTailQuantile:
         # the physically used range (composite shapes are >= 1) is tighter
         assert rel[alpha >= 1.0].max() < 5e-12
 
+    def test_knots_against_mpmath(self):
+        # 60 of the default table's 6000 knots, spread over its whole range
+        tq = get_tail_quantile(0.95)
+        alpha = np.exp(np.linspace(math.log(1e-2), math.log(1e5), 6000)[::100])
+        resid = [abs(mp_reg_upper_gamma(a, q) - mpmath.mpf("0.95"))
+                 for a, q in zip(alpha, tq(alpha))]
+        assert max(resid) <= 1e-13
+
     def test_out_of_table_falls_back(self):
         tq = TailQuantile(0.95, alpha_lo=1.0, alpha_hi=10.0, n_knots=200)
         a = 3e5
         assert tq(a) == pytest.approx(inv_reg_upper_gamma(a, 0.95), rel=1e-12)
+        mixed = np.array([0.5, 3.0, 3e5])
+        assert np.array_equal(tq(mixed), [tq(0.5), tq(3.0), tq(3e5)])
+        with pytest.raises(ValueError):
+            tq(np.array([3.0, 0.0]))
 
     def test_cache_returns_same_object(self):
         assert get_tail_quantile(0.95) is get_tail_quantile(0.95)
+
+    def test_evicted_table_is_rebuilt(self):
+        first = get_tail_quantile(0.9)
+        # the cache is bounded: this many other targets push 0.9 out
+        for p in np.linspace(0.5, 0.6, get_tail_quantile.cache_info().maxsize):
+            get_tail_quantile(float(p))
+        again = get_tail_quantile(0.9)
+        assert again is not first
+        alpha = np.geomspace(2e-2, 9e4, 200)
+        assert np.array_equal(again(alpha), first(alpha))
 
     def test_underflowing_table_rejected(self):
         with pytest.raises(NumericsError):

@@ -8,8 +8,8 @@ import pytest
 from irsplan.channel import IrsSpec, LinkGeometry, composite_stats, nop_direct
 from irsplan.geometry import (CellConfig, coverage_area_accounting,
                               validate_plan)
-from irsplan.planner import (PlanInfeasibleError, SearchGrid, algorithm1,
-                             coverage_range, line_search)
+from irsplan.planner import (PlanInfeasibleError, SearchGrid, _coefficient_table,
+                             algorithm1, coverage_range, line_search)
 
 ETA_MIN = 10.0  # linear mean-SNR threshold for the coverage study
 P_TX = 0.01    # [W]
@@ -117,6 +117,18 @@ class TestLineSearch:
             line_search(cell, radio, irs, 0, 3)
         with pytest.raises(ValueError):
             line_search(cell, radio, irs, 10, 0)
+
+    def test_evicted_coefficient_table_is_rebuilt(self, cell, radio, irs):
+        first = _coefficient_table(cell, radio, irs, 0.95, 10.0)
+        hi = len(first.radii) - 1
+        ref = first.ring_vec(hi, 7, False).copy()
+        # the cache is bounded: this many other grid pitches push 10 m out
+        for k in range(_coefficient_table.cache_info().maxsize):
+            _coefficient_table(cell, radio, irs, 0.95, 11.0 + k)
+        again = _coefficient_table(cell, radio, irs, 0.95, 10.0)
+        assert again is not first
+        assert np.array_equal(again.ring_vec(hi, 7, False), ref)
+        assert _coefficient_table(cell, radio, IrsSpec(irs.N), 0.95, 10) is again
 
 
 class TestAlgorithm1:
