@@ -12,7 +12,7 @@ Layout:
 * :mod:`irsplan.channel`    -- mean gains, composite fading moments, NOP, power
 * :mod:`irsplan.geometry`   -- cell partition, sector mapping, plan validation
 * :mod:`irsplan.powerctl`   -- region energy coefficients and equalization
-* :mod:`irsplan.planner`    -- coverage study, exhaustive search, fast heuristic
+* :mod:`irsplan.planner`    -- coverage study, exact ring search, fast heuristic
 * :mod:`irsplan.simulation` -- topology + fading Monte Carlo certification
 * :mod:`irsplan.cli`        -- reproducible experiment artifacts
 
@@ -33,15 +33,16 @@ from .geometry import (CellConfig, PlanViolation, RingPlan, UeLocation,
 from .numerics import (Tolerance, TailQuantile, get_tail_quantile,
                        integrate_polar_sector, integrate_radial,
                        inv_reg_upper_gamma, reg_upper_gamma)
-from .planner import (CoverageResult, PlanInfeasibleError, PlanResult,
-                      SearchGrid, algorithm1, coverage_range, line_search)
+from .planner import (CoverageResult, PlanCheckError, PlanInfeasibleError,
+                      PlanResult, SearchGrid, algorithm1, coverage_range,
+                      line_search)
 from .powerctl import (PowerAllocation, RegionEnergyCoefficient,
                        ThroughputReport, benchmark_cipc,
                        benchmark_equal_power, benchmark_irs_equal_power,
                        benchmark_irs_mean_cipc, cipc_power, equalize_power,
                        irs_region_coefficient)
-from .simulation import (McConfig, McEstimate, Topology, empirical_nop,
-                         sample_topology, validate_plan_mc)
+from .simulation import (McConfig, McEstimate, SlotLimitError, Topology,
+                         empirical_nop, sample_topology, validate_plan_mc)
 
 __all__ = [
     "__version__", "KERNEL_BACKEND",
@@ -54,12 +55,13 @@ __all__ = [
     "Tolerance", "TailQuantile", "get_tail_quantile",
     "integrate_polar_sector", "integrate_radial", "inv_reg_upper_gamma",
     "reg_upper_gamma",
-    "CoverageResult", "PlanInfeasibleError", "PlanResult", "SearchGrid",
+    "CoverageResult", "PlanCheckError", "PlanInfeasibleError", "PlanResult",
+    "SearchGrid",
     "algorithm1", "coverage_range", "line_search",
     "PowerAllocation", "RegionEnergyCoefficient", "ThroughputReport",
     "benchmark_cipc", "benchmark_equal_power", "benchmark_irs_equal_power",
     "benchmark_irs_mean_cipc", "cipc_power", "equalize_power",
     "irs_region_coefficient",
-    "McConfig", "McEstimate", "Topology", "empirical_nop", "sample_topology",
-    "validate_plan_mc",
+    "McConfig", "McEstimate", "SlotLimitError", "Topology", "empirical_nop",
+    "sample_topology", "validate_plan_mc",
 ]

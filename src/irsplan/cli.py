@@ -10,8 +10,9 @@ Subcommands::
 Artifacts are deterministic: CSV files carry the resolved config as a '#'
 comment line, JSON reports embed it under "config", and anything
 time-dependent lives in a ``<name>.meta.json`` sidecar so reruns with the
-same config are byte-identical.  Exit codes: 0 ok, 2 rejected input or
-infeasible request (structured JSON on stderr), 1 crash.
+same config are byte-identical.  Exit codes: 0 ok, 2 rejected input,
+infeasible request or a result that failed its own consistency check
+(structured JSON on stderr), 1 crash.
 """
 
 import argparse
@@ -27,11 +28,11 @@ import numpy as np
 from . import __version__
 from .config import ConfigError, ExperimentConfig, load_config
 from .geometry import RingPlan, mean_ues_per_sector, validate_plan
-from .planner import (PlanInfeasibleError, PlanResult, algorithm1,
-                      coverage_range, line_search)
+from .planner import (PlanCheckError, PlanInfeasibleError, PlanResult,
+                      algorithm1, coverage_range, line_search)
 from .powerctl import (PowerAllocation, benchmark_cipc, benchmark_equal_power,
                        benchmark_irs_equal_power, benchmark_irs_mean_cipc)
-from .simulation import validate_plan_mc
+from .simulation import SlotLimitError, validate_plan_mc
 
 SCHEMA_VERSION = 1
 
@@ -341,6 +342,16 @@ def main(argv=None) -> int:
     except PlanInfeasibleError as exc:
         print(json.dumps({"error": {"kind": "infeasible", "detail": str(exc),
                                     "bindings": exc.bindings}}), file=sys.stderr)
+        return 2
+    except PlanCheckError as exc:
+        print(json.dumps({"error": {"kind": "invalid-plan", "detail": str(exc),
+                                    "method": exc.method,
+                                    "violations": exc.violations}}), file=sys.stderr)
+        return 2
+    except SlotLimitError as exc:
+        print(json.dumps({"error": {"kind": "slot-limit", "detail": str(exc),
+                                    "max_load": exc.max_load, "n_t": exc.n_t}}),
+              file=sys.stderr)
         return 2
     except Exception:
         traceback.print_exc()

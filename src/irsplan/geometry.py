@@ -185,50 +185,37 @@ def _wrap_to_half(angle):
 
 
 def locate_ue(cell: CellConfig, plan: RingPlan, r, azimuth) -> UeLocation:
-    """Region membership and link geometry for a UE at polar (r, azimuth).
+    """Region membership and link geometry for one UE at polar (r, azimuth).
 
-    Ring i covers radii in [R_in[i], R_in[i-1]); boundary radii therefore
-    resolve to the outer of the two adjacent rings, and the innermost ring
-    keeps its inner boundary (ties break toward IRS service).  Radii above
-    R_in[0] (exterior range) and below R_in[I] are AP-only.
+    The scalar form of ``locate_ue_arrays``, which sets the membership rules.
     """
-    r = float(r)
-    azimuth = float(azimuth) % TWO_PI
-    if r > cell.R_ex * (1 + 1e-12):
-        raise ValueError(f"locate_ue: r={r:.6g} outside the cell (R_ex={cell.R_ex:.6g})")
-    R = plan.R_in
-    if plan.I == 0 or r > R[0] or r < R[-1]:
+    ring, sector, l, d = locate_ue_arrays(cell, plan, np.array([float(r)]),
+                                          np.array([float(azimuth)]))
+    if ring[0] == 0:
         return UeLocation(region="ap")
-    ring = None
-    for i in range(1, plan.I + 1):
-        if r >= R[i] and (r < R[i - 1] or (i == 1 and r <= R[0])):
-            ring = i
-            break
-    if ring is None:  # r == R[i] boundaries are caught above; defensive
-        return UeLocation(region="ap")
-    m = plan.M[ring - 1]
-    phi = TWO_PI / m
-    sector = min(int(azimuth // phi), m - 1)
-    center = (sector + 0.5) * phi
-    dphi = _wrap_to_half(azimuth - center)
-    L = plan.L[ring - 1]
-    d = math.sqrt(max(r * r + L * L - 2.0 * r * L * math.cos(dphi), 0.0))
-    geom = LinkGeometry(r=r, l=L, d=d)
-    return UeLocation(region="irs", ring=ring, sector=sector, geom=geom,
-                      assignment=SectorAssignment(ring=ring, sector=sector,
-                                                  irs_azimuth=center, span=phi))
+    i, s = int(ring[0]), int(sector[0])
+    phi = TWO_PI / plan.M[i - 1]
+    return UeLocation(region="irs", ring=i, sector=s,
+                      geom=LinkGeometry(r=float(r), l=float(l[0]), d=float(d[0])),
+                      assignment=SectorAssignment(ring=i, sector=s,
+                                                  irs_azimuth=(s + 0.5) * phi, span=phi))
 
 
 def locate_ue_arrays(cell: CellConfig, plan: RingPlan, r, azimuth):
-    """Vectorized locate_ue over position arrays.
+    """Region membership and link geometry over position arrays.
+
+    Ring i covers radii in [R_in[i], R_in[i-1]); boundary radii therefore
+    resolve to the outer of the two adjacent rings, and ring 1 is closed at
+    R_in[0] (ties break toward IRS service).  Radii above R_in[0] (exterior
+    range) and below R_in[I] are AP-only.
 
     Returns (ring, sector, l, d): ring is 0 for AP-only service, 1..I for
-    IRS rings; l and d are NaN where AP-only.
+    IRS rings; sector is -1 and l and d are NaN where AP-only.
     """
     r = np.asarray(r, dtype=float)
     az = np.asarray(azimuth, dtype=float) % TWO_PI
     if np.any(r > cell.R_ex * (1 + 1e-12)):
-        raise ValueError("locate_ue_arrays: positions outside the cell")
+        raise ValueError(f"locate_ue_arrays: positions outside the cell (R_ex={cell.R_ex:.6g})")
     ring = np.zeros(r.shape, dtype=np.int64)
     sector = np.full(r.shape, -1, dtype=np.int64)
     l = np.full(r.shape, np.nan)

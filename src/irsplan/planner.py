@@ -5,22 +5,24 @@ Three entry points:
 * ``coverage_range`` -- how far one AP-IRS pair extends the SNR-threshold
   coverage radius when the surface sits at distance l on the AP-UE axis.
 
-* ``line_search`` -- exhaustive max-min optimization over ring radii on a
-  uniform grid and integer IRS splits, for a fixed ring count I.  The power
+* ``line_search`` -- exact max-min optimization over ring radii on a
+  uniform grid and integer IRS splits, for at most I rings.  The power
   split never has to be searched: every region's frame energy is linear in
   the common SNR threshold, so the optimal ratios are closed-form for each
   candidate placement and maximizing throughput reduces to minimizing the
-  summed energy coefficients.
+  summed energy coefficients.  That sum is additive over rings, so a
+  dynamic program over (rings left, ring boundary, surfaces left) finds the
+  optimum without enumerating splits.
 
 * ``algorithm1`` -- the fast constructive heuristic: fill the near-AP circle
   first, then lay rings inward with equal-interval tentative radii, sizing
   each ring so one sector carries the per-IRS UE cap.
 
-The enumeration's hot loop amortizes sector energy integrals through a
-per-configuration coefficient table (fixed 16-point tensor quadrature over
-the half sector, batched over candidate inner radii) and re-derives the
-winning configuration through the adaptive-quadrature contract path before
-returning it.
+The search amortizes sector energy integrals through a per-configuration
+coefficient table (fixed 16-point tensor quadrature over the half sector,
+batched over the candidate inner radii the load cap allows) and re-derives
+the winning configuration through the adaptive-quadrature contract path
+before returning it.
 """
 
 from __future__ import annotations
@@ -46,6 +48,18 @@ class PlanInfeasibleError(RuntimeError):
     def __init__(self, bindings):
         super().__init__("no feasible placement: " + "; ".join(bindings))
         self.bindings = list(bindings)
+
+
+class PlanCheckError(RuntimeError):
+    """A planner's result failed its own consistency check.
+
+    .method names the planner and .violations lists the checks that failed.
+    """
+
+    def __init__(self, method, violations):
+        super().__init__(f"{method} produced an invalid plan: " + "; ".join(violations))
+        self.method = method
+        self.violations = list(violations)
 
 
 @dataclass(frozen=True)
@@ -119,16 +133,18 @@ def coverage_range(cfg: RadioConfig, irs: IrsSpec, p, gamma_thresh,
 
 
 # ---------------------------------------------------------------------------
-# ring-coefficient table for the enumeration loops
+# ring-coefficient table for the line search
 # ---------------------------------------------------------------------------
 
 class _RingCoefficientTable:
     """Cached per-ring energy coefficients on a fixed radius grid.
 
-    ``ring_vec(hi_idx, m, near_ap)`` returns the coefficient of a ring
-    [radii[lo], radii[hi]] with m surfaces for every lo < hi at once, using
-    a 16-point tensor Gauss-Legendre rule over the half sector (doubled by
-    mirror symmetry).  near_ap selects the L = L_min circle of ring 1; other
+    ``ring_vec(hi_idx, m, near_ap)`` returns, indexed by lo < hi, the
+    coefficient of a ring [radii[lo], radii[hi]] with m surfaces, using a
+    16-point tensor Gauss-Legendre rule over the half sector (doubled by
+    mirror symmetry).  Only the rows inside the load-cap window
+    [lo_min(hi, m), hi) are filled; rows below it, which no feasible plan
+    uses, hold +inf.  near_ap selects the L = L_min circle of ring 1; other
     rings take the annulus mid-radius.
     """
 
@@ -142,6 +158,7 @@ class _RingCoefficientTable:
         self.radii = np.arange(0.0, cell.R_ex + 0.5 * step, step)
         if abs(self.radii[-1] - cell.R_ex) > 1e-9:
             self.radii = np.append(self.radii, cell.R_ex)
+        self._r2 = self.radii ** 2
         self.quantile = get_tail_quantile(p_no)
         x, w = np.polynomial.legendre.leggauss(self.NODES)
         self._glx = x
@@ -156,21 +173,28 @@ class _RingCoefficientTable:
         """Largest hi^2 - lo^2 a ring of m surfaces may cover under the load cap."""
         return self.cell.K_irs_max * m / (self.cell.ue_density * math.pi)
 
+    def lo_min(self, hi_idx, m):
+        """Lowest inner index lo a ring ending at radii[hi_idx] with m surfaces
+        may reach under the load cap (hi_idx when none may); m may be an array."""
+        span2 = self._r2[hi_idx] - self._r2[:hi_idx]  # falls as lo rises
+        return np.searchsorted(-span2, -self.max_span2(m) * (1 + 1e-12))
+
     def ring_vec(self, hi_idx, m, near_ap):
         key = (int(hi_idx), int(m), bool(near_ap))
         got = self._cache.get(key)
         if got is not None:
             return got
         cfg = self.cfg
+        first = int(self.lo_min(hi_idx, m))
         hi = self.radii[hi_idx]
-        lo = self.radii[:hi_idx]  # candidate inner radii
+        lo = self.radii[first:hi_idx]  # candidate inner radii inside the window
         half = math.pi / m        # half sector angle
         r_hat = 0.5 * (hi + lo)[:, None] + 0.5 * (hi - lo)[:, None] * self._glx[None, :]
         r_w = 0.5 * (hi - lo)[:, None] * self._glw[None, :]
         az = 0.5 * half + 0.5 * half * self._glx
         az_w = 0.5 * half * self._glw
         if near_ap:
-            L = np.full((hi_idx, 1, 1), self.cell.L_min)
+            L = np.full((len(lo), 1, 1), self.cell.L_min)
         else:
             L = (0.5 * (hi + lo))[:, None, None]
         rr = r_hat[:, :, None]
@@ -178,7 +202,8 @@ class _RingCoefficientTable:
         _, _, alpha, beta = composite_stats_arrays(cfg, self.irs, rr, L, d)
         vals = beta / self.quantile(alpha.ravel()).reshape(alpha.shape)
         F = 2.0 * np.einsum("bi,j,bij->b", r_w * r_hat, az_w, vals)
-        C = m * self.cell.ue_density * cfg.W * cfg.t0 * F
+        C = np.full(hi_idx, math.inf)
+        C[first:] = m * self.cell.ue_density * cfg.W * cfg.t0 * F
         self._cache[key] = C
         return C
 
@@ -193,7 +218,7 @@ def _coefficient_table(cell, cfg, irs, p_no, step) -> _RingCoefficientTable:
 
 
 # ---------------------------------------------------------------------------
-# exhaustive line search at fixed ring count
+# exact line search over ring counts up to I
 # ---------------------------------------------------------------------------
 
 def _finalize(cell, cfg, irs, p_no, R_in, M, method, diagnostics=None) -> PlanResult:
@@ -209,24 +234,107 @@ def _finalize(cell, cfg, irs, p_no, R_in, M, method, diagnostics=None) -> PlanRe
     plan = replace(plan, rho=alloc.rho)
     violations = validate_plan(cell, plan, total_irs=sum(M))
     if violations:
-        raise AssertionError(f"{method} produced an invalid plan: {violations}")
+        raise PlanCheckError(method, [f"{v.code}: {v.detail}" for v in violations])
     diag = dict(diagnostics or {})
     diag["region_coefficients_J"] = {c.region: c.C for c in coeffs}
     return PlanResult(plan=plan, allocation=alloc, nu_bar=alloc.nu_bar,
                       method=method, diagnostics=diag)
 
 
+def _ring_program(table, lo_min, M, depth, m1_max, tops):
+    """The dynamic program behind line_search, for R_in[0] indices `tops`.
+
+    Returns (V, best, choice): V[k, hi, j] as line_search describes it (+inf
+    at states no split reaches); best[lo] the cheapest total whose ring 1
+    ends at R_in[1] = radii[lo]; choice[lo] its (deeper ring count, R_in[0]
+    index, M_1).
+    """
+    c0 = table.c0_grid
+    n = len(c0)
+
+    def top_moves(k):
+        """(R_in[0] index, M_1, first lo) for ring 1 above k deeper rings."""
+        if k:
+            m1s = range(1, min(m1_max, M - k) + 1)
+        else:  # ring 1 alone takes every surface
+            m1s = [M] if M <= m1_max else []
+        for r0 in tops:
+            for m1 in m1s:
+                lo = max(lo_min[r0, m1], k)
+                if lo < r0:
+                    yield r0, m1, lo
+
+    # forward pass: reach[k, hi, j] marks the states some split can reach
+    reach = np.zeros((depth, n, M + 1), dtype=bool)
+    for k in range(depth):
+        for r0, m1, lo in top_moves(k):
+            reach[k, lo:r0, M - m1] = True
+    for k in range(depth - 1, 1, -1):
+        for hi in np.flatnonzero(reach[k].any(axis=1)):
+            for m in range(1, np.flatnonzero(reach[k, hi])[-1] - k + 2):
+                lo = max(lo_min[hi, m], k - 1)
+                reach[k - 1, lo:hi, k - 1:M + 1 - m] |= reach[k, hi, k - 1 + m:]
+
+    V = np.full((depth, n, M + 1), math.inf)
+    V[0, :, 0] = c0
+    for k in range(1, depth):
+        for hi in np.flatnonzero(reach[k].any(axis=1)):
+            row, want = V[k, hi], reach[k, hi]
+            for m in range(1, np.flatnonzero(want)[-1] - k + 2):
+                lo = max(lo_min[hi, m], k - 1)
+                below = V[k - 1, lo:hi, k - 1:M + 1 - m]
+                if not np.isfinite(below[:, want[k - 1 + m:]]).any():
+                    continue
+                vec = table.ring_vec(hi, m, near_ap=False)[lo:hi, None]
+                np.minimum(row[k - 1 + m:], (vec + below).min(axis=0),
+                           out=row[k - 1 + m:])
+            row[~want] = math.inf
+
+    # ring 1 on top of V: the cheapest total for each R_in[1] index
+    best = np.full(n, math.inf)
+    choice = np.zeros((n, 3), dtype=np.int64)
+    for k in range(depth):
+        for r0, m1, lo in top_moves(k):
+            below = V[k, lo:r0, M - m1]
+            if not np.isfinite(below).any():
+                continue
+            cost = (c0[n - 1] - c0[r0] + table.ring_vec(r0, m1, near_ap=True)[lo:r0]) + below
+            better = cost < best[lo:r0]
+            best[lo:r0][better] = cost[better]
+            choice[lo:r0][better] = (k, r0, m1)
+    return V, best, choice
+
+
 def line_search(cell: CellConfig, cfg: RadioConfig, irs: IrsSpec, M, I,
                 grid: SearchGrid = SearchGrid(), p_no=0.95) -> PlanResult:
-    """Exhaustive search over ring radii (grid) and IRS splits with <= I rings.
+    """Exact search over ring radii (grid) and IRS splits with <= I rings.
 
     A split that leaves a ring empty is the same deployment as one with fewer
-    rings, so the enumeration runs every ring count from 1 up to I and keeps
-    the overall winner.  Maximizing the common throughput is equivalent to
-    minimizing the summed region energy coefficients, so the scan tracks
-    coefficient sums; ties within 1e-9 relative prefer the smaller outermost
-    inner radius R_in[1].  Raises PlanInfeasibleError when no assignment
-    satisfies the near-AP slot limit and per-sector load cap.
+    rings, so every ring count from 1 up to I competes.  Maximizing the common
+    throughput is equivalent to minimizing the summed region energy
+    coefficients, and that sum is additive over rings:
+
+        annulus(R_in[0]) + sum_i ring_vec(hi_i, M_i)[lo_i] + c0(R_in[I]).
+
+    So a dynamic program finds the optimum without enumerating splits.
+    V[k, hi, j] is the cheapest way to place k rings off the near-AP circle
+    below boundary radii[hi] with exactly j surfaces (V[0, lo, 0] is the AP
+    disc c0(radii[lo])); each layer is a minimum over the surfaces m of the
+    ring ending at hi and, vectorized, over its inner index lo and over j.
+    Ring 1 (near-AP circle, at most M1_max surfaces) and every candidate
+    R_in[0] are handled once on top of V, and the winning path is recovered
+    by argmin.  A forward pass over the grid, which computes no
+    coefficients, first marks the (k, hi, j) states some split can reach
+    under the per-sector load cap, so coefficients are filled only for rings
+    a plan can use.  With grid.R_in0_search the closed boundary
+    R_in[0] = R_ex is solved first; an open exterior annulus costs
+    c0(R_ex) - c0(R_in[0]) by itself, so only the boundaries whose annulus
+    undercuts that optimum are then searched, over one shared V.
+
+    Ties: the minimum summed coefficient wins; candidates within 1e-9
+    relative of it prefer the smallest R_in[1], then the lower cost.
+    Raises PlanInfeasibleError when no assignment satisfies the near-AP slot
+    limit and per-sector load cap.
     """
     M = int(M)
     I = int(I)
@@ -236,64 +344,47 @@ def line_search(cell: CellConfig, cfg: RadioConfig, irs: IrsSpec, M, I,
         raise PlanInfeasibleError(["no near-AP slots available (M1_max = 0)"])
 
     table = _coefficient_table(cell, cfg, irs, p_no, grid.radius_step)
-    radii = table.radii
+    radii, c0 = table.radii, table.c0_grid
     n = len(radii)
+    lo_min = np.array([table.lo_min(hi, np.arange(M + 1)) for hi in range(n)])
+    V, best, choice = _ring_program(table, lo_min, M, min(I, M), cell.M1_max, [n - 1])
     if grid.R_in0_search:
-        r0_candidates = [i for i in range(1, n)]
-    else:
-        r0_candidates = [n - 1]
-
-    best = {"cost": math.inf, "R": None, "M": None, "r1": math.inf}
-
-    def consider(cost, R_idx, Ms):
-        r1 = radii[R_idx[1]]
-        if (cost < best["cost"] * (1.0 - 1e-9)
-                or (abs(cost - best["cost"]) <= 1e-9 * best["cost"] and r1 < best["r1"] - 1e-12)):
-            best.update(cost=cost, R=[radii[j] for j in R_idx], M=list(Ms), r1=r1)
-
-    for I_run in range(1, min(I, M) + 1):
-        for r0_idx in r0_candidates:
-            # AP cost of an open exterior annulus (zero when R_in[0] = R_ex)
-            annulus = table.c0_grid[n - 1] - table.c0_grid[r0_idx]
-
-            def descend(ring, hi_idx, m_left, acc, R_idx, Ms):
-                deeper = I_run - ring  # rings still to place after this one
-                m_cap = min(cell.M1_max, m_left - deeper) if ring == 1 else m_left - deeper
-                if ring == I_run:
-                    m = m_left
-                    if ring == 1 and m > cell.M1_max:
-                        return
-                    vec = table.ring_vec(hi_idx, m, near_ap=(ring == 1))
-                    lo_ok = radii[hi_idx] ** 2 - radii[:hi_idx] ** 2 <= table.max_span2(m) * (1 + 1e-12)
-                    if not lo_ok.any():
-                        return
-                    cost_vec = acc + vec + table.c0_grid[:hi_idx]
-                    cost_vec = np.where(lo_ok, cost_vec, math.inf)
-                    k = int(np.argmin(cost_vec))
-                    consider(float(cost_vec[k]), R_idx + [k], Ms + [m])
-                    return
-                for m in range(1, m_cap + 1):
-                    span2 = table.max_span2(m)
-                    lo_min_sq = radii[hi_idx] ** 2 - span2
-                    vec = None
-                    # deeper rings need `deeper` strictly descending indices below
-                    # lo_idx (the innermost may reach index 0); spans grow as lo
-                    # falls, so the load cap cuts the scan off monotonically
-                    for lo_idx in range(hi_idx - 1, deeper - 1, -1):
-                        if radii[lo_idx] ** 2 < lo_min_sq * (1 - 1e-12):
-                            break
-                        if vec is None:
-                            vec = table.ring_vec(hi_idx, m, near_ap=(ring == 1))
-                        descend(ring + 1, lo_idx, m_left - m, acc + vec[lo_idx],
-                                R_idx + [lo_idx], Ms + [m])
-
-            descend(1, r0_idx, M, annulus, [r0_idx], [])
-
-    if best["R"] is None:
+        # every term of a plan's cost is nonnegative, so a plan whose open
+        # exterior annulus alone costs more than the best closed plan (with a
+        # margin far wider than the 1e-9 tie window) cannot win
+        bound = best.min() * (1.0 + 1e-6)
+        tops = [r0 for r0 in range(1, n) if c0[n - 1] - c0[r0] <= bound]
+        if len(tops) > 1:
+            V, best, choice = _ring_program(table, lo_min, M, min(I, M), cell.M1_max, tops)
+    c_min = best.min()
+    if not math.isfinite(c_min):
         raise PlanInfeasibleError([
             "per-sector load cap and near-AP slot limit exclude every split "
             f"of M={M} over ring counts 1..{I} on the {grid.radius_step:g} m grid"])
-    return _finalize(cell, cfg, irs, p_no, best["R"], best["M"], "line-search",
+    lo1 = int(np.flatnonzero(best - c_min <= 1e-9 * c_min)[0])
+    deeper, r0, m1 = (int(v) for v in choice[lo1])
+    R_idx, Ms = [r0, lo1], [m1]
+    hi, j = lo1, M - m1
+    for k in range(deeper, 0, -1):
+        step = (math.inf, 0, 0)  # (cost, m, lo) of the cheapest ring at hi
+        for m in range(1, j - k + 2):
+            lo = max(lo_min[hi, m], k - 1)
+            below = V[k - 1, lo:hi, j - m]
+            if not np.isfinite(below).any():
+                continue
+            cost = table.ring_vec(hi, m, near_ap=False)[lo:hi] + below
+            at = int(np.argmin(cost))
+            if cost[at] < step[0]:
+                step = (cost[at], m, lo + at)
+        if step[0] != V[k, hi, j]:
+            raise PlanCheckError("line-search", [
+                f"path recovery at ring depth {k}: cheapest ring costs "
+                f"{float(step[0])!r}, the table holds {float(V[k, hi, j])!r}"])
+        _, m, hi = step
+        j -= m
+        R_idx.append(hi)
+        Ms.append(m)
+    return _finalize(cell, cfg, irs, p_no, [radii[i] for i in R_idx], Ms, "line-search",
                      {"grid_step_m": grid.radius_step, "searched_R_in0": grid.R_in0_search})
 
 

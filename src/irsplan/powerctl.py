@@ -92,26 +92,6 @@ def ap_annulus_coefficient(cfg: RadioConfig, cell: CellConfig, p_no, r_lo, r_hi)
             - ap_region_coefficient(cfg, cell, p_no, r_lo).C)
 
 
-def _sector_quadrature_fixed(cfg, irs, lo, hi, L, phi, quantile, nodes=16):
-    """F_i by fixed tensor Gauss-Legendre over the half sector, doubled.
-
-    Fast path for the planner's enumeration loops; agrees with the adaptive
-    route to ~1e-6 relative on these smooth integrands (asserted in tests),
-    far below the cost differences the enumeration discriminates.
-    """
-    x, w = np.polynomial.legendre.leggauss(nodes)
-    r = 0.5 * (hi + lo) + 0.5 * (hi - lo) * x
-    rw = 0.5 * (hi - lo) * w
-    half = 0.5 * phi
-    a = 0.5 * half + 0.5 * half * x
-    aw = 0.5 * half * w
-    rr, aa = np.meshgrid(r, a, indexing="ij")
-    d = np.sqrt(rr ** 2 + L ** 2 - 2.0 * rr * L * np.cos(aa))
-    _, _, alpha, beta = composite_stats_arrays(cfg, irs, rr, L, d)
-    vals = beta / quantile(alpha)
-    return 2.0 * float(np.einsum("i,j,ij->", rw * r, aw, vals))
-
-
 def irs_region_coefficient(cfg: RadioConfig, cell: CellConfig, irs: IrsSpec,
                            plan: RingPlan, i, p_no, quantile=None,
                            tol: Tolerance = DEFAULT_TOL) -> RegionEnergyCoefficient:

@@ -41,6 +41,15 @@ from .planner import PlanResult
 _PI2_16 = math.pi ** 2 / 16.0
 
 
+class SlotLimitError(RuntimeError):
+    """A simulated sector served more UEs than the frame has time slots."""
+
+    def __init__(self, max_load, n_t):
+        super().__init__(f"slot limit violated: {max_load} > n_t={n_t}")
+        self.max_load = max_load
+        self.n_t = n_t
+
+
 @dataclass(frozen=True)
 class McConfig:
     n_topologies: int = 100
@@ -264,7 +273,7 @@ def validate_plan_mc(cell: CellConfig, cfg: RadioConfig, irs: IrsSpec,
         overflow_total += n_over
         max_load = max(max_load, load)
     if max_load > cfg.n_t:
-        raise AssertionError(f"slot limit violated: {max_load} > n_t={cfg.n_t}")
+        raise SlotLimitError(max_load, cfg.n_t)
 
     def hat(key):
         s, t = pooled[key]

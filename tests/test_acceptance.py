@@ -114,6 +114,7 @@ def test_criterion_5_exterior_boundary_closes(radio, irs, capsys):
            f"R_ex=200/250/300 (got {sorted(hit.values())}), {dt:.0f} s")
 
 
+@pytest.mark.slow
 def test_criterion_6_tail_model_vs_exact_draws(cell, radio, irs, plan_m100,
                                                capsys):
     t0 = time.perf_counter()
@@ -158,6 +159,7 @@ def test_criterion_6_tail_model_vs_exact_draws(cell, radio, irs, plan_m100,
            f"{sign_note}; {dt:.0f} s (<5 min)")
 
 
+@pytest.mark.slow
 def test_criterion_7_composite_moments(radio, irs, capsys):
     geoms = [(180.0, 120.0, 70.0), (240.0, 10.0, 230.3), (130.0, 152.5, 23.0),
              (150.0, 100.0, 52.0), (210.0, 205.0, 7.2)]

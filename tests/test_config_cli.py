@@ -183,6 +183,19 @@ class TestPlanCommand:
         assert err["error"]["kind"] == "infeasible"
         assert err["error"]["bindings"]
 
+    def test_invalid_plan_is_structured(self, tmp_path, capsys, monkeypatch):
+        # a planner whose result fails the placement checks exits with code 2
+        import irsplan.planner
+        from irsplan.geometry import PlanViolation
+        monkeypatch.setattr(irsplan.planner, "validate_plan", lambda *a, **k: [
+            PlanViolation("sector-load", "ring 2 over the cap", 0.5)])
+        rc = main(["plan", "--out", str(tmp_path)] + PLAN_ARGS)
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["kind"] == "invalid-plan"
+        assert err["error"]["method"] == "algorithm1"
+        assert err["error"]["violations"] == ["sector-load: ring 2 over the cap"]
+
     def test_config_error_is_structured(self, tmp_path, capsys):
         rc = main(["plan", "--out", str(tmp_path), "--set", "cell.K=true"])
         assert rc == 2
@@ -249,6 +262,23 @@ class TestValidateCommand:
                          "--seed", "5"] + VALIDATE_MC) == 0
         assert (a / "mc_report.json").read_bytes() == \
             (b / "mc_report.json").read_bytes()
+
+    def test_slot_limit_is_structured(self, tmp_path, plan_file, capsys, monkeypatch):
+        # a topology whose busiest sector outgrows the frame exits with code 2
+        import irsplan.simulation
+        run = irsplan.simulation._run_topology
+
+        def overloaded(task):
+            strata, counts, load, *rest = run(task)
+            return (strata, counts, 21, *rest)
+
+        monkeypatch.setattr(irsplan.simulation, "_run_topology", overloaded)
+        rc = main(["validate", str(plan_file), "--out", str(tmp_path / "mc")]
+                  + VALIDATE_MC)
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["kind"] == "slot-limit"
+        assert err["error"]["max_load"] == 21 and err["error"]["n_t"] == 20
 
     def test_missing_plan_file(self, tmp_path, capsys):
         rc = main(["validate", str(tmp_path / "nope.json"),

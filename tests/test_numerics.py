@@ -128,6 +128,26 @@ class TestTailQuantile:
         with pytest.raises(ValueError):
             tq(np.array([3.0, 0.0]))
 
+    def test_direct_index_matches_spline(self, rng):
+        # evaluation by direct index must reproduce scipy's own evaluation of
+        # the spline: random shapes, every knot, both ends of the table
+        tq = get_tail_quantile(0.95)
+        knots = np.exp(tq._spline.x)
+        alpha = np.concatenate([
+            np.exp(rng.uniform(np.log(tq.alpha_lo), np.log(tq.alpha_hi), 200_000)),
+            knots[(knots >= tq.alpha_lo) & (knots <= tq.alpha_hi)],
+            [tq.alpha_lo, tq.alpha_hi]])
+        want = np.exp(tq._spline(np.log(alpha)))
+        assert (np.abs(tq(alpha) - want) <= 2 * np.spacing(want)).all()
+        # inside shapes of a mixed array take the same path; outside ones
+        # fall back to the direct inverse
+        mixed = np.array([5e-3, tq.alpha_lo, 3.7, tq.alpha_hi, 2e5])
+        got = tq(mixed)
+        inside = np.exp(tq._spline(np.log(mixed[1:4])))
+        assert (np.abs(got[1:4] - inside) <= 2 * np.spacing(inside)).all()
+        assert got[0] == inv_reg_upper_gamma(5e-3, 0.95)
+        assert got[4] == inv_reg_upper_gamma(2e5, 0.95)
+
     def test_cache_returns_same_object(self):
         assert get_tail_quantile(0.95) is get_tail_quantile(0.95)
 

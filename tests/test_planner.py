@@ -1,14 +1,17 @@
-"""Placement search: coverage study, exhaustive line search, fast heuristic."""
+"""Placement search: coverage study, exact line search, fast heuristic."""
 
+import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from irsplan.channel import IrsSpec, LinkGeometry, composite_stats, nop_direct
 from irsplan.geometry import (CellConfig, coverage_area_accounting,
-                              validate_plan)
-from irsplan.planner import (PlanInfeasibleError, SearchGrid, _coefficient_table,
+                              make_ring_plan, validate_plan)
+from irsplan.planner import (PlanInfeasibleError, SearchGrid,
+                             _coefficient_table, _RingCoefficientTable,
                              algorithm1, coverage_range, line_search)
 
 ETA_MIN = 10.0  # linear mean-SNR threshold for the coverage study
@@ -129,6 +132,94 @@ class TestLineSearch:
         assert again is not first
         assert np.array_equal(again.ring_vec(hi, 7, False), ref)
         assert _coefficient_table(cell, radio, IrsSpec(irs.N), 0.95, 10) is again
+
+
+def brute_force_plan(cell, table, M, I, search_r0):
+    """Every (boundary index tuple, split) on the grid, by itertools.
+
+    Applies the documented rule: least summed coefficient; within 1e-9
+    relative of it the smallest R_in[1]; then the lower cost.  None when
+    the load cap and slot limit exclude every split.
+    """
+    radii, c0 = table.radii, table.c0_grid
+    n = len(radii)
+    tops = range(1, n) if search_r0 else [n - 1]
+    found = []  # (cost, R_in[1] index, boundary indices, split)
+    for rings in range(1, min(I, M) + 1):
+        for r0 in tops:
+            for inner in itertools.combinations(range(r0 - 1, -1, -1), rings):
+                idx = (r0,) + inner
+                for cuts in itertools.combinations(range(1, M), rings - 1):
+                    split = [b - a for a, b in zip((0,) + cuts, cuts + (M,))]
+                    if split[0] > cell.M1_max:
+                        continue
+                    cost = c0[n - 1] - c0[r0]
+                    for ring, m in enumerate(split):
+                        hi, lo = idx[ring], idx[ring + 1]
+                        if radii[hi] ** 2 - radii[lo] ** 2 > table.max_span2(m) * (1 + 1e-12):
+                            break
+                        cost += table.ring_vec(hi, m, ring == 0)[lo]
+                    else:
+                        found.append((cost + c0[idx[-1]], idx[1], idx, split))
+    if not found:
+        return None
+    c_min = min(f[0] for f in found)
+    near = [f for f in found if f[0] - c_min <= 1e-9 * c_min]
+    _, _, idx, split = min(near, key=lambda f: (f[1], f[0]))
+    return make_ring_plan(cell, [radii[k] for k in idx], split)
+
+
+class TestExactSearch:
+    """The dynamic program against exhaustive enumeration on a coarse grid."""
+
+    STEP = 25.0
+
+    # the default cell, and one whose looser load cap and fewer near-AP
+    # slots let three rings fit on the coarse grid
+    @pytest.mark.parametrize("cell_args", [{}, {"K_irs_max": 40.0, "M1_max": 4}])
+    @pytest.mark.parametrize("search_r0", [False, True])
+    @pytest.mark.parametrize("I", [1, 2, 3])
+    def test_matches_brute_force(self, radio, irs, cell_args, I, search_r0):
+        cell = CellConfig(**cell_args)
+        table = _coefficient_table(cell, radio, irs, 0.95, self.STEP)
+        grid = SearchGrid(radius_step=self.STEP, R_in0_search=search_r0)
+        for M in (1, 4, 5, 9, 10, 11, 13, 18, 25):
+            want = brute_force_plan(cell, table, M, I, search_r0)
+            if want is None:
+                with pytest.raises(PlanInfeasibleError):
+                    line_search(cell, radio, irs, M, I, grid=grid)
+            else:
+                res = line_search(cell, radio, irs, M, I, grid=grid)
+                assert replace(res.plan, rho=None) == want, (M, I, search_r0)
+
+    def test_exact_ties_prefer_the_smallest_r1(self, cell, radio, irs, monkeypatch):
+        # every ring costs the same and the AP disc is free, so all one-ring
+        # plans tie: the innermost R_in[1] the load cap allows must win
+        import irsplan.planner
+        table = _RingCoefficientTable(cell, radio, irs, 0.95, 5.0)
+        table.c0_grid = np.zeros_like(table.c0_grid)
+        table.ring_vec = lambda hi_idx, m, near_ap: np.where(
+            np.arange(hi_idx) >= table.lo_min(hi_idx, m), 1.0, np.inf)
+        monkeypatch.setattr(irsplan.planner, "_coefficient_table", lambda *args: table)
+        res = line_search(cell, radio, irs, 10, 1)
+        top = len(table.radii) - 1
+        assert table.lo_min(top, 10) < top - 1  # several candidates tie
+        assert res.plan.R_in == (250.0, table.radii[table.lo_min(top, 10)])
+
+    def test_ring_rows_outside_load_cap_are_inf(self, cell, radio, irs):
+        table = _coefficient_table(cell, radio, irs, 0.95, 10.0)
+        every_lo = _RingCoefficientTable(cell, radio, irs, 0.95, 10.0)
+        every_lo.lo_min = lambda hi_idx, m: 0
+        r2 = table.radii ** 2
+        for hi in (1, 7, 18, 25):
+            for m in (1, 3, 10, 40):
+                for near_ap in (False, True):
+                    got = table.ring_vec(hi, m, near_ap)
+                    full = every_lo.ring_vec(hi, m, near_ap)
+                    inside = r2[hi] - r2[:hi] <= table.max_span2(m) * (1 + 1e-12)
+                    assert np.isfinite(full).all()
+                    assert np.isinf(got[~inside]).all() and (got[~inside] > 0).all()
+                    assert np.array_equal(got[inside], full[inside])
 
 
 class TestAlgorithm1:

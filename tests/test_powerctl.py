@@ -8,9 +8,10 @@ from scipy.optimize import brentq
 
 from irsplan.channel import nop_direct
 from irsplan.geometry import make_ring_plan
-from irsplan.numerics import get_tail_quantile, integrate_radial
+from irsplan.numerics import integrate_radial
+from irsplan.planner import _coefficient_table
 from irsplan.powerctl import (PowerAllocation, RegionEnergyCoefficient,
-                              _sector_quadrature_fixed, ap_annulus_coefficient,
+                              ap_annulus_coefficient,
                               ap_region_coefficient, benchmark_cipc,
                               benchmark_equal_power, benchmark_irs_equal_power,
                               benchmark_irs_mean_cipc, cipc_power,
@@ -82,15 +83,14 @@ class TestApCoefficient:
 
 class TestIrsCoefficient:
     def test_fixed_vs_adaptive_quadrature(self, radio, cell, irs):
+        # the planner's fixed 16-point rule against the adaptive contract path
         plan = make_ring_plan(cell, (250.0, 230.0, 190.0), (10, 17))
-        q = get_tail_quantile(0.95)
+        table = _coefficient_table(cell, radio, irs, 0.95, 10.0)
+        index = {float(r): k for k, r in enumerate(table.radii)}
         for i in (1, 2):
             adaptive = irs_region_coefficient(radio, cell, irs, plan, i, 0.95)
             lo, hi = plan.ring_bounds(i)
-            F_fixed = _sector_quadrature_fixed(radio, irs, lo, hi,
-                                               plan.L[i - 1],
-                                               plan.sector_angle(i), q)
-            C_fixed = plan.M[i - 1] * cell.ue_density * radio.W * radio.t0 * F_fixed
+            C_fixed = table.ring_vec(index[hi], plan.M[i - 1], i == 1)[index[lo]]
             assert adaptive.C == pytest.approx(C_fixed, rel=2e-6)
             assert adaptive.region == f"ring{i}"
 
