@@ -16,13 +16,13 @@ Layout:
 * :mod:`irsplan.simulation` -- topology + fading Monte Carlo certification
 * :mod:`irsplan.cli`        -- reproducible experiment artifacts
 
-The element-level fading kernel has a compiled backend with a pure-numpy
-fallback chosen at import (see ``irsplan._kernels.BACKEND``).
+Exact element-level fading draws are streamed by one vectorized numpy kernel,
+``irsplan._kernels.exact_tail_stats``.
 """
 
 __version__ = "0.1.0"
 
-from ._kernels import BACKEND as KERNEL_BACKEND
+from ._kernels import BACKEND as KERNEL_BACKEND  # read by perfbench's set-up probe
 from .channel import (CompositeChannelStats, IrsSpec, LinkGeometry, MeanGains,
                       OutageSpec, RadioConfig, composite_stats,
                       mean_gain_direct, mean_gains_irs, nop_direct, nop_irs,

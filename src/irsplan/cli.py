@@ -34,7 +34,7 @@ from .powerctl import (PowerAllocation, benchmark_cipc, benchmark_equal_power,
                        benchmark_irs_equal_power, benchmark_irs_mean_cipc)
 from .simulation import SlotLimitError, validate_plan_mc
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 class CliError(Exception):

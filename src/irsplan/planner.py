@@ -65,14 +65,11 @@ class PlanCheckError(RuntimeError):
 @dataclass(frozen=True)
 class SearchGrid:
     radius_step: float = 5.0    # ring-radius grid pitch [m]
-    rho_step: float = 0.05      # kept for compatibility; the power split is
-                                # closed-form, so no rho grid is ever scanned
-    I_max: int = 3
     R_in0_search: bool = False  # also search the exterior boundary R_in[0]
 
     def __post_init__(self):
-        if self.radius_step <= 0 or not (0 < self.rho_step < 1) or self.I_max < 1:
-            raise ValueError("SearchGrid: invalid field values")
+        if self.radius_step <= 0:
+            raise ValueError("SearchGrid: radius_step must be positive")
 
 
 @dataclass(frozen=True)

@@ -163,6 +163,17 @@ def benchmark_cipc(cfg: RadioConfig, cell: CellConfig, p_no) -> ThroughputReport
 # repo-defined IRS power-control benchmarks (placement fixed, policy varied)
 # ---------------------------------------------------------------------------
 
+def _ap_spans(cell, plan):
+    """Nonempty radial spans (lo, hi) served by the AP alone, inner disc first.
+
+    The inner disc ends at the last ring boundary R_in[I], which is R_in[0]
+    for a plan without rings; the exterior annulus (R_in[0], R_ex] is
+    AP-served whenever the outermost boundary sits inside the cell edge.
+    """
+    spans = ((0.0, plan.R_in[-1]), (plan.R_in[0], cell.R_ex))
+    return [(lo, hi) for lo, hi in spans if hi > lo]
+
+
 def _worst_case_grid(cfg, cell, irs, plan, n_r=40, n_az=33):
     """Mean-Z2 / direct-gain samples over a radial-angular worst-case grid.
 
@@ -190,13 +201,7 @@ def _worst_case_grid(cfg, cell, irs, plan, n_r=40, n_az=33):
         beta = np.concatenate(beta_list)
     else:
         mean_z2 = alpha = beta = np.empty(0)
-    r_ap = []
-    if plan.I and plan.R_in[-1] > 0:
-        r_ap.append(np.linspace(0.0, plan.R_in[-1], n_r))
-    elif plan.I == 0:
-        r_ap.append(np.linspace(0.0, plan.R_in[0], n_r))
-    if plan.R_in[0] < cell.R_ex:
-        r_ap.append(np.linspace(plan.R_in[0], cell.R_ex, n_r))
+    r_ap = [np.linspace(lo, hi, n_r) for lo, hi in _ap_spans(cell, plan)]
     g_ap = mean_gain_direct(cfg, np.concatenate(r_ap)) if r_ap else np.empty(0)
     return mean_z2, alpha, beta, g_ap
 
@@ -283,17 +288,9 @@ def benchmark_irs_mean_cipc(cfg, cell, irs, plan, p_no,
 
         half = 0.5 * plan.sector_angle(i)
         inv_gain_integral += plan.M[i - 1] * 2.0 * integrate_polar_sector(inv_mean, lo, hi, half)
-    spans = []
-    if plan.I:
-        spans.append((0.0, plan.R_in[-1]))
-        if plan.R_in[0] < cell.R_ex:
-            spans.append((plan.R_in[0], cell.R_ex))
-    else:
-        spans.append((0.0, plan.R_in[0]))
-    for lo, hi in spans:
-        if hi > lo:
-            inv_gain_integral += 2.0 * math.pi * integrate_radial(
-                lambda r: r / mean_gain_direct(cfg, r), lo, hi)
+    for lo, hi in _ap_spans(cell, plan):
+        inv_gain_integral += 2.0 * math.pi * integrate_radial(
+            lambda r: r / mean_gain_direct(cfg, r), lo, hi)
     gamma_bar = cfg.E_total / (cell.ue_density * cfg.W * cfg.t0 * inv_gain_integral)
 
     mean_z2, alpha, beta, g_ap = _worst_case_grid(cfg, cell, irs, plan, n_r, n_az)

@@ -151,7 +151,7 @@ class TestPlanCommand:
         assert rc == 0
         assert "nu_bar=3.2678" in capsys.readouterr().out
         doc = json.loads((tmp_path / "plan.json").read_text(encoding="utf-8"))
-        assert doc["schema_version"] == 1
+        assert doc["schema_version"] == 2
         assert doc["method"] == "algorithm1"
         assert doc["plan"]["M"] == [10, 5]
         assert doc["plan"]["R_in_m"][0] == 250.0
@@ -202,6 +202,15 @@ class TestPlanCommand:
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["kind"] == "config-error"
         assert "cell.K" in err["error"]["detail"]
+
+    @pytest.mark.parametrize("setting", ["grid.I_max=5", "grid.rho_step=0.1"])
+    def test_dropped_grid_keys_are_rejected(self, tmp_path, capsys, setting):
+        # both were once accepted and silently ignored by every planner
+        rc = main(["plan", "--out", str(tmp_path), "--set", setting] + PLAN_ARGS)
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["kind"] == "config-error"
+        assert setting.split("=")[0] in err["error"]["detail"]
 
 
 SWEEP_ARGS = ["--set", "sweep.M_values=[0, 15]",

@@ -1,8 +1,7 @@
-"""Fading-kernel backend tests.
+"""Fading-kernel tests.
 
-Both backends must consume the exponential stream in the documented order,
-so a one-shot numpy reference written here pins the layout contract, and the
-compiled extension is checked against the fallback draw for draw.
+The kernel must consume the exponential stream in the documented order, so a
+one-shot numpy reference written here pins the layout contract.
 """
 
 import math
@@ -10,8 +9,8 @@ import math
 import numpy as np
 import pytest
 
-from irsplan import _kernels
-from irsplan._kernels import numpy_backend
+import irsplan
+from irsplan import _kernels, simulation
 from irsplan.channel import (IrsSpec, LinkGeometry, RadioConfig,
                              composite_stats, mean_gains_irs)
 
@@ -36,8 +35,8 @@ class TestLayoutContract:
     def test_numpy_backend_matches_reference(self):
         g_i, g_r, g_d = GAINS
         thr = 2.5e-11
-        got = numpy_backend.exact_tail_stats(_philox(7, 3), 4000, 50,
-                                             g_i, g_r, g_d, thr)
+        got = _kernels.exact_tail_stats(_philox(7, 3), 4000, 50,
+                                        g_i, g_r, g_d, thr)
         want = reference_tail_stats(_philox(7, 3), 4000, 50, g_i, g_r, g_d, thr)
         assert got[0] == want[0]
         assert got[1] == pytest.approx(want[1], rel=1e-12)
@@ -45,11 +44,11 @@ class TestLayoutContract:
 
     def test_chunking_invariance(self, monkeypatch):
         g_i, g_r, g_d = GAINS
-        one_shot = numpy_backend.exact_tail_stats(_philox(11, 0), 3000, 20,
-                                                  g_i, g_r, g_d, 2e-11)
-        monkeypatch.setattr(numpy_backend, "_CHUNK_TARGET", 900)
-        chunked = numpy_backend.exact_tail_stats(_philox(11, 0), 3000, 20,
-                                                 g_i, g_r, g_d, 2e-11)
+        one_shot = _kernels.exact_tail_stats(_philox(11, 0), 3000, 20,
+                                             g_i, g_r, g_d, 2e-11)
+        monkeypatch.setattr(_kernels, "_CHUNK_TARGET", 900)
+        chunked = _kernels.exact_tail_stats(_philox(11, 0), 3000, 20,
+                                            g_i, g_r, g_d, 2e-11)
         assert chunked[0] == one_shot[0]
         assert chunked[1] == pytest.approx(one_shot[1], rel=1e-12)
         assert chunked[2] == pytest.approx(one_shot[2], rel=1e-12)
@@ -58,28 +57,12 @@ class TestLayoutContract:
         _, _, g_d = GAINS
         thr = 1.5 * g_d
         n = 200_000
-        count, s2, _ = numpy_backend.exact_tail_stats(_philox(3, 9), n, 0,
-                                                      0.0, 0.0, g_d, thr)
+        count, s2, _ = _kernels.exact_tail_stats(_philox(3, 9), n, 0,
+                                                 0.0, 0.0, g_d, thr)
         # Z^2 = g_d * exponential, so the tail is exp(-thr / g_d)
         expect = math.exp(-thr / g_d)
         assert count / n == pytest.approx(expect, abs=4.0 * math.sqrt(expect / n))
         assert s2 / n == pytest.approx(g_d, rel=0.02)
-
-
-@pytest.mark.skipif(_kernels.BACKEND != "compiled",
-                    reason="compiled extension not built")
-class TestCompiledBackend:
-    def test_matches_numpy_draw_for_draw(self):
-        g_i, g_r, g_d = GAINS
-        for seed, n, N in [(0, 5000, 40), (42, 2000, 2000), (9, 10_000, 1)]:
-            thr = 1.2e-11
-            fast = _kernels.exact_tail_stats(_philox(seed, 1), n, N,
-                                             g_i, g_r, g_d, thr)
-            slow = _kernels.exact_tail_stats_numpy(_philox(seed, 1), n, N,
-                                                   g_i, g_r, g_d, thr)
-            assert fast[0] == slow[0]
-            assert fast[1] == pytest.approx(slow[1], rel=1e-12)
-            assert fast[2] == pytest.approx(slow[2], rel=1e-12)
 
     def test_repeatable(self):
         g_i, g_r, g_d = GAINS
@@ -92,6 +75,11 @@ class TestCompiledBackend:
         count, _, _ = _kernels.exact_tail_stats(_philox(1, 1), 1234, 30,
                                                 g_i, g_r, g_d, 0.0)
         assert count == 1234
+
+    def test_benchmark_hooks(self):
+        # perfbench reads the backend name and wraps the kernel by identity
+        assert irsplan.KERNEL_BACKEND == "numpy"
+        assert simulation.exact_tail_stats is _kernels.exact_tail_stats
 
 
 class TestMomentSanity:

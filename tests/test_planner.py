@@ -276,7 +276,3 @@ class TestSearchGrid:
     def test_validation(self):
         with pytest.raises(ValueError):
             SearchGrid(radius_step=0.0)
-        with pytest.raises(ValueError):
-            SearchGrid(rho_step=1.5)
-        with pytest.raises(ValueError):
-            SearchGrid(I_max=0)

@@ -196,3 +196,13 @@ class TestIrsBaselines:
         ep = benchmark_irs_equal_power(radio, cell, irs, small_plan, 0.95)
         mc = benchmark_irs_mean_cipc(radio, cell, irs, small_plan, 0.95)
         assert mc.nu_bar >= ep.nu_bar * 0.98
+
+    def test_mean_cipc_without_rings_is_ap_cipc(self, radio, cell, irs):
+        # no rings: the disc inside R_in[0] and the exterior annulus are both
+        # AP-served, so gamma_bar is the AP-only CIPC mean SNR over the cell
+        plan = make_ring_plan(cell, [200.0], [])
+        rep = benchmark_irs_mean_cipc(radio, cell, irs, plan, 0.95)
+        want = (radio.E_total * radio.alpha0
+                / (2.0 * math.pi * cell.ue_density * radio.W * radio.t0
+                   * f0_integral(radio, cell.R_ex)))
+        assert rep.details["gamma_bar"] == pytest.approx(want, rel=1e-9)
