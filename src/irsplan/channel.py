@@ -5,6 +5,8 @@ IRS-UE), the first two moments of the squared composite amplitude Z^2 when an
 N-element reflecting surface adds a phase-aligned cascaded path on top of the
 Rayleigh direct path, the Gamma tail approximation built from those moments,
 and the resulting non-outage probability (NOP) / required-power formulas.
+Other modules call these, never re-derive them: ``_cascade_moments`` also sets
+the MC surrogate's law, and ``irs_power_factor`` is every sector integrand.
 
 Model: the cascaded amplitude X = sum_j |h_i,j||h_r,j| is treated as Gaussian
 by the CLT with
@@ -174,6 +176,11 @@ def mean_gains_irs(cfg: RadioConfig, geom: LinkGeometry) -> MeanGains:
 # composite moments and the Gamma fit
 # ---------------------------------------------------------------------------
 
+def _cascade_moments(N, g_i, g_r):
+    """(mu, s2): mean and variance of the CLT cascade amplitude X."""
+    return N * (math.pi / 4.0) * np.sqrt(g_i * g_r), N * (1.0 - _PI2_16) * g_i * g_r
+
+
 def _z2_moment_arrays(N, g_d, g_i, g_r):
     """Mean and variance of Z^2 from the Gaussian (CLT) + Rayleigh model.
 
@@ -182,8 +189,7 @@ def _z2_moment_arrays(N, g_d, g_i, g_r):
     3 delta^3 sqrt(pi/2), 8 delta^4).  Binomial expansion of E (X+Y)^2 and
     E (X+Y)^4 using independence.
     """
-    mu = N * (math.pi / 4.0) * np.sqrt(g_i * g_r)
-    s2 = N * (1.0 - _PI2_16) * g_i * g_r
+    mu, s2 = _cascade_moments(N, g_i, g_r)
     delta = np.sqrt(g_d / 2.0)
     y1 = delta * math.sqrt(math.pi / 2.0)
     y2 = 2.0 * delta ** 2
@@ -256,12 +262,21 @@ def nop_irs(cfg: RadioConfig, irs: IrsSpec, p, geom, eta0):
     return float(out) if np.ndim(out) == 0 else out
 
 
+def irs_power_factor(cfg: RadioConfig, irs: IrsSpec, r, l, d, quantile):
+    """beta / q_alpha(p_no), the required power per unit W eta0, over (r, l, d).
+
+    ``quantile`` maps Gamma shapes to their p_no tail quantile (a TailQuantile).
+    """
+    _, _, alpha, beta = composite_stats_arrays(cfg, irs, r, l, d)
+    return beta / quantile(alpha)
+
+
 def required_power_irs(cfg: RadioConfig, irs: IrsSpec, geom, eta0, p_no, quantile=None):
     """Transmit power that meets NOP target p_no for an IRS-served UE.
 
-    Inverts the Gamma tail: p = W eta0 beta / q where G_alpha(q) = p_no.
-    ``quantile`` may supply a TailQuantile table; otherwise the direct
-    inverse is evaluated.
+    Inverts the Gamma tail: p = W eta0 beta / q (W eta0 ``irs_power_factor``)
+    where G_alpha(q) = p_no.  ``quantile`` may supply a TailQuantile table;
+    otherwise the direct inverse is evaluated.
     """
     if isinstance(geom, LinkGeometry):
         r, l, d = geom.r, geom.l, geom.d

@@ -303,8 +303,6 @@ def _build_parser():
                        help="Monte Carlo seed (overrides mc.seed)")
         p.add_argument("--out", type=Path, default=Path("."),
                        help="output directory")
-        p.add_argument("--full-scale", action="store_true",
-                       help="full-scale MC: 1000 topologies x 1e6 draws")
 
     common(sub.add_parser("coverage", help="coverage-range l sweep"))
     p_plan = sub.add_parser("plan", help="single placement run")
@@ -321,8 +319,7 @@ def _build_parser():
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        cfg = load_config(args.config, args.overrides, seed=args.seed,
-                          full_scale=args.full_scale)
+        cfg = load_config(args.config, args.overrides, seed=args.seed)
         out_dir = args.out
         out_dir.mkdir(parents=True, exist_ok=True)
         if args.command == "coverage":

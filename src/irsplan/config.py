@@ -211,11 +211,10 @@ def _parse_override(text):
     return section, field, _apply_units(value)
 
 
-def load_config(path=None, overrides=(), seed=None, full_scale=False) -> ExperimentConfig:
+def load_config(path=None, overrides=(), seed=None) -> ExperimentConfig:
     """Resolve a config file plus --set overrides into an ExperimentConfig.
 
-    ``seed`` (from --seed) lands in mc.seed; ``full_scale`` (from
-    --full-scale) raises the MC workload to 1000 topologies x 10^6 draws.
+    ``seed`` (from --seed) lands in mc.seed.
     """
     data = {}
     if path is not None:
@@ -253,6 +252,4 @@ def load_config(path=None, overrides=(), seed=None, full_scale=False) -> Experim
     cfg = ExperimentConfig(**sections)
     if seed is not None:
         cfg = replace(cfg, mc=replace(cfg.mc, seed=int(seed)))
-    if full_scale:
-        cfg = replace(cfg, mc=replace(cfg.mc, n_topologies=1000, n_fading=10 ** 6))
     return cfg

@@ -237,8 +237,14 @@ def locate_ue_arrays(cell: CellConfig, plan: RingPlan, r, azimuth):
         ring[members] = i
         sector[members] = s
         l[members] = L
-        d[members] = np.sqrt(np.maximum(rm ** 2 + L ** 2 - 2.0 * rm * L * np.cos(dphi), 0.0))
+        d[members] = irs_distance(rm, L, dphi)
     return ring, sector, l, d
+
+
+def irs_distance(r, L, dphi):
+    """IRS-UE distance from the UE's AP distance r, the IRS's AP distance L and
+    their azimuth gap dphi (law of cosines, clamped so d = 0 is not NaN)."""
+    return np.sqrt(np.maximum(r ** 2 + L ** 2 - 2.0 * r * L * np.cos(dphi), 0.0))
 
 
 def coverage_area_accounting(cell: CellConfig, plan: RingPlan):

@@ -38,11 +38,10 @@ class NumericsError(RuntimeError):
 class Tolerance:
     abs_tol: float = 1e-10   # absolute convergence floor
     rel_tol: float = 1e-8    # relative convergence target
-    max_iter: int = 200
 
     def __post_init__(self):
-        if not (self.abs_tol > 0 and self.rel_tol > 0 and self.max_iter >= 1):
-            raise ValueError("Tolerance fields must be positive (max_iter >= 1)")
+        if not (self.abs_tol > 0 and self.rel_tol > 0):
+            raise ValueError("Tolerance fields must be positive")
 
 
 DEFAULT_TOL = Tolerance()
@@ -187,14 +186,10 @@ def get_tail_quantile(p) -> TailQuantile:
 # quadrature
 # ---------------------------------------------------------------------------
 
-_GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
+@functools.lru_cache(maxsize=None)
 def _gl_nodes(n):
-    if n not in _GL_CACHE:
-        x, w = np.polynomial.legendre.leggauss(n)
-        _GL_CACHE[n] = (x, w)
-    return _GL_CACHE[n]
+    """Gauss-Legendre nodes and weights on [-1, 1] (shared; do not mutate)."""
+    return np.polynomial.legendre.leggauss(n)
 
 
 def _gl_panels(a, b, n_panels, nodes):
@@ -277,7 +272,7 @@ def bisect(g, lo, hi, tol: Tolerance = DEFAULT_TOL):
         return hi
     if glo * ghi > 0.0:
         raise ValueError("bisect: g(lo) and g(hi) must have opposite signs")
-    for _ in range(max(tol.max_iter, 200)):
+    for _ in range(200):
         mid = 0.5 * (lo + hi)
         gm = g(mid)
         if gm == 0.0 or (hi - lo) <= 2.0 * (tol.abs_tol + tol.rel_tol * abs(mid)):

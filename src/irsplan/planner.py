@@ -34,10 +34,10 @@ from typing import Optional
 
 import numpy as np
 
-from .channel import IrsSpec, RadioConfig, composite_stats_arrays
-from .geometry import CellConfig, RingPlan, make_ring_plan, validate_plan
-from .numerics import bisect, get_tail_quantile
-from .powerctl import (PowerAllocation, ap_annulus_coefficient,
+from .channel import IrsSpec, RadioConfig, composite_stats_arrays, irs_power_factor
+from .geometry import CellConfig, RingPlan, irs_distance, make_ring_plan, validate_plan
+from .numerics import _gl_nodes, bisect, get_tail_quantile
+from .powerctl import (PowerAllocation, RegionEnergyCoefficient, _ap_spans,
                        ap_region_coefficient, equalize_power,
                        irs_region_coefficient)
 
@@ -142,7 +142,8 @@ class _RingCoefficientTable:
     mirror symmetry).  Only the rows inside the load-cap window
     [lo_min(hi, m), hi) are filled; rows below it, which no feasible plan
     uses, hold +inf.  near_ap selects the L = L_min circle of ring 1; other
-    rings take the annulus mid-radius.
+    rings take the annulus mid-radius.  The integrand is ``irs_power_factor``
+    at ``irs_distance``; ``c0_grid`` is ``ap_region_coefficient`` per radius.
     """
 
     NODES = 16
@@ -157,13 +158,9 @@ class _RingCoefficientTable:
             self.radii = np.append(self.radii, cell.R_ex)
         self._r2 = self.radii ** 2
         self.quantile = get_tail_quantile(p_no)
-        x, w = np.polynomial.legendre.leggauss(self.NODES)
-        self._glx = x
-        self._glw = w
-        e = 0.5 * (cfg.n0 + 2.0)
-        f0 = ((self.radii ** 2 + cfg.H_A ** 2) ** e - cfg.H_A ** (cfg.n0 + 2.0)) / (cfg.n0 + 2.0)
-        self.c0_grid = (2.0 * math.pi * cell.ue_density * cfg.W * cfg.t0 * f0
-                        / (cfg.alpha0 * math.log(1.0 / p_no)))
+        self._glx, self._glw = _gl_nodes(self.NODES)
+        self.c0_grid = np.array([ap_region_coefficient(cfg, cell, p_no, R).C
+                                 for R in self.radii])
         self._cache = {}
 
     def max_span2(self, m):
@@ -195,9 +192,8 @@ class _RingCoefficientTable:
         else:
             L = (0.5 * (hi + lo))[:, None, None]
         rr = r_hat[:, :, None]
-        d = np.sqrt(rr ** 2 + L ** 2 - 2.0 * rr * L * np.cos(az[None, None, :]))
-        _, _, alpha, beta = composite_stats_arrays(cfg, self.irs, rr, L, d)
-        vals = beta / self.quantile(alpha.ravel()).reshape(alpha.shape)
+        vals = irs_power_factor(cfg, self.irs, rr, L, irs_distance(rr, L, az[None, None, :]),
+                                self.quantile)
         F = 2.0 * np.einsum("bi,j,bij->b", r_w * r_hat, az_w, vals)
         C = np.full(hi_idx, math.inf)
         C[first:] = m * self.cell.ue_density * cfg.W * cfg.t0 * F
@@ -221,10 +217,9 @@ def _coefficient_table(cell, cfg, irs, p_no, step) -> _RingCoefficientTable:
 def _finalize(cell, cfg, irs, p_no, R_in, M, method, diagnostics=None) -> PlanResult:
     """Re-derive a candidate through the adaptive contract path and package it."""
     plan = make_ring_plan(cell, R_in, M)
-    coeffs = [ap_region_coefficient(cfg, cell, p_no, plan.R_in[-1])]
-    if plan.R_in[0] < cell.R_ex - 1e-12:
-        coeffs[0] = replace(coeffs[0], C=coeffs[0].C + ap_annulus_coefficient(
-            cfg, cell, p_no, plan.R_in[0], cell.R_ex))
+    C0 = sum(ap_region_coefficient(cfg, cell, p_no, hi).C
+             - ap_region_coefficient(cfg, cell, p_no, lo).C for lo, hi in _ap_spans(cell, plan))
+    coeffs = [RegionEnergyCoefficient(region="ap", C=C0)]
     for i in range(1, plan.I + 1):
         coeffs.append(irs_region_coefficient(cfg, cell, irs, plan, i, p_no))
     alloc = equalize_power(coeffs, cfg, p_no)

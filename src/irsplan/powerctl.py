@@ -11,13 +11,16 @@ threshold eta0:
   F_0(R) = ((R^2 + H_A^2)^((n0+2)/2) - H_A^(n0+2)) / (n0 + 2).
 
 * IRS ring i: each UE gets the Gamma-tail required power, and integrating
-  beta / q_alpha(p_no) over one sector gives energy eta0 * C_i with
-  C_i = M_i lambda W t_0 F_i.
+  beta / q_alpha(p_no) (``channel.irs_power_factor``) over one sector gives
+  energy eta0 * C_i with C_i = M_i lambda W t_0 F_i.
 
 Because every region's energy is eta0 * C_region and every region's
 throughput at its target is p_no * log2(1 + eta0), the budget
 sum(eta0 * C) = E_total pins the max-min-optimal common threshold in closed
 form: eta0* = E_total / sum(C); the power ratios follow as rho = eta0* C / E.
+
+``f0_integral`` and ``ap_region_coefficient`` are the one AP-energy closed
+form; the planner and the mean-CIPC benchmark call them.
 """
 
 from __future__ import annotations
@@ -28,11 +31,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import (IrsSpec, RadioConfig, composite_stats_arrays,
-                      mean_gain_direct)
-from .geometry import CellConfig, RingPlan
+                      irs_power_factor, mean_gain_direct)
+from .geometry import CellConfig, RingPlan, irs_distance
 from .numerics import (DEFAULT_TOL, Tolerance, get_tail_quantile,
-                       integrate_polar_sector, integrate_radial,
-                       reg_upper_gamma)
+                       integrate_polar_sector, reg_upper_gamma)
 
 
 @dataclass(frozen=True)
@@ -86,12 +88,6 @@ def ap_region_coefficient(cfg: RadioConfig, cell: CellConfig, p_no, R_inner) -> 
     return RegionEnergyCoefficient(region="ap", C=C)
 
 
-def ap_annulus_coefficient(cfg: RadioConfig, cell: CellConfig, p_no, r_lo, r_hi) -> float:
-    """Coefficient of an AP-served annulus (used when the exterior range is open)."""
-    return (ap_region_coefficient(cfg, cell, p_no, r_hi).C
-            - ap_region_coefficient(cfg, cell, p_no, r_lo).C)
-
-
 def irs_region_coefficient(cfg: RadioConfig, cell: CellConfig, irs: IrsSpec,
                            plan: RingPlan, i, p_no, quantile=None,
                            tol: Tolerance = DEFAULT_TOL) -> RegionEnergyCoefficient:
@@ -113,9 +109,7 @@ def irs_region_coefficient(cfg: RadioConfig, cell: CellConfig, irs: IrsSpec,
         quantile = get_tail_quantile(p_no)
 
     def integrand(r, az):
-        d = np.sqrt(r ** 2 + L ** 2 - 2.0 * r * L * np.cos(az))
-        _, _, alpha, beta = composite_stats_arrays(cfg, irs, r, L, d)
-        return beta / quantile(alpha)
+        return irs_power_factor(cfg, irs, r, L, irs_distance(r, L, az), quantile)
 
     F = 2.0 * integrate_polar_sector(integrand, lo, hi, 0.5 * phi, tol=tol)
     C = plan.M[i - 1] * cell.ue_density * cfg.W * cfg.t0 * F
@@ -190,8 +184,7 @@ def _worst_case_grid(cfg, cell, irs, plan, n_r=40, n_az=33):
         half = 0.5 * plan.sector_angle(i)
         r = np.linspace(lo if lo > 0 else 1e-6, hi, n_r)[:, None]
         az = np.linspace(0.0, half, n_az)[None, :]
-        d = np.sqrt(r ** 2 + L ** 2 - 2.0 * r * L * np.cos(az))
-        mean, _, alpha, beta = composite_stats_arrays(cfg, irs, r, L, d)
+        mean, _, alpha, beta = composite_stats_arrays(cfg, irs, r, L, irs_distance(r, L, az))
         mean_list.append(mean.ravel())
         alpha_list.append(alpha.ravel())
         beta_list.append(beta.ravel())
@@ -282,15 +275,14 @@ def benchmark_irs_mean_cipc(cfg, cell, irs, plan, p_no,
         L = plan.L[i - 1]
 
         def inv_mean(r, az, L=L):
-            d = np.sqrt(r ** 2 + L ** 2 - 2.0 * r * L * np.cos(az))
-            mean, _, _, _ = composite_stats_arrays(cfg, irs, r, L, d)
+            mean, _, _, _ = composite_stats_arrays(cfg, irs, r, L, irs_distance(r, L, az))
             return 1.0 / mean
 
         half = 0.5 * plan.sector_angle(i)
         inv_gain_integral += plan.M[i - 1] * 2.0 * integrate_polar_sector(inv_mean, lo, hi, half)
-    for lo, hi in _ap_spans(cell, plan):
-        inv_gain_integral += 2.0 * math.pi * integrate_radial(
-            lambda r: r / mean_gain_direct(cfg, r), lo, hi)
+    for lo, hi in _ap_spans(cell, plan):  # 1/g_d = (r^2 + H_A^2)^(n0/2) / alpha0
+        inv_gain_integral += (2.0 * math.pi * (f0_integral(cfg, hi) - f0_integral(cfg, lo))
+                              / cfg.alpha0)
     gamma_bar = cfg.E_total / (cell.ue_density * cfg.W * cfg.t0 * inv_gain_integral)
 
     mean_z2, alpha, beta, g_ap = _worst_case_grid(cfg, cell, irs, plan, n_r, n_az)

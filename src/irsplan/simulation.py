@@ -32,13 +32,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._kernels import exact_tail_stats
-from .channel import (IrsSpec, RadioConfig, _gain_irs_links,
-                      composite_stats_arrays, mean_gain_direct)
+from .channel import (IrsSpec, RadioConfig, _cascade_moments, _gain_irs_links,
+                      mean_gain_direct, required_power_irs)
 from .geometry import CellConfig, RingPlan, locate_ue_arrays
 from .numerics import get_tail_quantile
 from .planner import PlanResult
-
-_PI2_16 = math.pi ** 2 / 16.0
+from .powerctl import cipc_power
 
 
 class SlotLimitError(RuntimeError):
@@ -143,15 +142,13 @@ def sample_topology(cell: CellConfig, cfg: RadioConfig, irs: IrsSpec,
                 overflow[order[cfg.n_t:]] = True
     served_by_irs = (ring > 0) & ~overflow
 
-    gamma0 = eta0_star / math.log(1.0 / p_no)
-    p_ap = gamma0 * cfg.W / mean_gain_direct(cfg, r)
+    p_ap = cipc_power(cfg, eta0_star / math.log(1.0 / p_no), r)
     p_irs = np.zeros(cell.K)
     irs_pos = ring > 0
     if irs_pos.any():
-        quantile = get_tail_quantile(p_no)
-        _, _, alpha, beta = composite_stats_arrays(
-            cfg, irs, r[irs_pos], l[irs_pos], d[irs_pos])
-        p_irs[irs_pos] = cfg.W * eta0_star * beta / quantile(alpha)
+        p_irs[irs_pos] = required_power_irs(
+            cfg, irs, (r[irs_pos], l[irs_pos], d[irs_pos]), eta0_star, p_no,
+            quantile=get_tail_quantile(p_no))
     power_model = np.where(irs_pos, p_irs, p_ap)
     power = np.where(served_by_irs, p_irs, p_ap)
     return Topology(r=r, az=az, ring=ring, sector=sector, l=l, d=d,
@@ -161,8 +158,8 @@ def sample_topology(cell: CellConfig, cfg: RadioConfig, irs: IrsSpec,
 
 def _surrogate_tail_count(rng, n_draws, N, g_i, g_r, g_d, z2_min):
     """Tail count under the CLT surrogate: Gaussian cascade + Rayleigh direct."""
-    mu = N * (math.pi / 4.0) * math.sqrt(g_i * g_r)
-    sig = math.sqrt(N * (1.0 - _PI2_16) * g_i * g_r)
+    mu, s2 = _cascade_moments(N, g_i, g_r)
+    sig = math.sqrt(s2)
     z = mu + sig * rng.standard_normal(n_draws)
     z = z + np.sqrt(g_d * rng.standard_exponential(n_draws))
     z = np.maximum(z, 0.0)

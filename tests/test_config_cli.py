@@ -53,11 +53,16 @@ class TestLoadConfig:
         p.write_text("cell:\n  K: 200\n", encoding="utf-8")
         assert load_config(p, overrides=["cell.K=300"]).cell.K == 300
 
-    def test_seed_and_full_scale(self):
-        cfg = load_config(seed=42, full_scale=True)
+    def test_seed(self):
+        cfg = load_config(seed=42)
         assert cfg.mc.seed == 42
-        assert cfg.mc.n_topologies == 1000
-        assert cfg.mc.n_fading == 10 ** 6
+
+    def test_full_scale_flag_is_gone(self, tmp_path):
+        # 1000 x 1e6 draws never finishes; --set mc.n_topologies/n_fading remain
+        with pytest.raises(SystemExit) as exc:
+            main(["validate", str(tmp_path / "plan.json"), "--full-scale",
+                  "--out", str(tmp_path)])
+        assert exc.value.code == 2
 
     def test_rejections(self, tmp_path):
         with pytest.raises(ConfigError, match="unknown section"):

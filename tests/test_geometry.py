@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from irsplan.geometry import (CellConfig, RingPlan, coverage_area_accounting,
-                              locate_ue, locate_ue_arrays, make_ring_plan,
+from irsplan.geometry import (CellConfig, RingPlan, _wrap_to_half,
+                              coverage_area_accounting, irs_distance, locate_ue,
+                              locate_ue_arrays, make_ring_plan,
                               mean_ues_per_sector, sector_area, validate_plan)
 
 TWO_PI = 2.0 * math.pi
@@ -129,6 +130,19 @@ class TestMembership:
                                                rel=1e-12, abs=1e-9)
             assert loc.geom.l == L
             assert loc.geom.r == r
+
+    def test_irs_distance(self, cell, two_ring_plan, rng):
+        # a UE on the surface: at L = 141.73 rounding pushes the law of
+        # cosines to -7e-12, which the clamp turns into 0 (not NaN)
+        assert irs_distance(141.73, 141.73, 0.0) == 0.0
+        assert irs_distance(17.3, 17.3, 0.0) == 0.0
+        r = cell.R_ex * np.sqrt(rng.uniform(size=500))
+        az = rng.uniform(0.0, TWO_PI, size=500)
+        ring, sector, l, d = locate_ue_arrays(cell, two_ring_plan, r, az)
+        at = ring > 0
+        phi = TWO_PI / np.array(two_ring_plan.M)[ring[at] - 1]
+        dphi = _wrap_to_half(az[at] - (sector[at] + 0.5) * phi)
+        assert np.array_equal(irs_distance(r[at], l[at], dphi), d[at])
 
     def test_array_form_matches_scalar(self, cell, two_ring_plan, rng):
         n = 2000

@@ -11,7 +11,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from irsplan.numerics import (DEFAULT_TOL, NumericsError, TailQuantile,
+from irsplan.numerics import (NumericsError, TailQuantile,
                               Tolerance, bisect, get_tail_quantile,
                               integrate_polar_sector, integrate_radial,
                               inv_reg_upper_gamma, reg_upper_gamma)
@@ -183,7 +183,7 @@ class TestQuadrature:
     def test_radial_sharp_peak_refines(self):
         # steep Gaussian bump: the first levels disagree, refinement resolves it
         got = integrate_radial(lambda r: np.exp(-((r - 3.0) / 0.5) ** 2),
-                               0.0, 10.0, tol=Tolerance(1e-13, 1e-11, 200))
+                               0.0, 10.0, tol=Tolerance(1e-13, 1e-11))
         exact = 0.5 * math.sqrt(math.pi)  # erf terms are ~1e-16 from 1
         assert got == pytest.approx(exact, rel=1e-10)
 
@@ -201,13 +201,13 @@ class TestQuadrature:
         # inverse-sqrt endpoint singularity converges only algebraically
         with pytest.raises(NumericsError):
             integrate_radial(lambda r: 1.0 / np.sqrt(r), 1e-30, 1.0,
-                             tol=Tolerance(1e-15, 1e-14, 200), max_levels=3)
+                             tol=Tolerance(1e-15, 1e-14), max_levels=3)
 
 
 class TestBisect:
     def test_root_of_cubic(self):
         got = bisect(lambda x: x ** 3 - 2.0, 0.0, 2.0,
-                     tol=Tolerance(1e-12, 1e-12, 200))
+                     tol=Tolerance(1e-12, 1e-12))
         assert got == pytest.approx(2.0 ** (1.0 / 3.0), abs=1e-10)
 
     def test_requires_sign_change(self):
@@ -217,5 +217,4 @@ class TestBisect:
 
 def test_tolerance_validation():
     with pytest.raises(ValueError):
-        Tolerance(-1e-10, 1e-8, 100)
-    assert DEFAULT_TOL.max_iter >= 100
+        Tolerance(-1e-10, 1e-8)

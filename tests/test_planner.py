@@ -13,6 +13,7 @@ from irsplan.geometry import (CellConfig, coverage_area_accounting,
 from irsplan.planner import (PlanInfeasibleError, SearchGrid,
                              _coefficient_table, _RingCoefficientTable,
                              algorithm1, coverage_range, line_search)
+from irsplan.powerctl import ap_region_coefficient
 
 ETA_MIN = 10.0  # linear mean-SNR threshold for the coverage study
 P_TX = 0.01    # [W]
@@ -205,6 +206,12 @@ class TestExactSearch:
         top = len(table.radii) - 1
         assert table.lo_min(top, 10) < top - 1  # several candidates tie
         assert res.plan.R_in == (250.0, table.radii[table.lo_min(top, 10)])
+
+    @pytest.mark.parametrize("step", [5.0, 10.0, 12.5, 25.0])
+    def test_c0_grid_is_the_ap_closed_form(self, cell, radio, irs, step):
+        table = _coefficient_table(cell, radio, irs, 0.95, step)
+        want = [ap_region_coefficient(radio, cell, 0.95, R).C for R in table.radii]
+        assert np.array_equal(table.c0_grid, want)
 
     def test_ring_rows_outside_load_cap_are_inf(self, cell, radio, irs):
         table = _coefficient_table(cell, radio, irs, 0.95, 10.0)

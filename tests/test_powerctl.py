@@ -9,9 +9,8 @@ from scipy.optimize import brentq
 from irsplan.channel import nop_direct
 from irsplan.geometry import make_ring_plan
 from irsplan.numerics import integrate_radial
-from irsplan.planner import _coefficient_table
+from irsplan.planner import _coefficient_table, _finalize
 from irsplan.powerctl import (PowerAllocation, RegionEnergyCoefficient,
-                              ap_annulus_coefficient,
                               ap_region_coefficient, benchmark_cipc,
                               benchmark_equal_power, benchmark_irs_equal_power,
                               benchmark_irs_mean_cipc, cipc_power,
@@ -68,13 +67,20 @@ class TestApCoefficient:
         got = ap_region_coefficient(radio, cell, p_no, R).C * eta0
         assert got == pytest.approx(want, rel=1e-10)
 
-    def test_annulus_is_disc_difference(self, radio, cell):
-        full = ap_region_coefficient(radio, cell, 0.95, 250.0).C
-        inner = ap_region_coefficient(radio, cell, 0.95, 100.0).C
-        ann = ap_annulus_coefficient(radio, cell, 0.95, 100.0, 250.0)
-        assert ann == pytest.approx(full - inner, rel=1e-12)
-        assert ap_annulus_coefficient(radio, cell, 0.95, 0.0, 250.0) == \
-            pytest.approx(full, rel=1e-12)
+    def test_finalize_sums_the_ap_spans(self, radio, cell, irs):
+        # an open exterior adds the annulus (R_in[0], R_ex] to the inner disc
+        def ap(R):
+            return ap_region_coefficient(radio, cell, 0.95, R).C
+
+        res = _finalize(cell, radio, irs, 0.95, [230.0, 210.0], [10], "t")
+        assert res.diagnostics["region_coefficients_J"]["ap"] == \
+            ap(210.0) + (ap(250.0) - ap(230.0))
+        # without rings the two spans cover the whole cell
+        closed = _finalize(cell, radio, irs, 0.95, [250.0], [], "t")
+        assert closed.diagnostics["region_coefficients_J"]["ap"] == ap(250.0)
+        opened = _finalize(cell, radio, irs, 0.95, [200.0], [], "t")
+        assert opened.diagnostics["region_coefficients_J"]["ap"] == \
+            pytest.approx(ap(250.0), rel=1e-14)
 
     def test_target_validation(self, radio, cell):
         with pytest.raises(ValueError):
