@@ -42,7 +42,7 @@ from .powerctl import (PowerAllocation, RegionEnergyCoefficient,
                        benchmark_irs_mean_cipc, cipc_power, equalize_power,
                        irs_region_coefficient)
 from .simulation import (McConfig, McEstimate, SlotLimitError, Topology,
-                         empirical_nop, sample_topology, validate_plan_mc)
+                         sample_topology, validate_plan_mc)
 
 __all__ = [
     "__version__", "KERNEL_BACKEND",
@@ -62,6 +62,6 @@ __all__ = [
     "benchmark_cipc", "benchmark_equal_power", "benchmark_irs_equal_power",
     "benchmark_irs_mean_cipc", "cipc_power", "equalize_power",
     "irs_region_coefficient",
-    "McConfig", "McEstimate", "SlotLimitError", "Topology", "empirical_nop",
-    "sample_topology", "validate_plan_mc",
+    "McConfig", "McEstimate", "SlotLimitError", "Topology", "sample_topology",
+    "validate_plan_mc",
 ]

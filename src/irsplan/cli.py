@@ -19,7 +19,7 @@ import argparse
 import json
 import sys
 import traceback
-from dataclasses import replace
+from dataclasses import asdict
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -260,13 +260,7 @@ def cmd_validate(cfg: ExperimentConfig, plan_file: Path, out_dir: Path) -> int:
     lo = est.common_throughput - est.common_half_width
     hi = est.common_throughput + est.common_half_width
     payload = {
-        "mc": {k: getattr(est, k) for k in (
-            "n_topologies", "n_fading", "seed", "element_draws",
-            "analytical_nu_bar", "common_throughput", "common_half_width",
-            "min_ue_throughput", "nop_by_region", "nop_half_width_by_region",
-            "nop_by_decile", "nop_decile_half_width", "energy_mean",
-            "energy_mean_with_overflow", "energy_rel_half_width",
-            "overflow_ue_share", "max_sector_load", "notes")},
+        "mc": asdict(est),
         "deltas": {
             "common_minus_analytical": est.common_throughput - est.analytical_nu_bar,
             "analytical_within_interval": bool(lo <= est.analytical_nu_bar <= hi),

@@ -33,8 +33,7 @@ import numpy as np
 from .channel import (IrsSpec, RadioConfig, composite_stats_arrays,
                       irs_power_factor, mean_gain_direct)
 from .geometry import CellConfig, RingPlan, irs_distance
-from .numerics import (DEFAULT_TOL, Tolerance, get_tail_quantile,
-                       integrate_polar_sector, reg_upper_gamma)
+from .numerics import get_tail_quantile, integrate_polar_sector, reg_upper_gamma
 
 
 @dataclass(frozen=True)
@@ -89,8 +88,7 @@ def ap_region_coefficient(cfg: RadioConfig, cell: CellConfig, p_no, R_inner) -> 
 
 
 def irs_region_coefficient(cfg: RadioConfig, cell: CellConfig, irs: IrsSpec,
-                           plan: RingPlan, i, p_no, quantile=None,
-                           tol: Tolerance = DEFAULT_TOL) -> RegionEnergyCoefficient:
+                           plan: RingPlan, i, p_no) -> RegionEnergyCoefficient:
     """Energy-per-eta0 coefficient of ring i (1-based).
 
     F_i integrates beta / q_alpha(p_no) over one sector (adaptive polar
@@ -105,13 +103,12 @@ def irs_region_coefficient(cfg: RadioConfig, cell: CellConfig, irs: IrsSpec,
         return RegionEnergyCoefficient(region=name, C=0.0)
     L = plan.L[i - 1]
     phi = plan.sector_angle(i)
-    if quantile is None:
-        quantile = get_tail_quantile(p_no)
+    quantile = get_tail_quantile(p_no)
 
     def integrand(r, az):
         return irs_power_factor(cfg, irs, r, L, irs_distance(r, L, az), quantile)
 
-    F = 2.0 * integrate_polar_sector(integrand, lo, hi, 0.5 * phi, tol=tol)
+    F = 2.0 * integrate_polar_sector(integrand, lo, hi, 0.5 * phi)
     C = plan.M[i - 1] * cell.ue_density * cfg.W * cfg.t0 * F
     return RegionEnergyCoefficient(region=name, C=C)
 
@@ -168,13 +165,15 @@ def _ap_spans(cell, plan):
     return [(lo, hi) for lo, hi in spans if hi > lo]
 
 
-def _worst_case_grid(cfg, cell, irs, plan, n_r=40, n_az=33):
+def _worst_case_grid(cfg, cell, irs, plan):
     """Mean-Z2 / direct-gain samples over a radial-angular worst-case grid.
 
     Returns (mean_z2, alpha, beta) arrays for IRS sectors plus an AP-region
-    radius grid; covers each ring's full radial span and half sector (the
-    statistics are mirror-symmetric about the IRS azimuth).
+    radius grid; covers each ring's full radial span with 40 radii and half
+    sector with 33 azimuths (the statistics are mirror-symmetric about the
+    IRS azimuth), and each AP span with 40 radii.
     """
+    n_r, n_az = 40, 33
     mean_list, alpha_list, beta_list = [], [], []
     for i in range(1, plan.I + 1):
         lo, hi = plan.ring_bounds(i)
@@ -199,14 +198,16 @@ def _worst_case_grid(cfg, cell, irs, plan, n_r=40, n_az=33):
     return mean_z2, alpha, beta, g_ap
 
 
-def _maxmin_over_rate(nop_of_eta0, p_no, lo=1e-4, hi=1e6, coarse=240, refine=60):
+def _maxmin_over_rate(nop_of_eta0):
     """Maximize R(eta0) * min-NOP(eta0) over the common threshold.
 
     nop_of_eta0 maps a scalar threshold to the worst-case (minimum) NOP over
-    the position grid.  Deterministic log-space coarse scan plus golden
-    refinement; returns a ThroughputReport-ready (eta0, nu_bar, nop).
+    the position grid.  Deterministic 240-point log-space scan of
+    [1e-4, 1e6] plus 60 golden-section steps; returns a
+    ThroughputReport-ready (eta0, nu_bar, nop).
     """
-    grid = np.exp(np.linspace(math.log(lo), math.log(hi), coarse))
+    coarse = 240
+    grid = np.exp(np.linspace(math.log(1e-4), math.log(1e6), coarse))
 
     def objective(eta0):
         return math.log2(1.0 + eta0) * nop_of_eta0(eta0)
@@ -220,7 +221,7 @@ def _maxmin_over_rate(nop_of_eta0, p_no, lo=1e-4, hi=1e6, coarse=240, refine=60)
     c = lb - invphi * (lb - la)
     dd = la + invphi * (lb - la)
     fc, fd = objective(math.exp(c)), objective(math.exp(dd))
-    for _ in range(refine):
+    for _ in range(60):
         if fc >= fd:
             lb, dd, fd = dd, c, fc
             c = lb - invphi * (lb - la)
@@ -233,15 +234,14 @@ def _maxmin_over_rate(nop_of_eta0, p_no, lo=1e-4, hi=1e6, coarse=240, refine=60)
     return eta0, objective(eta0), nop_of_eta0(eta0)
 
 
-def benchmark_irs_equal_power(cfg, cell, irs, plan, p_no,
-                              n_r=40, n_az=33) -> ThroughputReport:
+def benchmark_irs_equal_power(cfg, cell, irs, plan, p_no) -> ThroughputReport:
     """IRS placement kept, power policy replaced by an equal per-UE split.
 
     The common rate is tuned so the worst grid position's throughput is
     maximal; unlike the target-NOP policies the achieved NOP floats.
     """
     p = cfg.E_total / (cell.K * cfg.t0)
-    _, alpha, beta, g_ap = _worst_case_grid(cfg, cell, irs, plan, n_r, n_az)
+    _, alpha, beta, g_ap = _worst_case_grid(cfg, cell, irs, plan)
 
     def min_nop(eta0):
         thr = cfg.W * eta0 / p
@@ -252,15 +252,14 @@ def benchmark_irs_equal_power(cfg, cell, irs, plan, p_no,
             worst = min(worst, float(np.exp(-thr / g_ap).min()))
         return worst
 
-    eta0, nu, nop = _maxmin_over_rate(min_nop, p_no)
+    eta0, nu, nop = _maxmin_over_rate(min_nop)
     return ThroughputReport(method="irs-equal-power", eta0=eta0,
                             R_bar=math.log2(1.0 + eta0), p_no=nop, nu_bar=nu,
                             details={"p_ue_W": p, "benchmark": True,
                                      "policy": "equal per-UE power on the fixed placement"})
 
 
-def benchmark_irs_mean_cipc(cfg, cell, irs, plan, p_no,
-                            n_r=40, n_az=33) -> ThroughputReport:
+def benchmark_irs_mean_cipc(cfg, cell, irs, plan, p_no) -> ThroughputReport:
     """IRS placement kept, power set by mean-gain inversion on E{Z^2}.
 
     gamma_bar is calibrated so the expected frame energy over uniform UE
@@ -285,7 +284,7 @@ def benchmark_irs_mean_cipc(cfg, cell, irs, plan, p_no,
                               / cfg.alpha0)
     gamma_bar = cfg.E_total / (cell.ue_density * cfg.W * cfg.t0 * inv_gain_integral)
 
-    mean_z2, alpha, beta, g_ap = _worst_case_grid(cfg, cell, irs, plan, n_r, n_az)
+    mean_z2, alpha, beta, g_ap = _worst_case_grid(cfg, cell, irs, plan)
 
     def min_nop(eta0):
         worst = 1.0
@@ -296,7 +295,7 @@ def benchmark_irs_mean_cipc(cfg, cell, irs, plan, p_no,
             worst = min(worst, math.exp(-eta0 / gamma_bar))
         return worst
 
-    eta0, nu, nop = _maxmin_over_rate(min_nop, p_no)
+    eta0, nu, nop = _maxmin_over_rate(min_nop)
     return ThroughputReport(method="irs-mean-cipc", eta0=eta0,
                             R_bar=math.log2(1.0 + eta0), p_no=nop, nu_bar=nu,
                             details={"gamma_bar": gamma_bar, "benchmark": True,

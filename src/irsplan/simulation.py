@@ -18,6 +18,12 @@ Fading draws come in two flavours:
                       plus Rayleigh direct), matching the analytical
                       derivation's distributional assumptions.
 
+Each topology is tallied as arrays over one stratum axis: the service
+regions 0..I (0 = AP service, including overflow UEs; i = ring i's surfaces)
+followed by the ten equal-probability radial deciles.  ``validate_plan_mc``
+stacks these into (topology x stratum) success and UE-count matrices and
+reads every estimate off their columns.
+
 The energy audit reports both the allocation-model mean (overflow UEs booked
 at their ring's required power -- the quantity the closed-form budget pins)
 and the as-deployed mean including the overflow surcharge.
@@ -69,9 +75,8 @@ class Topology:
     """One random UE drop with service assignment and per-UE powers."""
 
     r: np.ndarray              # AP distance [m]
-    az: np.ndarray             # azimuth [rad]
     ring: np.ndarray           # geometric ring (0 = AP disc / exterior)
-    sector: np.ndarray
+    sector: np.ndarray         # global sector id over all rings (-1 = AP region)
     l: np.ndarray              # AP-IRS distance (NaN if AP region)
     d: np.ndarray              # IRS-UE distance (NaN if AP region)
     served_by_irs: np.ndarray  # bool; False for AP region and overflow UEs
@@ -127,31 +132,30 @@ def sample_topology(cell: CellConfig, cfg: RadioConfig, irs: IrsSpec,
     rng = _position_stream(mc.seed, topo_idx)
     u = rng.random((cell.K, 2))
     r = cell.R_ex * np.sqrt(u[:, 0])
-    az = 2.0 * math.pi * u[:, 1]
-    ring, sector, l, d = locate_ue_arrays(cell, plan, r, az)
+    ring, sector, l, d = locate_ue_arrays(cell, plan, r, 2.0 * math.pi * u[:, 1])
+    irs_pos = ring > 0
+    first_sector = np.cumsum((0, *plan.M))
+    sector = np.where(irs_pos, first_sector[ring - 1] + sector, -1)
 
+    # slot limit: within each sector the n_t UEs nearest their surface keep
+    # IRS service (stable, so equal distances keep UE order)
+    irs_ue = np.flatnonzero(irs_pos)
+    order = irs_ue[np.lexsort((d[irs_ue], sector[irs_ue]))]
+    sorted_sector = sector[order]
+    rank = np.arange(order.size) - np.searchsorted(sorted_sector, sorted_sector)
     overflow = np.zeros(cell.K, dtype=bool)
-    for i in range(1, plan.I + 1):
-        in_ring = ring == i
-        if not in_ring.any():
-            continue
-        for s in np.unique(sector[in_ring]):
-            members = np.flatnonzero(in_ring & (sector == s))
-            if len(members) > cfg.n_t:
-                order = members[np.argsort(d[members], kind="stable")]
-                overflow[order[cfg.n_t:]] = True
-    served_by_irs = (ring > 0) & ~overflow
+    overflow[order[rank >= cfg.n_t]] = True
+    served_by_irs = irs_pos & ~overflow
 
     p_ap = cipc_power(cfg, eta0_star / math.log(1.0 / p_no), r)
     p_irs = np.zeros(cell.K)
-    irs_pos = ring > 0
     if irs_pos.any():
         p_irs[irs_pos] = required_power_irs(
             cfg, irs, (r[irs_pos], l[irs_pos], d[irs_pos]), eta0_star, p_no,
             quantile=get_tail_quantile(p_no))
     power_model = np.where(irs_pos, p_irs, p_ap)
     power = np.where(served_by_irs, p_irs, p_ap)
-    return Topology(r=r, az=az, ring=ring, sector=sector, l=l, d=d,
+    return Topology(r=r, ring=ring, sector=sector, l=l, d=d,
                     served_by_irs=served_by_irs, overflow=overflow,
                     power=power, power_model=power_model)
 
@@ -190,50 +194,28 @@ def simulate_ue_successes(cfg: RadioConfig, irs: IrsSpec, topo: Topology,
     return counts
 
 
-def _decile_edges(R_ex, n=10):
-    """Equal-probability radial bins for uniform-disc UEs."""
-    return R_ex * np.sqrt(np.linspace(0.0, 1.0, n + 1))
-
-
-def empirical_nop(cfg: RadioConfig, irs: IrsSpec, cell: CellConfig,
-                  topo: Topology, eta0, mc: McConfig, topo_idx):
-    """Empirical NOP per stratum for one topology.
-
-    Strata: service regions ("ap", "ring1", ...) and radial deciles
-    ("decile0" ... "decile9", equal-probability bins).  Values are
-    (successes, trials) so callers can pool across topologies.
-    """
-    counts = simulate_ue_successes(cfg, irs, topo, eta0, mc, topo_idx)
-    out = {}
-    ap = ~topo.served_by_irs
-    if ap.any():
-        out["ap"] = (int(counts[ap].sum()), int(ap.sum()) * mc.n_fading)
-    rings = np.unique(topo.ring[topo.served_by_irs])
-    for i in rings:
-        m = topo.served_by_irs & (topo.ring == i)
-        out[f"ring{i}"] = (int(counts[m].sum()), int(m.sum()) * mc.n_fading)
-    edges = _decile_edges(cell.R_ex)
-    which = np.clip(np.digitize(topo.r, edges[1:-1]), 0, 9)
-    for j in range(10):
-        m = which == j
-        if m.any():
-            out[f"decile{j}"] = (int(counts[m].sum()), int(m.sum()) * mc.n_fading)
-    return out, counts
-
-
 def _run_topology(args):
+    """One topology's per-stratum (successes, UEs) and its audit scalars.
+
+    Strata are the regions 0..I (by service) and then the ten radial deciles
+    of equal probability, I+1..I+10.
+    """
     (cell, cfg, irs, plan, eta0, p_no, mc, t) = args
     topo = sample_topology(cell, cfg, irs, plan, eta0, p_no, t, mc)
-    strata, counts = empirical_nop(cfg, irs, cell, topo, eta0, mc, t)
-    load = 0
-    for i in range(1, plan.I + 1):
-        in_ring = topo.served_by_irs & (topo.ring == i)
-        if in_ring.any():
-            _, per = np.unique(topo.sector[in_ring], return_counts=True)
-            load = max(load, int(per.max()))
+    counts = simulate_ue_successes(cfg, irs, topo, eta0, mc, t)
+    region = np.where(topo.served_by_irs, topo.ring, 0)
+    decile = np.digitize(topo.r, cell.R_ex * np.sqrt(np.linspace(0.0, 1.0, 11)[1:-1]))
+    labels = np.concatenate((region, plan.I + 1 + decile))
+    n_strata = plan.I + 11
+    successes = np.bincount(labels, weights=np.concatenate((counts, counts)),
+                            minlength=n_strata).astype(np.int64)
+    n_ue = np.bincount(labels, minlength=n_strata)
+    served = topo.sector[topo.served_by_irs]
+    load = int(np.bincount(served).max()) if served.size else 0
     energy_model = float(topo.power_model.sum()) * cfg.t0
     energy_actual = float(topo.power.sum()) * cfg.t0
-    return strata, counts, load, energy_model, energy_actual, int(topo.overflow.sum())
+    return (successes, n_ue, int(counts.min()), load, energy_model, energy_actual,
+            int(topo.overflow.sum()))
 
 
 def validate_plan_mc(cell: CellConfig, cfg: RadioConfig, irs: IrsSpec,
@@ -244,67 +226,48 @@ def validate_plan_mc(cell: CellConfig, cfg: RadioConfig, irs: IrsSpec,
     eta0 = alloc.eta0_star
     p_no = alloc.p_no
     tasks = [(cell, cfg, irs, plan, eta0, p_no, mc, t) for t in range(mc.n_topologies)]
-    if mc.n_workers > 1:
-        with ThreadPoolExecutor(max_workers=mc.n_workers) as pool:
-            rows = list(pool.map(_run_topology, tasks))
-    else:
-        rows = [_run_topology(t) for t in tasks]
-
-    pooled = {}
-    per_topo_common = []
-    per_topo_min_ue = []
-    energies_model = []
-    energies_actual = []
-    overflow_total = 0
-    max_load = 0
-    for strata, counts, load, e_model, e_actual, n_over in rows:
-        region_hats = [s / t for key, (s, t) in strata.items() if not key.startswith("decile")]
-        per_topo_common.append(alloc.R_bar * min(region_hats))
-        per_topo_min_ue.append(alloc.R_bar * counts.min() / mc.n_fading)
-        for key, (s, t) in strata.items():
-            acc = pooled.setdefault(key, [0, 0])
-            acc[0] += s
-            acc[1] += t
-        energies_model.append(e_model)
-        energies_actual.append(e_actual)
-        overflow_total += n_over
-        max_load = max(max_load, load)
+    with ThreadPoolExecutor(max_workers=mc.n_workers) as pool:
+        rows = list(pool.map(_run_topology, tasks))
+    successes, n_ue, min_count, load, e_model, e_actual, n_over = map(np.array, zip(*rows))
+    max_load = int(load.max())
     if max_load > cfg.n_t:
         raise SlotLimitError(max_load, cfg.n_t)
 
-    def hat(key):
-        s, t = pooled[key]
-        return s / t
+    # (topology x stratum) matrices; columns 0..I are regions, the rest deciles
+    trials = n_ue * mc.n_fading
+    n_regions = plan.I + 1
+    topo_hat = np.divide(successes, trials, out=np.full(trials.shape, np.inf),
+                         where=trials > 0)
+    v = alloc.R_bar * topo_hat[:, :n_regions].min(axis=1)
+    n = trials.sum(axis=0)
+    present = n > 0
+    n = np.maximum(n, 1)       # absent strata are never reported
+    hat = successes.sum(axis=0) / n
+    hw = 1.96 * np.sqrt(np.maximum(hat * (1.0 - hat), 0.0) / n)
+    regions = {("ap" if i == 0 else f"ring{i}"): i
+               for i in np.flatnonzero(present[:n_regions])}
+    deciles = n_regions + np.flatnonzero(present[n_regions:])
 
-    def hw(key):
-        s, t = pooled[key]
-        p = s / t
-        return 1.96 * math.sqrt(max(p * (1.0 - p), 0.0) / t)
-
-    regions = sorted(k for k in pooled if not k.startswith("decile"))
-    deciles = [f"decile{j}" for j in range(10) if f"decile{j}" in pooled]
-    v = np.asarray(per_topo_common)
     T = mc.n_topologies
     common_hw = 1.96 * float(v.std(ddof=1)) / math.sqrt(T) if T > 1 else math.inf
-    e_model = np.asarray(energies_model)
     e_rel_hw = (1.96 * float(e_model.std(ddof=1)) / math.sqrt(T) / float(e_model.mean())
                 if T > 1 else math.inf)
-    irs_bias = {k: hat(k) - p_no for k in regions if k != "ap"}
+    irs_bias = {k: float(hat[i]) - p_no for k, i in regions.items() if k != "ap"}
     return McEstimate(
         n_topologies=T, n_fading=mc.n_fading, seed=mc.seed,
         element_draws=mc.element_draws,
         analytical_nu_bar=alloc.nu_bar,
         common_throughput=float(v.mean()),
         common_half_width=common_hw,
-        min_ue_throughput=float(np.mean(per_topo_min_ue)),
-        nop_by_region={k: hat(k) for k in regions},
-        nop_half_width_by_region={k: hw(k) for k in regions},
-        nop_by_decile=[hat(k) for k in deciles],
-        nop_decile_half_width=[hw(k) for k in deciles],
+        min_ue_throughput=float(np.mean(alloc.R_bar * min_count / mc.n_fading)),
+        nop_by_region={k: float(hat[i]) for k, i in regions.items()},
+        nop_half_width_by_region={k: float(hw[i]) for k, i in regions.items()},
+        nop_by_decile=hat[deciles].tolist(),
+        nop_decile_half_width=hw[deciles].tolist(),
         energy_mean=float(e_model.mean()),
-        energy_mean_with_overflow=float(np.mean(energies_actual)),
+        energy_mean_with_overflow=float(np.mean(e_actual)),
         energy_rel_half_width=e_rel_hw,
-        overflow_ue_share=overflow_total / (T * cell.K),
+        overflow_ue_share=int(n_over.sum()) / (T * cell.K),
         max_sector_load=max_load,
         notes={
             "overflow_policy": "AP service at the AP region's inversion SNR",

@@ -12,8 +12,7 @@ import pytest
 from scipy.optimize import brentq
 
 from irsplan._kernels import exact_tail_stats
-from irsplan.channel import (IrsSpec, LinkGeometry, RadioConfig,
-                             composite_stats, mean_gains_irs,
+from irsplan.channel import (LinkGeometry, composite_stats, mean_gains_irs,
                              required_power_irs)
 from irsplan.geometry import CellConfig
 from irsplan.numerics import (get_tail_quantile, integrate_polar_sector,

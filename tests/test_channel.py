@@ -11,9 +11,9 @@ import math
 import numpy as np
 import pytest
 
-from irsplan.channel import (CompositeChannelStats, IrsSpec, LinkGeometry,
-                             OutageSpec, RadioConfig, composite_stats,
-                             composite_stats_arrays, mean_gain_direct,
+from irsplan.channel import (IrsSpec, LinkGeometry, OutageSpec, RadioConfig,
+                             composite_stats, composite_stats_arrays,
+                             mean_gain_direct,
                              mean_gains_irs, mean_z2_closed_form, nop_direct,
                              nop_irs, required_power_irs)
 

@@ -283,8 +283,8 @@ class TestValidateCommand:
         run = irsplan.simulation._run_topology
 
         def overloaded(task):
-            strata, counts, load, *rest = run(task)
-            return (strata, counts, 21, *rest)
+            successes, n_ue, min_count, load, *rest = run(task)
+            return (successes, n_ue, min_count, 21, *rest)
 
         monkeypatch.setattr(irsplan.simulation, "_run_topology", overloaded)
         rc = main(["validate", str(plan_file), "--out", str(tmp_path / "mc")]

@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from irsplan.channel import IrsSpec, LinkGeometry, composite_stats, nop_direct
+from irsplan.channel import IrsSpec, LinkGeometry, composite_stats
 from irsplan.geometry import (CellConfig, coverage_area_accounting,
                               make_ring_plan, validate_plan)
 from irsplan.planner import (PlanInfeasibleError, SearchGrid,

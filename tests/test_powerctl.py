@@ -10,9 +10,9 @@ from irsplan.channel import nop_direct
 from irsplan.geometry import make_ring_plan
 from irsplan.numerics import integrate_radial
 from irsplan.planner import _coefficient_table, _finalize
-from irsplan.powerctl import (PowerAllocation, RegionEnergyCoefficient,
-                              ap_region_coefficient, benchmark_cipc,
-                              benchmark_equal_power, benchmark_irs_equal_power,
+from irsplan.powerctl import (RegionEnergyCoefficient, ap_region_coefficient,
+                              benchmark_cipc, benchmark_equal_power,
+                              benchmark_irs_equal_power,
                               benchmark_irs_mean_cipc, cipc_power,
                               equalize_power, f0_integral,
                               irs_region_coefficient)

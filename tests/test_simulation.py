@@ -6,9 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from irsplan.channel import RadioConfig
 from irsplan.geometry import CellConfig, RingPlan, sector_area
-from irsplan.planner import PlanResult
+from irsplan.planner import PlanResult, algorithm1
 from irsplan.powerctl import ap_region_coefficient, equalize_power
 from irsplan.simulation import (McConfig, sample_topology, validate_plan_mc)
 
@@ -85,6 +84,32 @@ class TestTopologySampling:
         bumped = np.flatnonzero(topo.overflow)
         assert len(bumped) == len(ring_members) - 3
         assert (topo.d[bumped] >= worst_kept).all()
+
+    def test_slot_limit_per_sector_over_rings(self, cell, radio, irs):
+        # a multi-ring plan with a small slot limit overflows many sectors at
+        # once; each (ring, sector) keeps exactly min(members, n_t) UEs, its
+        # nearest to the surface
+        cfg = dataclasses.replace(radio, n_t=4)
+        res = algorithm1(cell, cfg, irs, 30, I_max=10)
+        assert res.plan.I > 1
+        alloc = res.allocation
+        n_full = 0
+        for t in range(3):
+            topo = sample_topology(cell, cfg, irs, res.plan, alloc.eta0_star,
+                                   alloc.p_no, t, McConfig(seed=4))
+            irs_ue = topo.ring > 0
+            assert np.array_equal(topo.served_by_irs | topo.overflow, irs_ue)
+            pairs = set(zip(topo.ring[irs_ue], topo.sector[irs_ue]))
+            assert len(pairs) == len(np.unique(topo.sector[irs_ue]))
+            for i, s in pairs:
+                members = (topo.ring == i) & (topo.sector == s)
+                kept = members & topo.served_by_irs
+                bumped = members & topo.overflow
+                assert kept.sum() == min(members.sum(), cfg.n_t)
+                if bumped.any():
+                    n_full += 1
+                    assert topo.d[bumped].min() >= topo.d[kept].max()
+        assert n_full > 1
 
     def test_overflow_power_policy(self, radio, irs):
         from irsplan.channel import mean_gain_direct
