@@ -16,8 +16,9 @@ Layout:
 * :mod:`irsplan.simulation` -- topology + fading Monte Carlo certification
 * :mod:`irsplan.cli`        -- reproducible experiment artifacts
 
-Exact element-level fading draws are streamed by one vectorized numpy kernel,
-``irsplan._kernels.exact_tail_stats``.
+Exact element-level fading is drawn by one vectorized numpy routine,
+``irsplan._kernels.exact_unit_draws``; the Monte Carlo bank and
+``exact_tail_stats`` both read it.
 """
 
 __version__ = "0.1.0"

@@ -205,10 +205,10 @@ def cmd_sweep(cfg: ExperimentConfig, out_dir: Path) -> int:
                 nu = _run_planner(cfg, "algorithm1", M).nu_bar
             elif method == "irs-equal-power":
                 nu = benchmark_irs_equal_power(cfg.radio, cfg.cell, cfg.irs,
-                                               placement(M).plan, p_no).nu_bar
+                                               placement(M).plan).nu_bar
             else:  # irs-mean-cipc
                 nu = benchmark_irs_mean_cipc(cfg.radio, cfg.cell, cfg.irs,
-                                             placement(M).plan, p_no).nu_bar
+                                             placement(M).plan).nu_bar
             rows.append((M, method, nu))
     write_csv(out_dir / "sweep.csv", ("M", "method", "nu_bar_bps_hz"),
               rows, cfg)
@@ -254,14 +254,38 @@ def _load_plan_file(path: Path, cfg: ExperimentConfig) -> PlanResult:
                       method=str(doc.get("method", "unknown")), diagnostics={})
 
 
+def _verdict(est, p_no):
+    """(verdict, throughput slack, IRS NOP slack) of a certification run.
+
+    The promise is violated when even the upper end of the throughput
+    interval falls short of nu_bar.  It is met with conservative slack when
+    every IRS region's NOP interval lies wholly above the target.  The
+    throughput slack is the upper end minus nu_bar; the NOP slack is the
+    smallest IRS-region lower end minus p_no (None without IRS regions).
+    """
+    throughput_slack = est.common_throughput + est.common_half_width - est.analytical_nu_bar
+    lows = [est.nop_by_region[k] - est.nop_half_width_by_region[k]
+            for k in est.nop_by_region if k != "ap"]
+    nop_slack = min(lows) - p_no if lows else None
+    if throughput_slack < 0.0:
+        return "violated", throughput_slack, nop_slack
+    if nop_slack is not None and nop_slack > 0.0:
+        return "met-conservative", throughput_slack, nop_slack
+    return "met", throughput_slack, nop_slack
+
+
 def cmd_validate(cfg: ExperimentConfig, plan_file: Path, out_dir: Path) -> int:
     result = _load_plan_file(plan_file, cfg)
     est = validate_plan_mc(cfg.cell, cfg.radio, cfg.irs, result, cfg.mc)
     lo = est.common_throughput - est.common_half_width
     hi = est.common_throughput + est.common_half_width
+    verdict, throughput_slack, nop_slack = _verdict(est, result.allocation.p_no)
     payload = {
         "mc": asdict(est),
         "deltas": {
+            "verdict": verdict,
+            "throughput_slack": throughput_slack,
+            "irs_nop_slack": nop_slack,
             "common_minus_analytical": est.common_throughput - est.analytical_nu_bar,
             "analytical_within_interval": bool(lo <= est.analytical_nu_bar <= hi),
             "energy_budget_ratio": est.energy_mean / cfg.radio.E_total,
@@ -272,7 +296,7 @@ def cmd_validate(cfg: ExperimentConfig, plan_file: Path, out_dir: Path) -> int:
     write_json(out_dir / "mc_report.json", payload, cfg)
     print(f"validate: analytical nu_bar={est.analytical_nu_bar:.4f}, "
           f"MC {est.common_throughput:.4f} +/- {est.common_half_width:.4f} "
-          f"bps/Hz -> {out_dir / 'mc_report.json'}")
+          f"bps/Hz, verdict {verdict} -> {out_dir / 'mc_report.json'}")
     return 0
 
 

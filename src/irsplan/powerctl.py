@@ -234,7 +234,7 @@ def _maxmin_over_rate(nop_of_eta0):
     return eta0, objective(eta0), nop_of_eta0(eta0)
 
 
-def benchmark_irs_equal_power(cfg, cell, irs, plan, p_no) -> ThroughputReport:
+def benchmark_irs_equal_power(cfg, cell, irs, plan) -> ThroughputReport:
     """IRS placement kept, power policy replaced by an equal per-UE split.
 
     The common rate is tuned so the worst grid position's throughput is
@@ -259,7 +259,7 @@ def benchmark_irs_equal_power(cfg, cell, irs, plan, p_no) -> ThroughputReport:
                                      "policy": "equal per-UE power on the fixed placement"})
 
 
-def benchmark_irs_mean_cipc(cfg, cell, irs, plan, p_no) -> ThroughputReport:
+def benchmark_irs_mean_cipc(cfg, cell, irs, plan) -> ThroughputReport:
     """IRS placement kept, power set by mean-gain inversion on E{Z^2}.
 
     gamma_bar is calibrated so the expected frame energy over uniform UE

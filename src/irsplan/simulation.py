@@ -7,13 +7,17 @@ inversion SNR, which equals the direct-path required power for the common
 target), applies the plan's slow power policies, and measures empirical
 non-outage probabilities, common throughput, and frame energy.
 
-Randomness is counter-based: one Philox stream per (seed, topology) for
-positions and one per (seed, topology, UE) for fading, so results are
-bit-identical for any worker count and the workload can be sharded freely.
-Fading draws come in two flavours:
+Randomness is counter-based: each (seed, topology) owns two Philox streams,
+one for positions and one for a fading bank, so results are bit-identical
+for any worker count and the workload can be sharded freely.  The bank holds
+n_fading geometry-free unit draws (X, E): the composite amplitude is
+Z = sqrt(g_i g_r) X + sqrt(g_d E), so every UE of the topology reads its
+success count off the same bank (common random numbers).  Draws come in two
+flavours:
 
-* ``exact``        -- element-level Rayleigh products through the streaming
-                      kernel (2N+1 exponentials per realization);
+* ``exact``        -- element-level Rayleigh products through the kernel's
+                      one draw routine (2N+1 exponentials per realization,
+                      X = sum_j sqrt(e1 e2));
 * ``gaussian-surrogate`` -- the CLT model itself (Gaussian cascade amplitude
                       plus Rayleigh direct), matching the analytical
                       derivation's distributional assumptions.
@@ -22,7 +26,10 @@ Each topology is tallied as arrays over one stratum axis: the service
 regions 0..I (0 = AP service, including overflow UEs; i = ring i's surfaces)
 followed by the ten equal-probability radial deciles.  ``validate_plan_mc``
 stacks these into (topology x stratum) success and UE-count matrices and
-reads every estimate off their columns.
+reads every estimate off their columns.  UEs of one topology share their
+draws, so the NOP half-widths are cluster intervals over topologies: the
+ratio estimator's spread across the T rows, floored by an Agresti-Coull
+binomial interval at n_fading draws per topology present.
 
 The energy audit reports both the allocation-model mean (overflow UEs booked
 at their ring's required power -- the quantity the closed-form budget pins)
@@ -37,7 +44,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._kernels import exact_tail_stats
+from ._kernels import exact_unit_draws
 from .channel import (IrsSpec, RadioConfig, _cascade_moments, _gain_irs_links,
                       mean_gain_direct, required_power_irs)
 from .geometry import CellConfig, RingPlan, locate_ue_arrays
@@ -115,14 +122,36 @@ class McEstimate:
     notes: dict = field(default_factory=dict)
 
 
+# Low 20 bits of a topology's key word: positions take slot 0, the fading bank
+# the top slot, so the two streams never share a key.
+_BANK_SLOT = (1 << 20) - 1
+
+# UE x draw elements per comparison block: larger blocks were slower and
+# raised peak memory.
+_BLOCK_ELEMS = 250_000
+
+_Z95 = 1.96
+
+
+def _philox(seed, topo_idx, slot):
+    return np.random.Philox(
+        key=np.array([seed, (topo_idx << 20) | slot], dtype=np.uint64))
+
+
 def _position_stream(seed, topo_idx):
-    return np.random.Generator(np.random.Philox(
-        key=np.array([seed, topo_idx << 20], dtype=np.uint64)))
+    return np.random.Generator(_philox(seed, topo_idx, 0))
 
 
-def _fading_stream(seed, topo_idx, ue_idx):
-    return np.random.Generator(np.random.Philox(
-        key=np.array([seed, (topo_idx << 20) | (ue_idx + 1)], dtype=np.uint64)))
+def _fading_bank(mc: McConfig, n_elems, topo_idx):
+    """One topology's n_fading unit draws (X, E) in the configured flavour."""
+    bit_generator = _philox(mc.seed, topo_idx, _BANK_SLOT)
+    if mc.element_draws == "exact":
+        xs, es = zip(*exact_unit_draws(bit_generator, mc.n_fading, n_elems))
+        return np.concatenate(xs), np.concatenate(es)
+    rng = np.random.Generator(bit_generator)
+    mu, s2 = _cascade_moments(n_elems, 1.0, 1.0)
+    x = mu + math.sqrt(s2) * rng.standard_normal(mc.n_fading)
+    return x, rng.standard_exponential(mc.n_fading)
 
 
 def sample_topology(cell: CellConfig, cfg: RadioConfig, irs: IrsSpec,
@@ -160,37 +189,29 @@ def sample_topology(cell: CellConfig, cfg: RadioConfig, irs: IrsSpec,
                     power=power, power_model=power_model)
 
 
-def _surrogate_tail_count(rng, n_draws, N, g_i, g_r, g_d, z2_min):
-    """Tail count under the CLT surrogate: Gaussian cascade + Rayleigh direct."""
-    mu, s2 = _cascade_moments(N, g_i, g_r)
-    sig = math.sqrt(s2)
-    z = mu + sig * rng.standard_normal(n_draws)
-    z = z + np.sqrt(g_d * rng.standard_exponential(n_draws))
-    z = np.maximum(z, 0.0)
-    return int(np.count_nonzero(z * z >= z2_min))
-
-
 def simulate_ue_successes(cfg: RadioConfig, irs: IrsSpec, topo: Topology,
                           eta0, mc: McConfig, topo_idx):
-    """Per-UE non-outage success counts out of mc.n_fading fading draws."""
-    counts = np.zeros(topo.K, dtype=np.int64)
-    g_d_all = mean_gain_direct(cfg, topo.r)
-    for k in range(topo.K):
-        rng = _fading_stream(mc.seed, topo_idx, k)
-        p = topo.power[k]
-        if topo.served_by_irs[k]:
-            g_i, g_r = _gain_irs_links(cfg, topo.l[k], topo.d[k])
-            z2_min = cfg.W * eta0 / p
-            if mc.element_draws == "exact":
-                counts[k] = exact_tail_stats(rng.bit_generator, mc.n_fading,
-                                             irs.N, g_i, g_r, g_d_all[k], z2_min)[0]
-            else:
-                counts[k] = _surrogate_tail_count(rng, mc.n_fading, irs.N,
-                                                  g_i, g_r, g_d_all[k], z2_min)
-        else:
-            thr = cfg.W * eta0 / (p * g_d_all[k])
-            f = rng.standard_exponential(mc.n_fading)
-            counts[k] = int(np.count_nonzero(f >= thr))
+    """Per-UE non-outage success counts out of the topology's mc.n_fading draws."""
+    x, e = _fading_bank(mc, irs.N, topo_idx)
+    counts = np.empty(topo.K, dtype=np.int64)
+    g_d = mean_gain_direct(cfg, topo.r)
+    z2_min = cfg.W * eta0 / topo.power
+
+    # AP service (and overflow): Z^2 = g_d E, so count E >= z2_min / g_d
+    ap = ~topo.served_by_irs
+    counts[ap] = mc.n_fading - np.searchsorted(np.sort(e), z2_min[ap] / g_d[ap])
+
+    # IRS service: Z / sqrt(g_d) = c X + sqrt(E) against t = sqrt(z2_min / g_d)
+    irs_ue = np.flatnonzero(topo.served_by_irs)
+    g_i, g_r = _gain_irs_links(cfg, topo.l[irs_ue], topo.d[irs_ue])
+    c = np.sqrt(g_i * g_r / g_d[irs_ue])
+    t = np.sqrt(z2_min[irs_ue] / g_d[irs_ue])
+    s = np.sqrt(e)
+    block = max(1, _BLOCK_ELEMS // mc.n_fading)
+    for lo in range(0, irs_ue.size, block):
+        hi = lo + block
+        counts[irs_ue[lo:hi]] = np.count_nonzero(
+            c[lo:hi, None] * x + s >= t[lo:hi, None], axis=1)
     return counts
 
 
@@ -243,14 +264,20 @@ def validate_plan_mc(cell: CellConfig, cfg: RadioConfig, irs: IrsSpec,
     present = n > 0
     n = np.maximum(n, 1)       # absent strata are never reported
     hat = successes.sum(axis=0) / n
-    hw = 1.96 * np.sqrt(np.maximum(hat * (1.0 - hat), 0.0) / n)
+    T = mc.n_topologies
+    # cluster interval: the ratio estimator's variance across topologies ...
+    resid2 = np.square(successes - hat * trials).sum(axis=0)
+    hw = _Z95 * np.sqrt(resid2 * T / (T - 1)) / n if T > 1 else np.full(n.shape, math.inf)
+    # ... floored by Agresti-Coull at n_fading draws per topology present
+    n_ac = (trials > 0).sum(axis=0) * mc.n_fading + _Z95 ** 2
+    p_ac = (hat * (n_ac - _Z95 ** 2) + _Z95 ** 2 / 2.0) / n_ac
+    hw = np.maximum(hw, _Z95 * np.sqrt(p_ac * (1.0 - p_ac) / n_ac))
     regions = {("ap" if i == 0 else f"ring{i}"): i
                for i in np.flatnonzero(present[:n_regions])}
     deciles = n_regions + np.flatnonzero(present[n_regions:])
 
-    T = mc.n_topologies
-    common_hw = 1.96 * float(v.std(ddof=1)) / math.sqrt(T) if T > 1 else math.inf
-    e_rel_hw = (1.96 * float(e_model.std(ddof=1)) / math.sqrt(T) / float(e_model.mean())
+    common_hw = _Z95 * float(v.std(ddof=1)) / math.sqrt(T) if T > 1 else math.inf
+    e_rel_hw = (_Z95 * float(e_model.std(ddof=1)) / math.sqrt(T) / float(e_model.mean())
                 if T > 1 else math.inf)
     irs_bias = {k: float(hat[i]) - p_no for k, i in regions.items() if k != "ap"}
     return McEstimate(
@@ -271,6 +298,9 @@ def validate_plan_mc(cell: CellConfig, cfg: RadioConfig, irs: IrsSpec,
         max_sector_load=max_load,
         notes={
             "overflow_policy": "AP service at the AP region's inversion SNR",
+            "nop_half_width": ("cluster interval over topologies (one fading "
+                               "bank each), floored by Agresti-Coull at "
+                               "n_fading draws per topology present"),
             "irs_region_nop_minus_target": irs_bias,
             "tail_fit_note": ("IRS-region empirical NOP sits above the target: "
                               "the Gamma tail fit is conservative at this "

@@ -269,6 +269,67 @@ class TestValidateCommand:
         assert abs(d["common_minus_analytical"]) < 0.2
         assert isinstance(d["analytical_within_interval"], bool)
 
+    def _forced_report(self, tmp_path, plan_file, monkeypatch, **changes):
+        # a real run with some McEstimate fields overridden, for outcomes a
+        # small run cannot reach
+        import dataclasses
+        import irsplan.cli
+        run = irsplan.cli.validate_plan_mc
+
+        def forced(*args):
+            est = run(*args)
+            return dataclasses.replace(est, **{k: f(est) for k, f in changes.items()})
+
+        monkeypatch.setattr(irsplan.cli, "validate_plan_mc", forced)
+        out = tmp_path / "forced"
+        assert main(["validate", str(plan_file), "--out", str(out)] + VALIDATE_MC) == 0
+        return json.loads((out / "mc_report.json").read_text(encoding="utf-8"))
+
+    def test_verdict_met_conservative(self, tmp_path, plan_file, monkeypatch):
+        doc = self._forced_report(
+            tmp_path, plan_file, monkeypatch,
+            nop_by_region=lambda est: {"ap": 0.95, "ring1": 0.99, "ring2": 0.98},
+            nop_half_width_by_region=lambda est: dict.fromkeys(est.nop_by_region, 0.01))
+        d = doc["deltas"]
+        assert d["verdict"] == "met-conservative"
+        assert d["irs_nop_slack"] == pytest.approx(0.98 - 0.01 - 0.95, abs=1e-12)
+        assert d["throughput_slack"] >= 0.0
+
+    def test_verdict_met(self, tmp_path, plan_file, monkeypatch):
+        # one IRS region's interval reaches the target: met, without slack
+        doc = self._forced_report(
+            tmp_path, plan_file, monkeypatch,
+            nop_by_region=lambda est: {"ap": 0.95, "ring1": 0.99, "ring2": 0.955},
+            nop_half_width_by_region=lambda est: dict.fromkeys(est.nop_by_region, 0.01))
+        d = doc["deltas"]
+        assert d["verdict"] == "met"
+        assert d["irs_nop_slack"] == pytest.approx(0.955 - 0.01 - 0.95, abs=1e-12)
+        assert d["throughput_slack"] >= 0.0
+
+    def test_verdict_violated(self, tmp_path, plan_file, monkeypatch):
+        doc = self._forced_report(
+            tmp_path, plan_file, monkeypatch,
+            common_throughput=lambda est: est.analytical_nu_bar - 0.5,
+            common_half_width=lambda est: 0.1)
+        d = doc["deltas"]
+        assert d["verdict"] == "violated"
+        assert d["throughput_slack"] == pytest.approx(-0.4, abs=1e-12)
+
+    def test_verdict_of_a_real_run(self, tmp_path, plan_file):
+        out = tmp_path / "mc"
+        assert main(["validate", str(plan_file), "--out", str(out), "--seed", "3"]
+                    + VALIDATE_MC) == 0
+        doc = json.loads((out / "mc_report.json").read_text(encoding="utf-8"))
+        mc, d = doc["mc"], doc["deltas"]
+        upper = mc["common_throughput"] + mc["common_half_width"]
+        assert d["throughput_slack"] == pytest.approx(upper - mc["analytical_nu_bar"],
+                                                      abs=1e-12)
+        low = min(mc["nop_by_region"][k] - mc["nop_half_width_by_region"][k]
+                  for k in ("ring1", "ring2"))
+        assert d["irs_nop_slack"] == pytest.approx(low - 0.95, abs=1e-12)
+        assert d["verdict"] == ("violated" if upper < mc["analytical_nu_bar"] else
+                                "met-conservative" if low > 0.95 else "met")
+
     def test_rerun_is_byte_identical(self, tmp_path, plan_file):
         a, b = tmp_path / "a", tmp_path / "b"
         for out in (a, b):

@@ -1,8 +1,11 @@
-"""Every imported name in src/ and tests/ is used.
+"""Every imported name in src/ and tests/ is used; every src/ parameter is read.
 
-No linter runs with the tests, so this stdlib-``ast`` scan is the guard
-against dead imports.  A name counts as used when it appears anywhere in the
-module as an identifier or is listed in the module's ``__all__``.
+No linter runs with the tests, so these stdlib-``ast`` scans are the guard
+against dead imports and dead parameters.  A name counts as used when it
+appears anywhere in the module as an identifier or is listed in the module's
+``__all__``.  A parameter counts as read when its name is loaded anywhere in
+its function's body (nested functions included); ``self`` and ``cls`` are
+exempt.
 """
 
 import ast
@@ -50,3 +53,35 @@ def test_scan_flags_an_unused_name():
     tree = ast.parse("import os\nfrom math import pi, tau as t\n"
                      "__all__ = ['pi']\nprint(os.sep)\n")
     assert [n for n, _ in _imported(tree) if n not in _used(tree)] == ["t"]
+
+
+def _unread_parameters(tree):
+    """(function, parameter, line) for every parameter its body never loads."""
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        body = fn.body if isinstance(fn.body, list) else [fn.body]
+        read = {n.id for stmt in body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        a = fn.args
+        for arg in (*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg):
+            if arg is not None and arg.arg not in read and arg.arg not in ("self", "cls"):
+                yield getattr(fn, "name", "<lambda>"), arg.arg, fn.lineno
+
+
+def test_no_unread_parameters():
+    files = sorted((ROOT / "src").rglob("*.py"))
+    assert files
+    unread = [f"{f.relative_to(ROOT)}:{line} {name}({arg})" for f in files
+              for name, arg, line in _unread_parameters(
+                  ast.parse(f.read_text(encoding="utf-8"), filename=str(f)))]
+    assert not unread, "parameters never read:\n" + "\n".join(unread)
+
+
+def test_scan_flags_an_unread_parameter():
+    tree = ast.parse("def f(a, b, *args, c=1, **kw):\n"
+                     "    def g(d):\n        return a + d\n"
+                     "    b = 2\n    return g(kw)\n"
+                     "class K:\n    def m(self, x):\n        return (lambda y, z: z)(x, 0)\n")
+    assert sorted((n, p) for n, p, _ in _unread_parameters(tree)) == [
+        ("<lambda>", "y"), ("f", "args"), ("f", "b"), ("f", "c")]

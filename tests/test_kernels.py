@@ -4,6 +4,7 @@ The kernel must consume the exponential stream in the documented order, so a
 one-shot numpy reference written here pins the layout contract.
 """
 
+import inspect
 import math
 
 import numpy as np
@@ -76,10 +77,27 @@ class TestLayoutContract:
                                                 g_i, g_r, g_d, 0.0)
         assert count == 1234
 
+    def test_unit_draws_follow_the_layout(self, monkeypatch):
+        # the one draw routine yields the reference's unit cascade and direct
+        # draw, in stream order, however the stream is chunked
+        n, N = 700, 12
+        e = np.random.Generator(_philox(9, 4)).standard_exponential((n, 2 * N + 1))
+        monkeypatch.setattr(_kernels, "_CHUNK_TARGET", 1000)
+        xs, es = zip(*_kernels.exact_unit_draws(_philox(9, 4), n, N))
+        assert len(xs) > 1
+        assert np.array_equal(np.concatenate(xs),
+                              np.sqrt(e[:, 0:2 * N:2] * e[:, 1:2 * N:2]).sum(axis=1))
+        assert np.array_equal(np.concatenate(es), e[:, 2 * N])
+
     def test_benchmark_hooks(self):
-        # perfbench reads the backend name and wraps the kernel by identity
+        # perfbench reads the backend name and wraps these names, reading
+        # their positional arguments; the MC bank draws through the kernel
         assert irsplan.KERNEL_BACKEND == "numpy"
-        assert simulation.exact_tail_stats is _kernels.exact_tail_stats
+        assert list(inspect.signature(_kernels.exact_tail_stats).parameters)[:3] == \
+            ["bit_generator", "n_draws", "n_elems"]
+        assert list(inspect.signature(simulation.simulate_ue_successes).parameters) == \
+            ["cfg", "irs", "topo", "eta0", "mc", "topo_idx"]
+        assert simulation.exact_unit_draws is _kernels.exact_unit_draws
 
 
 class TestMomentSanity:

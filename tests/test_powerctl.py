@@ -182,7 +182,7 @@ def small_plan(cell):
 
 class TestIrsBaselines:
     def test_equal_power_on_fixed_placement(self, radio, cell, irs, small_plan):
-        rep = benchmark_irs_equal_power(radio, cell, irs, small_plan, 0.95)
+        rep = benchmark_irs_equal_power(radio, cell, irs, small_plan)
         assert rep.method == "irs-equal-power"
         assert 0.0 < rep.nu_bar
         # achieved NOP floats with the policy but stays a probability
@@ -190,7 +190,7 @@ class TestIrsBaselines:
         assert rep.nu_bar == pytest.approx(rep.p_no * rep.R_bar, rel=1e-9)
 
     def test_mean_cipc_on_fixed_placement(self, radio, cell, irs, small_plan):
-        rep = benchmark_irs_mean_cipc(radio, cell, irs, small_plan, 0.95)
+        rep = benchmark_irs_mean_cipc(radio, cell, irs, small_plan)
         assert rep.method == "irs-mean-cipc"
         assert rep.details["gamma_bar"] > 0
         assert 0.0 < rep.p_no <= 1.0
@@ -199,15 +199,15 @@ class TestIrsBaselines:
     def test_policy_ordering_on_shared_placement(self, radio, cell, irs, small_plan):
         # mean-gain inversion adapts to position, equal power does not; with
         # the IRS placement fixed the adaptive policy should not lose
-        ep = benchmark_irs_equal_power(radio, cell, irs, small_plan, 0.95)
-        mc = benchmark_irs_mean_cipc(radio, cell, irs, small_plan, 0.95)
+        ep = benchmark_irs_equal_power(radio, cell, irs, small_plan)
+        mc = benchmark_irs_mean_cipc(radio, cell, irs, small_plan)
         assert mc.nu_bar >= ep.nu_bar * 0.98
 
     def test_mean_cipc_without_rings_is_ap_cipc(self, radio, cell, irs):
         # no rings: the disc inside R_in[0] and the exterior annulus are both
         # AP-served, so gamma_bar is the AP-only CIPC mean SNR over the cell
         plan = make_ring_plan(cell, [200.0], [])
-        rep = benchmark_irs_mean_cipc(radio, cell, irs, plan, 0.95)
+        rep = benchmark_irs_mean_cipc(radio, cell, irs, plan)
         want = (radio.E_total * radio.alpha0
                 / (2.0 * math.pi * cell.ue_density * radio.W * radio.t0
                    * f0_integral(radio, cell.R_ex)))

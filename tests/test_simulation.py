@@ -6,19 +6,47 @@ import math
 import numpy as np
 import pytest
 
+from irsplan import simulation
+from irsplan._kernels import exact_tail_stats
+from irsplan.channel import _cascade_moments, _gain_irs_links, mean_gain_direct
 from irsplan.geometry import CellConfig, RingPlan, sector_area
 from irsplan.planner import PlanResult, algorithm1
 from irsplan.powerctl import ap_region_coefficient, equalize_power
-from irsplan.simulation import (McConfig, sample_topology, validate_plan_mc)
+from irsplan.simulation import (McConfig, sample_topology, simulate_ue_successes,
+                                validate_plan_mc)
 
 
-def ap_only_result(radio, cell):
+def ap_only_result(radio, cell, p_no=0.95):
     """Whole-cell CIPC wrapped as a PlanResult (no IRS rings)."""
     plan = RingPlan(R_in=(cell.R_ex,), M=(), L=())
-    alloc = equalize_power([ap_region_coefficient(radio, cell, 0.95, cell.R_ex)],
-                           radio, 0.95)
+    alloc = equalize_power([ap_region_coefficient(radio, cell, p_no, cell.R_ex)],
+                           radio, p_no)
     return PlanResult(plan=plan, allocation=alloc, nu_bar=alloc.nu_bar,
                       method="ap-cipc")
+
+
+def per_ue_successes(cfg, irs, topo, eta0, mc, topo_idx):
+    """Small-scale oracle: independent draws from one Philox stream per UE."""
+    counts = np.zeros(topo.K, dtype=np.int64)
+    g_d_all = mean_gain_direct(cfg, topo.r)
+    for k in range(topo.K):
+        rng = np.random.Generator(np.random.Philox(key=np.array(
+            [mc.seed, (topo_idx << 20) | (k + 1)], dtype=np.uint64)))
+        g_d = g_d_all[k]
+        z2_min = cfg.W * eta0 / topo.power[k]
+        if not topo.served_by_irs[k]:
+            counts[k] = np.count_nonzero(rng.standard_exponential(mc.n_fading) >= z2_min / g_d)
+            continue
+        g_i, g_r = _gain_irs_links(cfg, topo.l[k], topo.d[k])
+        if mc.element_draws == "exact":
+            counts[k] = exact_tail_stats(rng.bit_generator, mc.n_fading, irs.N,
+                                         g_i, g_r, g_d, z2_min)[0]
+        else:
+            mu, s2 = _cascade_moments(irs.N, g_i, g_r)
+            z = mu + math.sqrt(s2) * rng.standard_normal(mc.n_fading)
+            z = np.maximum(z + np.sqrt(g_d * rng.standard_exponential(mc.n_fading)), 0.0)
+            counts[k] = np.count_nonzero(z * z >= z2_min)
+    return counts
 
 
 class TestMcConfig:
@@ -232,3 +260,76 @@ class TestRingPlanCertification:
         a = validate_plan_mc(cell, radio, irs, plan_m15_a1, McConfig(seed=8, **kw))
         b = validate_plan_mc(cell, radio, irs, plan_m15_a1, McConfig(seed=81, **kw))
         assert a.common_throughput != b.common_throughput
+
+
+class TestFadingBank:
+    """Every UE of a topology reads its count off one bank of unit draws."""
+
+    @pytest.fixture(scope="class")
+    def topo(self, cell, radio, irs, plan_m15_a1):
+        alloc = plan_m15_a1.allocation
+        topo = sample_topology(cell, radio, irs, plan_m15_a1.plan, alloc.eta0_star,
+                               alloc.p_no, 2, McConfig(seed=3))
+        assert topo.served_by_irs.any() and (~topo.served_by_irs).any()
+        return topo
+
+    @pytest.mark.parametrize("draws", ["exact", "gaussian-surrogate"])
+    def test_counts_are_the_composite_tail(self, radio, irs, plan_m15_a1, topo, draws):
+        # the scaled comparison in the bank equals Z^2 >= z2_min on its draws
+        mc = McConfig(n_fading=300, seed=3, element_draws=draws)
+        eta0 = plan_m15_a1.allocation.eta0_star
+        x, e = simulation._fading_bank(mc, irs.N, 2)
+        g_d = mean_gain_direct(radio, topo.r)[:, None]
+        g_i, g_r = _gain_irs_links(radio, topo.l, topo.d)
+        a = np.where(topo.served_by_irs, np.sqrt(g_i * g_r), 0.0)[:, None]
+        z = np.maximum(a * x + np.sqrt(g_d * e), 0.0)
+        want = np.count_nonzero(z * z >= (radio.W * eta0 / topo.power)[:, None], axis=1)
+        got = simulate_ue_successes(radio, irs, topo, eta0, mc, 2)
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("draws", ["exact", "gaussian-surrogate"])
+    def test_block_size_invariance(self, radio, irs, plan_m15_a1, topo, draws,
+                                   monkeypatch):
+        mc = McConfig(n_fading=500, seed=4, element_draws=draws)
+        eta0 = plan_m15_a1.allocation.eta0_star
+        one = simulate_ue_successes(radio, irs, topo, eta0, mc, 2)
+        for elems in (1, 1700, 10 ** 9):
+            monkeypatch.setattr(simulation, "_BLOCK_ELEMS", elems)
+            assert np.array_equal(simulate_ue_successes(radio, irs, topo, eta0, mc, 2), one)
+
+    @pytest.mark.parametrize("draws,T,n", [("exact", 3, 200),
+                                           ("gaussian-surrogate", 20, 4000)])
+    def test_bank_agrees_with_per_ue_oracle(self, cell, radio, irs, plan_m15_a1,
+                                            monkeypatch, draws, T, n):
+        mc = McConfig(n_topologies=T, n_fading=n, seed=12, element_draws=draws)
+        bank = validate_plan_mc(cell, radio, irs, plan_m15_a1, mc)
+        monkeypatch.setattr(simulation, "simulate_ue_successes", per_ue_successes)
+        oracle = validate_plan_mc(cell, radio, irs, plan_m15_a1, mc)
+        assert set(bank.nop_by_region) == set(oracle.nop_by_region) == {"ap", "ring1", "ring2"}
+        for k in bank.nop_by_region:
+            combined = bank.nop_half_width_by_region[k] + oracle.nop_half_width_by_region[k]
+            assert abs(bank.nop_by_region[k] - oracle.nop_by_region[k]) <= combined, k
+
+    def test_no_zero_half_width(self, cell, radio, irs):
+        # at p_no ~ 1 every draw succeeds, so every cluster spread is 0; the
+        # Agresti-Coull floor must still give a positive width
+        res = ap_only_result(radio, cell, p_no=1.0 - 1e-12)
+        est = validate_plan_mc(cell, radio, irs, res,
+                               McConfig(n_topologies=5, n_fading=20, seed=2,
+                                        element_draws="exact"))
+        assert est.nop_by_region == {"ap": 1.0}
+        assert est.nop_by_decile == [1.0] * 10
+        widths = [est.nop_half_width_by_region["ap"], *est.nop_decile_half_width]
+        assert all(0.0 < w < 0.2 for w in widths)
+
+    def test_bank_key_differs_from_position_key(self):
+        def key(gen):
+            return tuple(gen.state["state"]["key"])
+
+        for seed in (0, 1, 2 ** 32 - 1):
+            positions = {key(simulation._position_stream(seed, t).bit_generator)
+                         for t in range(64)}
+            banks = {key(simulation._philox(seed, t, simulation._BANK_SLOT))
+                     for t in range(64)}
+            assert len(positions) == len(banks) == 64
+            assert not positions & banks
