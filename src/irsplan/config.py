@@ -84,7 +84,7 @@ class SweepParams:
 
     def __post_init__(self):
         for M in self.M_values:
-            if not isinstance(M, int) or M < 0:
+            if isinstance(M, bool) or not isinstance(M, int) or M < 0:
                 raise ValueError("sweep.M_values must be nonnegative integers")
         for m in self.methods:
             if m not in _SWEEP_METHODS:

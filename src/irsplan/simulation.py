@@ -29,7 +29,9 @@ stacks these into (topology x stratum) success and UE-count matrices and
 reads every estimate off their columns.  UEs of one topology share their
 draws, so the NOP half-widths are cluster intervals over topologies: the
 ratio estimator's spread across the T rows, floored by an Agresti-Coull
-binomial interval at n_fading draws per topology present.
+binomial interval at n_fading draws per topology present.  The common
+throughput and the frame energy are means of T per-topology values, so
+their half-widths are Student-t intervals on T - 1 degrees of freedom.
 
 The energy audit reports both the allocation-model mean (overflow UEs booked
 at their ring's required power -- the quantity the closed-form budget pins)
@@ -43,6 +45,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.special import stdtrit
 
 from ._kernels import exact_unit_draws
 from .channel import (IrsSpec, RadioConfig, _cascade_moments, _gain_irs_links,
@@ -106,7 +109,8 @@ class McEstimate:
     element_draws: str
     analytical_nu_bar: float
     # throughput: R_bar * min over service regions of pooled per-region NOP,
-    # averaged over topologies, with a CLT interval over the topology values
+    # averaged over topologies, with a Student-t interval over the topology
+    # values (as energy_rel_half_width)
     common_throughput: float
     common_half_width: float
     min_ue_throughput: float           # mean of R_bar * worst per-UE NOP
@@ -276,9 +280,11 @@ def validate_plan_mc(cell: CellConfig, cfg: RadioConfig, irs: IrsSpec,
                for i in np.flatnonzero(present[:n_regions])}
     deciles = n_regions + np.flatnonzero(present[n_regions:])
 
-    common_hw = _Z95 * float(v.std(ddof=1)) / math.sqrt(T) if T > 1 else math.inf
-    e_rel_hw = (_Z95 * float(e_model.std(ddof=1)) / math.sqrt(T) / float(e_model.mean())
-                if T > 1 else math.inf)
+    common_hw = e_rel_hw = math.inf
+    if T > 1:  # both are means of T per-topology values: Student-t, T - 1 dof
+        t95 = float(stdtrit(T - 1, 0.975))
+        common_hw = t95 * float(v.std(ddof=1)) / math.sqrt(T)
+        e_rel_hw = t95 * float(e_model.std(ddof=1)) / math.sqrt(T) / float(e_model.mean())
     irs_bias = {k: float(hat[i]) - p_no for k, i in regions.items() if k != "ap"}
     return McEstimate(
         n_topologies=T, n_fading=mc.n_fading, seed=mc.seed,

@@ -239,6 +239,17 @@ class TestSweepCommand:
         assert nu["ap-cipc"] == pytest.approx(2.635899187631741, rel=1e-9)
         assert nu["algorithm1"] == pytest.approx(3.267767924660948, rel=1e-9)
 
+    @pytest.mark.parametrize("budgets", ["[true]", "[true, 1]", "[10, false]"])
+    def test_boolean_budgets_are_rejected(self, tmp_path, capsys, budgets):
+        # a YAML true is a Python int; it once ran as M = 1 and wrote "true"
+        rc = main(["sweep", "--out", str(tmp_path),
+                   "--set", f"sweep.M_values={budgets}"])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["kind"] == "config-error"
+        assert "sweep.M_values" in err["error"]["detail"]
+        assert not (tmp_path / "sweep.csv").exists()
+
 
 VALIDATE_MC = ["--set", "mc.n_topologies=2", "--set", "mc.n_fading=400",
                "--set", "mc.element_draws=gaussian-surrogate"]

@@ -8,11 +8,12 @@ from scipy.optimize import brentq
 
 from irsplan.channel import nop_direct
 from irsplan.geometry import make_ring_plan
-from irsplan.numerics import integrate_radial
-from irsplan.planner import _coefficient_table, _finalize
-from irsplan.powerctl import (RegionEnergyCoefficient, ap_region_coefficient,
-                              benchmark_cipc, benchmark_equal_power,
-                              benchmark_irs_equal_power,
+from irsplan.numerics import integrate_radial, reg_upper_gamma
+from irsplan.planner import _coefficient_table, _finalize, line_search
+from irsplan.powerctl import (RegionEnergyCoefficient, _maxmin_over_rate,
+                              _pareto_seed, _worst_case_grid,
+                              ap_region_coefficient, benchmark_cipc,
+                              benchmark_equal_power, benchmark_irs_equal_power,
                               benchmark_irs_mean_cipc, cipc_power,
                               equalize_power, f0_integral,
                               irs_region_coefficient)
@@ -212,3 +213,186 @@ class TestIrsBaselines:
                 / (2.0 * math.pi * cell.ue_density * radio.W * radio.t0
                    * f0_integral(radio, cell.R_ex)))
         assert rep.details["gamma_bar"] == pytest.approx(want, rel=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# the pruned max-min rate scan against the brute-force scan it replaced
+# ---------------------------------------------------------------------------
+
+RATES = np.exp(np.linspace(math.log(1e-4), math.log(1e6), 240))
+
+
+def unpruned_scan(nop_of_eta0):
+    """Oracle: every position at all 240 rates, then 60 golden-section steps.
+
+    nop_of_eta0 maps a scalar threshold to the minimum NOP over every
+    position; this is the scan before bound-and-verify pruning, kept
+    verbatim so the pruned one can be held to its exact numbers.
+    """
+    coarse = 240
+    grid = np.exp(np.linspace(math.log(1e-4), math.log(1e6), coarse))
+
+    def objective(eta0):
+        return math.log2(1.0 + eta0) * nop_of_eta0(eta0)
+
+    vals = [objective(e) for e in grid]
+    k = int(np.argmax(vals))
+    a = grid[max(k - 1, 0)]
+    b = grid[min(k + 1, coarse - 1)]
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    la, lb = math.log(a), math.log(b)
+    c = lb - invphi * (lb - la)
+    dd = la + invphi * (lb - la)
+    fc, fd = objective(math.exp(c)), objective(math.exp(dd))
+    for _ in range(60):
+        if fc >= fd:
+            lb, dd, fd = dd, c, fc
+            c = lb - invphi * (lb - la)
+            fc = objective(math.exp(c))
+        else:
+            la, c, fc = c, dd, fd
+            dd = la + invphi * (lb - la)
+            fd = objective(math.exp(dd))
+    eta0 = math.exp(0.5 * (la + lb))
+    return eta0, objective(eta0), nop_of_eta0(eta0)
+
+
+def unpruned_equal_power(radio, cell, irs, plan):
+    p = radio.E_total / (cell.K * radio.t0)
+    _, alpha, beta, g_ap = _worst_case_grid(radio, cell, irs, plan)
+
+    def min_nop(eta0):
+        thr = radio.W * eta0 / p
+        worst = 1.0
+        if alpha.size:
+            worst = min(worst, float(reg_upper_gamma(alpha, beta * thr).min()))
+        if g_ap.size:
+            worst = min(worst, float(np.exp(-thr / g_ap).min()))
+        return worst
+
+    return unpruned_scan(min_nop)
+
+
+def unpruned_mean_cipc(radio, cell, irs, plan, gamma_bar):
+    mean_z2, alpha, beta, g_ap = _worst_case_grid(radio, cell, irs, plan)
+
+    def min_nop(eta0):
+        worst = 1.0
+        if alpha.size:
+            x = beta * mean_z2 * eta0 / gamma_bar
+            worst = min(worst, float(reg_upper_gamma(alpha, x).min()))
+        if g_ap.size:
+            worst = min(worst, math.exp(-eta0 / gamma_bar))
+        return worst
+
+    return unpruned_scan(min_nop)
+
+
+def unpruned_synthetic(nops, n):
+    every = np.arange(n)
+    return unpruned_scan(lambda e: float(np.min(nops(e, every), initial=1.0)))
+
+
+def gamma_nops(alpha, beta):
+    """Positions with NOP G_alpha(beta eta0), the equal-power form."""
+    def nops(eta0, idx):
+        return reg_upper_gamma(alpha[idx], beta[idx] * eta0)
+    return nops
+
+
+def step_nops(*positions):
+    """Positions given as NOP functions of a rate array."""
+    def nops(eta0, idx):
+        e = np.asarray(eta0, dtype=float).reshape(np.shape(eta0)[:1])  # () or (rates,)
+        return np.stack([f(e) + np.zeros(e.shape) for f in positions], axis=-1)[..., idx]
+    return nops
+
+
+@pytest.fixture(scope="module", params=[10, 20, 50, 100])
+def line_search_plan(request, cell, radio, irs):
+    return line_search(cell, radio, irs, request.param, 3).plan
+
+
+def _plans(cell):
+    return {"ap-only": make_ring_plan(cell, [200.0], []),
+            "no-ap-span": make_ring_plan(cell, (250.0, 120.0, 0.0), (10, 17)),
+            "two-rings": make_ring_plan(cell, (250.0, 230.0, 190.0), (10, 17))}
+
+
+class TestPrunedRateScan:
+    @staticmethod
+    def assert_both_policies_exact(radio, cell, irs, plan):
+        ep = benchmark_irs_equal_power(radio, cell, irs, plan)
+        assert (ep.eta0, ep.nu_bar, ep.p_no) == unpruned_equal_power(radio, cell, irs, plan)
+        mc = benchmark_irs_mean_cipc(radio, cell, irs, plan)
+        assert (mc.eta0, mc.nu_bar, mc.p_no) == unpruned_mean_cipc(
+            radio, cell, irs, plan, mc.details["gamma_bar"])
+
+    def test_line_search_plans(self, radio, cell, irs, line_search_plan):
+        self.assert_both_policies_exact(radio, cell, irs, line_search_plan)
+
+    @pytest.mark.parametrize("name", ["ap-only", "no-ap-span", "two-rings"])
+    def test_edge_plans(self, radio, cell, irs, name):
+        plan = _plans(cell)[name]
+        if name == "no-ap-span":
+            assert _worst_case_grid(radio, cell, irs, plan)[3].size == 0
+        self.assert_both_policies_exact(radio, cell, irs, plan)
+
+    def test_pareto_seed_dominates_every_position(self, radio, cell, irs):
+        _, alpha, beta, _ = _worst_case_grid(radio, cell, irs, _plans(cell)["two-rings"])
+        seed = _pareto_seed(alpha, beta)
+        assert 0 < seed.size < alpha.size / 10
+        dominated = ((alpha[seed][:, None] <= alpha[None, :])
+                     & (beta[seed][:, None] >= beta[None, :]))
+        assert dominated.any(axis=0).all()
+
+    @pytest.mark.parametrize("seed_kind", ["pareto", "empty", "first", "all"])
+    @pytest.mark.parametrize("case", ["duplicated", "all-equal", "underflow",
+                                      "all-underflow"])
+    def test_synthetic_positions(self, radio, cell, irs, case, seed_kind):
+        # the seed sets the cost only: any subset, even none, gives the
+        # brute-force numbers
+        if case == "duplicated":
+            _, alpha, beta, _ = _worst_case_grid(radio, cell, irs,
+                                                 _plans(cell)["two-rings"])
+            thr_per_eta0 = radio.W * cell.K * radio.t0 / radio.E_total
+            alpha, beta = np.tile(alpha, 3), np.tile(beta * thr_per_eta0, 3)
+        elif case == "all-equal":
+            alpha, beta = np.full(50, 3.0), np.full(50, 0.2)
+        elif case == "underflow":  # zero NOP at most rates, never at the lowest
+            alpha = np.linspace(1.0, 5.0, 40)
+            beta = np.geomspace(1e2, 1e4, 40)
+        else:
+            alpha, beta = np.full(30, 1.0), np.geomspace(1e10, 1e12, 30)
+        nops, n = gamma_nops(alpha, beta), alpha.size
+        if case.endswith("underflow"):
+            assert nops(1e6, np.arange(n)).max() == 0.0
+        seed = {"pareto": _pareto_seed(alpha, beta), "empty": np.empty(0, int),
+                "first": np.array([0]), "all": np.arange(n)}[seed_kind]
+        assert _maxmin_over_rate(nops, n, seed) == unpruned_synthetic(nops, n)
+
+    def test_margin_covers_rounding_inversions(self):
+        # one position, monotone but for a 2e-12 relative rise at the top
+        # rate, as rounding can produce; without the 1e-9 margin the bracket
+        # [RATES[-2], RATES[-1]] would drop it and read the capped NOP 1
+        top = RATES[-1]
+        nops = step_nops(lambda e: np.where(e < top, 0.5 * (1.0 - 2e-12), 0.5))
+        got = _maxmin_over_rate(nops, 1, np.array([0]))
+        assert got == unpruned_synthetic(nops, 1)
+        assert got[2] == 0.5 * (1.0 - 2e-12)
+
+    def test_rates_outside_the_bracket_see_every_position(self, monkeypatch):
+        # an exp that errs 1e-12 high pushes the section's last rates past
+        # the bracket end b = RATES[-1]; a position with a high NOP at b
+        # that collapses just beyond it must still be seen there
+        top = RATES[-1]
+        nops = step_nops(
+            lambda e: np.full(e.shape, 0.5),
+            lambda e: np.where(e <= top, 0.9,
+                               1e-3 * np.exp(-np.maximum(e / top - 1.0, 0.0) * 1e13)))
+        exp = math.exp
+        monkeypatch.setattr(math, "exp", lambda x: exp(x) * (1.0 + 1e-12))
+        got = _maxmin_over_rate(nops, 2, np.array([0]))
+        want = unpruned_synthetic(nops, 2)
+        monkeypatch.undo()
+        assert got == want

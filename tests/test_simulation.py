@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import stdtrit
 
 from irsplan import simulation
 from irsplan._kernels import exact_tail_stats
@@ -253,6 +254,31 @@ class TestRingPlanCertification:
         a = validate_plan_mc(cell, radio, irs, plan_m15_a1, McConfig(**kw))
         b = validate_plan_mc(cell, radio, irs, plan_m15_a1, McConfig(**kw))
         assert a == b
+
+    def test_topology_means_use_student_t(self, cell, radio, irs, plan_m15_a1,
+                                          monkeypatch):
+        # common throughput and frame energy are means of T per-topology
+        # values, so their 95% half-widths take t(T - 1), 2.262 at T = 10
+        rows = []
+        run = simulation._run_topology
+        monkeypatch.setattr(simulation, "_run_topology",
+                            lambda task: rows.append(run(task)) or rows[-1])
+        T, n = 10, 500
+        est = validate_plan_mc(cell, radio, irs, plan_m15_a1,
+                               McConfig(n_topologies=T, n_fading=n, seed=5,
+                                        element_draws="gaussian-surrogate"))
+        t95 = stdtrit(T - 1, 0.975)
+        assert t95 == pytest.approx(2.262, abs=5e-4)
+        successes, n_ue = (np.array([r[i] for r in rows]) for i in (0, 1))
+        regions = plan_m15_a1.plan.I + 1
+        with np.errstate(divide="ignore", invalid="ignore"):
+            nop = np.where(n_ue > 0, successes / (n_ue * n), np.inf)[:, :regions]
+        v = plan_m15_a1.allocation.R_bar * nop.min(axis=1)
+        assert est.common_half_width == pytest.approx(
+            t95 * v.std(ddof=1) / math.sqrt(T), rel=1e-12)
+        e_model = np.array([r[4] for r in rows])
+        assert est.energy_rel_half_width == pytest.approx(
+            t95 * e_model.std(ddof=1) / math.sqrt(T) / e_model.mean(), rel=1e-12)
 
     def test_seed_changes_results(self, cell, radio, irs, plan_m15_a1):
         kw = dict(n_topologies=3, n_fading=600,
