@@ -9,7 +9,9 @@ counter-based Monte Carlo harness.
 Layout:
 
 * :mod:`irsplan.numerics`   -- regularized incomplete gamma + inverse, quadrature
-* :mod:`irsplan.channel`    -- mean gains, composite fading moments, NOP, power
+* :mod:`irsplan.channel`    -- mean gains, composite fading moments, NOP, and
+  the required power, read off one table per (N, p_no) indexed by
+  c^2 = g_i g_r / g_d
 * :mod:`irsplan.geometry`   -- cell partition, sector mapping, plan validation
 * :mod:`irsplan.powerctl`   -- region energy coefficients and equalization
 * :mod:`irsplan.planner`    -- coverage study, exact ring search, fast heuristic
@@ -25,13 +27,12 @@ __version__ = "0.1.0"
 
 from ._kernels import BACKEND as KERNEL_BACKEND  # read by perfbench's set-up probe
 from .channel import (CompositeChannelStats, IrsSpec, LinkGeometry, MeanGains,
-                      OutageSpec, RadioConfig, composite_stats,
-                      mean_gain_direct, mean_gains_irs, nop_direct, nop_irs,
-                      required_power_irs)
+                      RadioConfig, composite_stats, mean_gain_direct,
+                      mean_gains_irs, nop_direct, nop_irs, required_power_irs)
 from .geometry import (CellConfig, PlanViolation, RingPlan, UeLocation,
                        coverage_area_accounting, locate_ue, make_ring_plan,
                        mean_ues_per_sector, sector_area, validate_plan)
-from .numerics import (Tolerance, TailQuantile, get_tail_quantile,
+from .numerics import (Tolerance, get_tail_quantile,
                        integrate_polar_sector, integrate_radial,
                        inv_reg_upper_gamma, reg_upper_gamma)
 from .planner import (CoverageResult, PlanCheckError, PlanInfeasibleError,
@@ -48,12 +49,12 @@ from .simulation import (McConfig, McEstimate, SlotLimitError, Topology,
 __all__ = [
     "__version__", "KERNEL_BACKEND",
     "CompositeChannelStats", "IrsSpec", "LinkGeometry", "MeanGains",
-    "OutageSpec", "RadioConfig", "composite_stats", "mean_gain_direct",
+    "RadioConfig", "composite_stats", "mean_gain_direct",
     "mean_gains_irs", "nop_direct", "nop_irs", "required_power_irs",
     "CellConfig", "PlanViolation", "RingPlan", "UeLocation",
     "coverage_area_accounting", "locate_ue", "make_ring_plan",
     "mean_ues_per_sector", "sector_area", "validate_plan",
-    "Tolerance", "TailQuantile", "get_tail_quantile",
+    "Tolerance", "get_tail_quantile",
     "integrate_polar_sector", "integrate_radial", "inv_reg_upper_gamma",
     "reg_upper_gamma",
     "CoverageResult", "PlanCheckError", "PlanInfeasibleError", "PlanResult",

@@ -6,7 +6,8 @@ N-element reflecting surface adds a phase-aligned cascaded path on top of the
 Rayleigh direct path, the Gamma tail approximation built from those moments,
 and the resulting non-outage probability (NOP) / required-power formulas.
 Other modules call these, never re-derive them: ``_cascade_moments`` also sets
-the MC surrogate's law, and ``irs_power_factor`` is every sector integrand.
+the MC surrogate's law, and ``irs_power_factor`` is every sector integrand and
+prices every IRS-served UE in the MC topologies.
 
 Model: the cascaded amplitude X = sum_j |h_i,j||h_r,j| is treated as Gaussian
 by the CLT with
@@ -18,10 +19,16 @@ and the direct amplitude Y is Rayleigh with scale delta = sqrt(g_d / 2).
 Z = X + Y, and Z^2 is matched by moments to Gamma(alpha, beta) (inverse-scale
 convention), whose upper tail gives the NOP.  All gains and powers are linear
 (watts); dB only exists at the CLI boundary.
+
+Z / sqrt(g_d) has a law that depends on c^2 = g_i g_r / g_d alone, so the
+required power per unit W eta0, beta / q_alpha(p_no), is unit(c^2) / g_d.
+``_PowerFactorTable`` tabulates unit once per (N, p_no) from the exact inverse
+incomplete gamma; ``irs_power_factor`` and ``required_power_irs`` read it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -127,28 +134,6 @@ class CompositeChannelStats:
     beta: float    # Gamma inverse scale
 
 
-@dataclass(frozen=True)
-class OutageSpec:
-    R_bar: float        # common rate threshold [bps/Hz]
-    p_no_min: float     # target non-outage probability
-
-    def __post_init__(self):
-        if not (0.0 < self.p_no_min < 1.0):
-            raise ValueError("OutageSpec: p_no_min must lie in (0, 1)")
-        if self.R_bar < 0.0:
-            raise ValueError("OutageSpec: R_bar must be nonnegative")
-
-    @property
-    def eta0(self):
-        """SNR threshold 2^R_bar - 1."""
-        return 2.0 ** self.R_bar - 1.0
-
-    @property
-    def nu(self):
-        """Throughput at the target: p_no_min * R_bar [bps/Hz]."""
-        return self.p_no_min * self.R_bar
-
-
 # ---------------------------------------------------------------------------
 # mean gains
 # ---------------------------------------------------------------------------
@@ -202,6 +187,76 @@ def _z2_moment_arrays(N, g_d, g_i, g_r):
     mean = m2 + 2.0 * m1 * y1 + y2
     ez4 = m4 + 4.0 * m3 * y1 + 6.0 * m2 * y2 + 4.0 * m1 * y3 + y4
     return mean, ez4 - mean ** 2
+
+
+def _unit_power_factor(N, c2, p_no):
+    """beta / q_alpha(p_no) of the Gamma fit at g_d = 1 and g_i g_r = c2, exactly."""
+    mean, var = _z2_moment_arrays(N, 1.0, c2, 1.0)
+    alpha = mean ** 2 / var
+    beta = mean / var
+    return beta / inv_reg_upper_gamma(alpha, p_no)
+
+
+class _PowerFactorTable:
+    """unit(c^2) = ``_unit_power_factor`` over c^2 for one (N, p_no).
+
+    Z / sqrt(g_d) = c X' + Y' with X' and Y' free of the gains, so the Gamma
+    fit's beta / q_alpha(p_no) is unit(c^2) / g_d.  log unit is tabulated on
+    a uniform grid in log c^2 and read by the 4-point Lagrange cubic through
+    the knots around a point (one cubic's coefficients per interval).  Points
+    outside the table take the exact expression.
+    """
+
+    LOG_LO = math.log(1e-30)
+    LOG_HI = math.log(1e4)
+    KNOTS = 16_000
+
+    def __init__(self, N, p_no):
+        if not (0.0 < p_no < 1.0):
+            raise ValueError("power-factor table: p_no must lie in (0, 1)")
+        self.N = N
+        self.p_no = p_no
+        h = (self.LOG_HI - self.LOG_LO) / (self.KNOTS - 1)
+        self._inv_h = 1.0 / h
+        self._n = self.KNOTS - 1  # intervals
+        # one extra knot beyond each end, for the end intervals' cubics
+        t = self.LOG_LO + h * np.arange(-1, self.KNOTS + 1)
+        f = np.log(_unit_power_factor(N, np.exp(t), p_no))
+        fm, f0, f1, f2 = f[:-3], f[1:-2], f[2:-1], f[3:]
+        # the cubic through knots -1, 0, 1, 2 in s = (log c^2 - knot 0) / h
+        self._c3 = (f2 - fm) / 6.0 + 0.5 * (f0 - f1)
+        self._c2 = 0.5 * (fm + f1) - f0
+        self._c1 = f1 - fm / 3.0 - 0.5 * f0 - f2 / 6.0
+        self._c0 = f0
+
+    def _inside(self, u):
+        i = u.astype(np.intp)
+        s = u - i
+        out = self._c3[i]
+        out *= s
+        out += self._c2[i]
+        out *= s
+        out += self._c1[i]
+        out *= s
+        out += self._c0[i]
+        return np.exp(out)
+
+    def __call__(self, c2):
+        c2 = np.asarray(c2, dtype=float)
+        u = (np.log(c2) - self.LOG_LO) * self._inv_h
+        inside = (u >= 0.0) & (u < self._n)
+        if inside.all():
+            return self._inside(u)
+        out = np.empty_like(u)
+        out[inside] = self._inside(u[inside])
+        out[~inside] = _unit_power_factor(self.N, c2[~inside], self.p_no)
+        return out
+
+
+@functools.lru_cache(maxsize=8)
+def _power_factor_table(N, p_no) -> _PowerFactorTable:
+    """Shared table for the eight most recently used (N, p_no)."""
+    return _PowerFactorTable(N, p_no)
 
 
 def composite_stats_arrays(cfg: RadioConfig, irs: IrsSpec, r, l, d):
@@ -262,27 +317,27 @@ def nop_irs(cfg: RadioConfig, irs: IrsSpec, p, geom, eta0):
     return float(out) if np.ndim(out) == 0 else out
 
 
-def irs_power_factor(cfg: RadioConfig, irs: IrsSpec, r, l, d, quantile):
+def irs_power_factor(cfg: RadioConfig, irs: IrsSpec, r, l, d, p_no):
     """beta / q_alpha(p_no), the required power per unit W eta0, over (r, l, d).
 
-    ``quantile`` maps Gamma shapes to their p_no tail quantile (a TailQuantile).
+    Equal to unit(c^2) / g_d with c^2 = g_i g_r / g_d; ``unit`` is read off the
+    shared (N, p_no) table.
     """
-    _, _, alpha, beta = composite_stats_arrays(cfg, irs, r, l, d)
-    return beta / quantile(alpha)
+    g_d = mean_gain_direct(cfg, r)
+    g_i, g_r = _gain_irs_links(cfg, l, d)
+    return _power_factor_table(irs.N, p_no)(g_i * g_r / g_d) / g_d
 
 
-def required_power_irs(cfg: RadioConfig, irs: IrsSpec, geom, eta0, p_no, quantile=None):
+def required_power_irs(cfg: RadioConfig, irs: IrsSpec, geom, eta0, p_no):
     """Transmit power that meets NOP target p_no for an IRS-served UE.
 
-    Inverts the Gamma tail: p = W eta0 beta / q (W eta0 ``irs_power_factor``)
-    where G_alpha(q) = p_no.  ``quantile`` may supply a TailQuantile table;
-    otherwise the direct inverse is evaluated.
+    Inverts the Gamma tail: p = W eta0 beta / q where G_alpha(q) = p_no, i.e.
+    W eta0 ``irs_power_factor``.  geom may be a LinkGeometry or a tuple of
+    broadcastable (r, l, d) arrays.
     """
     if isinstance(geom, LinkGeometry):
         r, l, d = geom.r, geom.l, geom.d
     else:
         r, l, d = geom
-    _, _, alpha, beta = composite_stats_arrays(cfg, irs, r, l, d)
-    q = inv_reg_upper_gamma(alpha, p_no) if quantile is None else quantile(alpha)
-    out = cfg.W * np.asarray(eta0, float) * beta / q
+    out = cfg.W * np.asarray(eta0, float) * irs_power_factor(cfg, irs, r, l, d, p_no)
     return float(out) if np.ndim(out) == 0 else out

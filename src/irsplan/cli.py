@@ -17,6 +17,7 @@ infeasible request or a result that failed its own consistency check
 
 import argparse
 import json
+import math
 import sys
 import traceback
 from dataclasses import asdict
@@ -238,6 +239,13 @@ def _load_plan_file(path: Path, cfg: ExperimentConfig) -> PlanResult:
                                      p_no=float(alloc["p_no"]))
     except (KeyError, TypeError, ValueError) as exc:
         raise CliError("plan-file-error", f"{path} is missing fields: {exc}")
+    if not isinstance(embedded, dict):
+        raise CliError("plan-file-error", f"{path}: config is not a mapping")
+    if not (math.isfinite(allocation.eta0_star) and allocation.eta0_star > 0.0):
+        raise CliError("plan-file-error",
+                       f"{path}: eta0_star={allocation.eta0_star} is not a positive number")
+    if not (0.0 < allocation.p_no < 1.0):
+        raise CliError("plan-file-error", f"{path}: p_no={allocation.p_no} lies outside (0, 1)")
     current = cfg.to_dict()
     mismatched = [s for s in ("radio", "cell", "irs", "outage")
                   if embedded.get(s) != current[s]]

@@ -121,6 +121,12 @@ def validate_plan(cell: CellConfig, plan: RingPlan, total_irs=None):
         v.append(PlanViolation("radii-length", f"len(R_in)={len(R)} != I+1={plan.I + 1}",
                                abs(len(R) - plan.I - 1)))
         return v
+    for name, values in (("R_in", R), ("L", plan.L), ("rho", plan.rho or ())):
+        bad = [i for i, x in enumerate(values) if not math.isfinite(x)]
+        if bad:
+            v.append(PlanViolation("non-finite", f"{name}[{bad[0]}]={values[bad[0]]}", math.inf))
+    if v:
+        return v  # every comparison below is False on NaN
     if R[0] > cell.R_ex * (1 + 1e-12):
         v.append(PlanViolation("radii-range", f"R_in[0]={R[0]:.6g} exceeds R_ex={cell.R_ex:.6g}",
                                R[0] - cell.R_ex))

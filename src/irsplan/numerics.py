@@ -3,12 +3,9 @@
 Everything in this module is domain-free.  The regularized upper incomplete
 gamma function and its inverse are domain-checked wrappers around
 ``scipy.special.gammaincc`` and ``scipy.special.gammainccinv`` (the
-DiDonato-Morris algorithms, ACM TOMS 12, 1986).  The planner evaluates the
-inverse at one fixed probability over millions of shapes, so
-``TailQuantile`` tabulates it once as a cubic spline in log-log space,
-which is several times cheaper per point than the direct inverse.
-Quadrature is composite Gauss-Legendre with dyadic refinement; root finding
-is bisection.
+DiDonato-Morris algorithms, ACM TOMS 12, 1986); ``get_tail_quantile`` fixes
+the inverse's probability.  Quadrature is composite Gauss-Legendre with
+dyadic refinement; root finding is bisection.
 """
 
 from __future__ import annotations
@@ -85,101 +82,14 @@ def inv_reg_upper_gamma(alpha, p):
     return float(out) if scalar else out
 
 
-class TailQuantile:
-    """Fixed-probability inverse-gamma accelerator.
+def get_tail_quantile(p):
+    """The p tail quantile as a function of the Gamma shape alone.
 
-    The sector energy integrals and the Monte Carlo harness evaluate
-    inv_reg_upper_gamma at one fixed p across millions of shape values.
-    A cubic spline of log x(alpha) over log alpha turns each evaluation
-    into an interpolation (~1e-12 relative error over the table range,
-    certified against the direct inverse in the test suite), several times
-    cheaper per point than the direct inverse.  Shapes outside the table
-    fall back to the direct inverse.
-
-    The spline is built by ``scipy.interpolate.CubicSpline`` but evaluated
-    here: the knots are uniform in log alpha, so a point's interval is the
-    floor of its scaled offset, snapped by at most one step to the interval
-    a binary search would pick (x[i] <= t < x[i+1], the last interval
-    closed).  The cubic is then summed in the same order as
-    ``PPoly.__call__``, so the result is bit-identical to the spline's,
-    at a fraction of its per-point cost.
+    alpha -> inv_reg_upper_gamma(alpha, p), evaluated exactly.
     """
-
-    def __init__(self, p, alpha_lo=1e-2, alpha_hi=1e5, n_knots=6000):
-        # imported here: scipy.interpolate is a large share of the package's
-        # import time, which commands that never build a table (coverage)
-        # should not pay
-        from scipy.interpolate import CubicSpline
-
-        if not (0.0 < p < 1.0):
-            raise ValueError("TailQuantile: p must lie in (0, 1)")
-        self.p = float(p)
-        self.alpha_lo = float(alpha_lo)
-        self.alpha_hi = float(alpha_hi)
-        t = np.linspace(math.log(alpha_lo), math.log(alpha_hi), n_knots)
-        q = gammainccinv(np.exp(t), self.p)
-        with np.errstate(divide="ignore"):
-            logq = np.log(q)
-        if not np.all(np.isfinite(logq)):
-            raise NumericsError("TailQuantile: quantiles underflow at the low "
-                                "end of the shape table; raise alpha_lo",
-                                residual=float(np.min(q)))
-        self._spline = CubicSpline(t, logq)
-        x = self._spline.x
-        self._knots = x
-        self._inv_step = (n_knots - 1) / (t[-1] - t[0])
-        # snap bounds: a point below below[i] belongs to interval i - 1, one
-        # at or above above[i] to interval i + 1; the sentinels keep the
-        # first and last intervals (whose ends extrapolate) from moving
-        self._below = np.concatenate([[-np.inf], x[1:-1]])
-        self._above = np.concatenate([x[1:-1], [np.inf]])
-        # power coefficients per interval, highest degree first
-        self._coef = [np.ascontiguousarray(c) for c in self._spline.c]
-
-    def _log_quantile(self, t):
-        """The spline at log-shapes t inside the table, by direct index."""
-        # t >= knots[0] up to rounding, so truncation is the floor
-        i = ((t - self._knots[0]) * self._inv_step).astype(np.intp)
-        np.minimum(i, len(self._knots) - 2, out=i)
-        i -= t < self._below[i]
-        i += t >= self._above[i]
-        s = t - self._knots[i]
-        z = s * s
-        c3, c2, c1, c0 = self._coef
-        # c0 + c1 s + c2 s^2 + c3 s^3, summed in PPoly's order
-        out = c1[i]
-        out *= s
-        out += c0[i]
-        term = c2[i]
-        term *= z
-        out += term
-        z *= s
-        term = c3[i]
-        term *= z
-        out += term
-        return out
-
-    def __call__(self, alpha):
-        scalar = np.isscalar(alpha)
-        a = np.atleast_1d(np.asarray(alpha, dtype=float))
-        inside = (a >= self.alpha_lo) & (a <= self.alpha_hi)
-        if inside.all():
-            out = np.exp(self._log_quantile(np.log(a)))
-        else:
-            out = np.empty_like(a)
-            if inside.any():
-                out[inside] = np.exp(self._log_quantile(np.log(a[inside])))
-            out[~inside] = inv_reg_upper_gamma(a[~inside], self.p)
-        return float(out[0]) if scalar else out
-
-
-@functools.lru_cache(maxsize=8)
-def get_tail_quantile(p) -> TailQuantile:
-    """Shared per-process TailQuantile table for a given target probability.
-
-    Tables for the eight most recently used targets are kept.
-    """
-    return TailQuantile(float(p))
+    if not (0.0 < p < 1.0):
+        raise ValueError("get_tail_quantile: p must lie in (0, 1)")
+    return functools.partial(inv_reg_upper_gamma, p=float(p))
 
 
 # ---------------------------------------------------------------------------

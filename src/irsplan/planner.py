@@ -22,7 +22,8 @@ The search amortizes sector energy integrals through a per-configuration
 coefficient table (fixed 16-point tensor quadrature over the half sector,
 batched over the candidate inner radii the load cap allows) and re-derives
 the winning configuration through the adaptive-quadrature contract path
-before returning it.
+before returning it.  Both integrate ``channel.irs_power_factor``, which
+reads one shared table per (N, p_no).
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ import numpy as np
 
 from .channel import IrsSpec, RadioConfig, composite_stats_arrays, irs_power_factor
 from .geometry import CellConfig, RingPlan, irs_distance, make_ring_plan, validate_plan
-from .numerics import _gl_nodes, bisect, get_tail_quantile
+from .numerics import _gl_nodes, bisect
 from .powerctl import (PowerAllocation, RegionEnergyCoefficient, _ap_spans,
                        ap_region_coefficient, equalize_power,
                        irs_region_coefficient)
@@ -157,7 +158,6 @@ class _RingCoefficientTable:
         if abs(self.radii[-1] - cell.R_ex) > 1e-9:
             self.radii = np.append(self.radii, cell.R_ex)
         self._r2 = self.radii ** 2
-        self.quantile = get_tail_quantile(p_no)
         self._glx, self._glw = _gl_nodes(self.NODES)
         self.c0_grid = np.array([ap_region_coefficient(cfg, cell, p_no, R).C
                                  for R in self.radii])
@@ -193,7 +193,7 @@ class _RingCoefficientTable:
             L = (0.5 * (hi + lo))[:, None, None]
         rr = r_hat[:, :, None]
         vals = irs_power_factor(cfg, self.irs, rr, L, irs_distance(rr, L, az[None, None, :]),
-                                self.quantile)
+                                self.p_no)
         F = 2.0 * np.einsum("bi,j,bij->b", r_w * r_hat, az_w, vals)
         C = np.full(hi_idx, math.inf)
         C[first:] = m * self.cell.ue_density * cfg.W * cfg.t0 * F

@@ -42,7 +42,7 @@ import numpy as np
 from .channel import (IrsSpec, RadioConfig, composite_stats_arrays,
                       irs_power_factor, mean_gain_direct)
 from .geometry import CellConfig, RingPlan, irs_distance
-from .numerics import get_tail_quantile, integrate_polar_sector, reg_upper_gamma
+from .numerics import integrate_polar_sector, reg_upper_gamma
 
 
 @dataclass(frozen=True)
@@ -112,10 +112,9 @@ def irs_region_coefficient(cfg: RadioConfig, cell: CellConfig, irs: IrsSpec,
         return RegionEnergyCoefficient(region=name, C=0.0)
     L = plan.L[i - 1]
     phi = plan.sector_angle(i)
-    quantile = get_tail_quantile(p_no)
 
     def integrand(r, az):
-        return irs_power_factor(cfg, irs, r, L, irs_distance(r, L, az), quantile)
+        return irs_power_factor(cfg, irs, r, L, irs_distance(r, L, az), p_no)
 
     F = 2.0 * integrate_polar_sector(integrand, lo, hi, 0.5 * phi)
     C = plan.M[i - 1] * cell.ue_density * cfg.W * cfg.t0 * F

@@ -51,7 +51,6 @@ from ._kernels import exact_unit_draws
 from .channel import (IrsSpec, RadioConfig, _cascade_moments, _gain_irs_links,
                       mean_gain_direct, required_power_irs)
 from .geometry import CellConfig, RingPlan, locate_ue_arrays
-from .numerics import get_tail_quantile
 from .planner import PlanResult
 from .powerctl import cipc_power
 
@@ -184,8 +183,7 @@ def sample_topology(cell: CellConfig, cfg: RadioConfig, irs: IrsSpec,
     p_irs = np.zeros(cell.K)
     if irs_pos.any():
         p_irs[irs_pos] = required_power_irs(
-            cfg, irs, (r[irs_pos], l[irs_pos], d[irs_pos]), eta0_star, p_no,
-            quantile=get_tail_quantile(p_no))
+            cfg, irs, (r[irs_pos], l[irs_pos], d[irs_pos]), eta0_star, p_no)
     power_model = np.where(irs_pos, p_irs, p_ap)
     power = np.where(served_by_irs, p_irs, p_ap)
     return Topology(r=r, ring=ring, sector=sector, l=l, d=d,

@@ -1,4 +1,4 @@
-"""Channel-layer suite: mean gains, composite moments, Gamma fit, outage.
+"""Channel-layer suite: mean gains, composite moments, Gamma fit, outage, power table.
 
 The moment recipe is checked three ways: an independent recomposition of the
 raw Gaussian/Rayleigh moments written out in this file, frozen regression
@@ -8,14 +8,18 @@ sampling code involved).
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
-from irsplan.channel import (IrsSpec, LinkGeometry, OutageSpec, RadioConfig,
-                             composite_stats, composite_stats_arrays,
-                             mean_gain_direct,
-                             mean_gains_irs, mean_z2_closed_form, nop_direct,
-                             nop_irs, required_power_irs)
+from irsplan.channel import (IrsSpec, LinkGeometry, RadioConfig,
+                             _PowerFactorTable, _power_factor_table,
+                             _unit_power_factor, composite_stats,
+                             composite_stats_arrays, irs_power_factor,
+                             mean_gain_direct, mean_gains_irs,
+                             mean_z2_closed_form, nop_direct, nop_irs,
+                             required_power_irs)
+from irsplan.numerics import inv_reg_upper_gamma
 
 _PI2_16 = math.pi ** 2 / 16.0
 
@@ -26,10 +30,10 @@ def oracle_z2_moments(N, g_d, g_i, g_r):
     Z = X + Y with X the Gaussian cascade-sum amplitude and Y the direct
     amplitude; binomial expansion of (X + Y)^k with independence.
     """
-    a = math.sqrt(g_i * g_r)
+    a = np.sqrt(g_i * g_r)
     mu = N * (math.pi / 4.0) * a
     s2 = N * (1.0 - _PI2_16) * g_i * g_r
-    delta = math.sqrt(g_d / 2.0)
+    delta = np.sqrt(g_d / 2.0)
     x1, x2, x3, x4 = (mu,
                       mu * mu + s2,
                       mu ** 3 + 3.0 * mu * s2,
@@ -202,13 +206,99 @@ class TestOutage:
                   for N in (0, 500, 1000, 2000, 4000)]
         assert all(b < a for a, b in zip(powers, powers[1:]))
 
-    def test_outage_spec_properties(self):
-        spec = OutageSpec(R_bar=4.86, p_no_min=0.95)
-        assert spec.eta0 == pytest.approx(2.0 ** 4.86 - 1.0, rel=1e-14)
-        assert spec.nu == pytest.approx(0.95 * 4.86, rel=1e-14)
-        with pytest.raises(ValueError):
-            OutageSpec(R_bar=1.0, p_no_min=1.0)
-
     def test_starved_link_has_negligible_nop(self, radio, irs):
         geom = LinkGeometry(240.0, 10.0, 230.3)
         assert nop_irs(radio, irs, 1e-9, geom, 28.0) < 0.01
+
+
+def exact_factor(N, c2, p_no):
+    """beta / q_alpha(p_no) at g_d = 1, g_i g_r = c2, from the oracle moments."""
+    mean, var = oracle_z2_moments(N, 1.0, c2, 1.0)
+    return (mean / var) / inv_reg_upper_gamma(mean * mean / var, p_no)
+
+
+def mp_factor(N, c2, p_no):
+    """The same factor at 40 digits, moments and quantile both in mpmath."""
+    with mpmath.workdps(40):
+        c2, p_no = mpmath.mpf(c2), mpmath.mpf(p_no)
+        mu = N * mpmath.pi / 4 * mpmath.sqrt(c2)
+        s2 = N * (1 - mpmath.pi ** 2 / 16) * c2
+        x = (mu, mu ** 2 + s2, mu ** 3 + 3 * mu * s2, mu ** 4 + 6 * mu ** 2 * s2 + 3 * s2 ** 2)
+        delta = mpmath.sqrt(mpmath.mpf(1) / 2)
+        k = mpmath.sqrt(mpmath.pi / 2)
+        y = (delta * k, 2 * delta ** 2, 3 * delta ** 3 * k, 8 * delta ** 4)
+        mean = x[1] + 2 * x[0] * y[0] + y[1]
+        var = x[3] + 4 * x[2] * y[0] + 6 * x[1] * y[1] + 4 * x[0] * y[2] + y[3] - mean ** 2
+        alpha, beta = mean ** 2 / var, mean / var
+        q = mpmath.findroot(
+            lambda t: mpmath.gammainc(alpha, t, mpmath.inf, regularized=True) - p_no,
+            inv_reg_upper_gamma(float(alpha), float(p_no)))
+        return float(beta / q)
+
+
+class TestPowerFactorTable:
+    LO = math.exp(_PowerFactorTable.LOG_LO)
+    HI = math.exp(_PowerFactorTable.LOG_HI)
+
+    def test_certified_against_exact_factor(self, rng):
+        c2 = np.exp(rng.uniform(_PowerFactorTable.LOG_LO, _PowerFactorTable.LOG_HI, 100_000))
+        for N, p_no in ((2000, 0.95), (2000, 0.99), (50, 0.9)):
+            want = exact_factor(N, c2, p_no)
+            assert np.abs(_power_factor_table(N, p_no)(c2) / want - 1.0).max() <= 5e-12
+
+    def test_against_mpmath(self):
+        c2 = np.geomspace(1.0001 * self.LO, 0.9999 * self.HI, 64)
+        got = _power_factor_table(2000, 0.95)(c2)
+        want = np.array([mp_factor(2000, x, 0.95) for x in c2])
+        assert np.abs(got / want - 1.0).max() <= 5e-12
+
+    def test_link_form_matches_gamma_fit(self, radio, irs, rng):
+        # unit(c^2) / g_d against beta / q_alpha computed from the link gains
+        r = rng.uniform(1.0, 250.0, 2000)
+        l = rng.uniform(10.0, 250.0, 2000)
+        d = np.abs(r - l) + rng.uniform(0.0, 1.0, 2000) * (r + l - np.abs(r - l))
+        _, _, alpha, beta = composite_stats_arrays(radio, irs, r, l, d)
+        want = beta / inv_reg_upper_gamma(alpha, 0.95)
+        got = irs_power_factor(radio, irs, r, l, d, 0.95)
+        assert np.abs(got / want - 1.0).max() <= 5e-12
+        geom = LinkGeometry(180.0, 120.0, 70.0)
+        assert required_power_irs(radio, irs, geom, 28.0, 0.95) == (
+            radio.W * 28.0 * float(irs_power_factor(radio, irs, 180.0, 120.0, 70.0, 0.95)))
+
+    def test_out_of_table_falls_back(self):
+        table = _power_factor_table(2000, 0.95)
+        outside = np.array([1e-40, 0.5 * self.LO, self.HI, 3e5])
+        assert np.array_equal(table(outside), _unit_power_factor(2000, outside, 0.95))
+        assert table(1e-40) == pytest.approx(exact_factor(2000, 1e-40, 0.95), rel=1e-14)
+        mixed = np.array([1e-40, 1e-3, 2e-9, 3e5])
+        assert np.array_equal(table(mixed), [table(x) for x in mixed])
+        with pytest.raises(ValueError):
+            table(np.array([1e-3, np.nan]))
+
+    def test_no_elements_is_the_exponential_law(self, radio, rng):
+        r = rng.uniform(0.0, 250.0, 500)
+        l = rng.uniform(10.0, 250.0, 500)
+        d = np.abs(r - l)
+        for p_no in (0.5, 0.95, 0.999):
+            got = irs_power_factor(radio, IrsSpec(0), r, l, d, p_no)
+            want = 1.0 / (mean_gain_direct(radio, r) * math.log(1.0 / p_no))
+            assert np.abs(got / want - 1.0).max() <= 1e-13
+
+    def test_rejects_bad_target(self):
+        for p_no in (0.0, 1.0, 1.5):
+            with pytest.raises(ValueError):
+                _PowerFactorTable(2000, p_no)
+
+    def test_cache_returns_same_table(self):
+        assert _power_factor_table(2000, 0.95) is _power_factor_table(2000, 0.95)
+        assert _power_factor_table(2000, 0.95) is not _power_factor_table(1000, 0.95)
+
+    def test_evicted_table_is_rebuilt(self):
+        first = _power_factor_table(2000, 0.9)
+        # the cache is bounded: this many other targets push 0.9 out
+        for p_no in np.linspace(0.5, 0.6, _power_factor_table.cache_info().maxsize):
+            _power_factor_table(2000, float(p_no))
+        again = _power_factor_table(2000, 0.9)
+        assert again is not first
+        c2 = np.geomspace(1e-35, 1e5, 2000)
+        assert np.array_equal(again(c2), first(c2))

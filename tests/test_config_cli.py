@@ -381,6 +381,22 @@ class TestValidateCommand:
         assert err["error"]["kind"] == "plan-config-mismatch"
         assert err["error"]["sections"] == ["irs"]
 
+    @pytest.mark.parametrize("mutate", [
+        lambda doc: doc.update(config=[]),
+        lambda doc: doc["allocation"].update(p_no=1.5),
+        lambda doc: doc["plan"]["R_in_m"].__setitem__(1, math.nan),
+        lambda doc: doc["allocation"].update(eta0_star=math.nan),
+    ], ids=["config-not-mapping", "p_no-out-of-range", "nan-radius", "nan-threshold"])
+    def test_malformed_plan_values_rejected(self, tmp_path, plan_file, capsys, mutate):
+        doc = json.loads(plan_file.read_text(encoding="utf-8"))
+        mutate(doc)
+        bad = tmp_path / "mutated.json"
+        bad.write_text(json.dumps(doc), encoding="utf-8")
+        rc = main(["validate", str(bad), "--out", str(tmp_path / "mc")] + VALIDATE_MC)
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["kind"] == "plan-file-error"
+
     def test_tampered_plan_rejected(self, tmp_path, plan_file, capsys):
         doc = json.loads(plan_file.read_text(encoding="utf-8"))
         doc["plan"]["M"][0] = 99  # blows both the budget and the slot limit

@@ -1,5 +1,8 @@
 """Every imported name in src/ and tests/ is used; every src/ parameter is read.
 
+A cold ``plan`` and ``validate`` also must not import ``scipy.interpolate``:
+it would add about a third of a second to every such process.
+
 No linter runs with the tests, so these stdlib-``ast`` scans are the guard
 against dead imports and dead parameters.  A name counts as used when it
 appears anywhere in the module as an identifier or is listed in the module's
@@ -9,6 +12,9 @@ exempt.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -85,3 +91,25 @@ def test_scan_flags_an_unread_parameter():
                      "class K:\n    def m(self, x):\n        return (lambda y, z: z)(x, 0)\n")
     assert sorted((n, p) for n, p, _ in _unread_parameters(tree)) == [
         ("<lambda>", "y"), ("f", "args"), ("f", "b"), ("f", "c")]
+
+
+COLD_RUN = """
+import sys
+from irsplan.cli import main
+out = sys.argv[1]
+assert main(["plan", "--method", "algorithm1", "--set", "plan.M=20", "--out", out]) == 0
+assert main(["validate", out + "/plan.json", "--out", out + "/mc",
+             "--set", "mc.element_draws=gaussian-surrogate",
+             "--set", "mc.n_topologies=2", "--set", "mc.n_fading=50"]) == 0
+print(sorted(m for m in sys.modules if m.startswith("scipy.interpolate")))
+"""
+
+
+def test_cold_commands_skip_scipy_interpolate(tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    done = subprocess.run([sys.executable, "-c", COLD_RUN, str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"

@@ -11,8 +11,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from irsplan.numerics import (NumericsError, TailQuantile,
-                              Tolerance, bisect, get_tail_quantile,
+from irsplan.numerics import (NumericsError, Tolerance, bisect, get_tail_quantile,
                               integrate_polar_sector, integrate_radial,
                               inv_reg_upper_gamma, reg_upper_gamma)
 
@@ -103,67 +102,19 @@ class TestInverse:
 
 class TestTailQuantile:
     def test_certified_against_direct_inverse(self, rng):
-        tq = get_tail_quantile(0.95)
+        q = get_tail_quantile(0.95)
         alpha = np.exp(rng.uniform(np.log(2e-2), np.log(9e4), 1500))
-        direct = np.array([inv_reg_upper_gamma(float(a), 0.95) for a in alpha])
-        rel = np.abs(tq(alpha) - direct) / direct
-        assert rel.max() < 1e-9
-        # the physically used range (composite shapes are >= 1) is tighter
-        assert rel[alpha >= 1.0].max() < 5e-12
-
-    def test_knots_against_mpmath(self):
-        # 60 of the default table's 6000 knots, spread over its whole range
-        tq = get_tail_quantile(0.95)
-        alpha = np.exp(np.linspace(math.log(1e-2), math.log(1e5), 6000)[::100])
-        resid = [abs(mp_reg_upper_gamma(a, q) - mpmath.mpf("0.95"))
-                 for a, q in zip(alpha, tq(alpha))]
-        assert max(resid) <= 1e-13
-
-    def test_out_of_table_falls_back(self):
-        tq = TailQuantile(0.95, alpha_lo=1.0, alpha_hi=10.0, n_knots=200)
-        a = 3e5
-        assert tq(a) == pytest.approx(inv_reg_upper_gamma(a, 0.95), rel=1e-12)
-        mixed = np.array([0.5, 3.0, 3e5])
-        assert np.array_equal(tq(mixed), [tq(0.5), tq(3.0), tq(3e5)])
+        assert np.array_equal(q(alpha), inv_reg_upper_gamma(alpha, 0.95))
+        assert q(2.5) == inv_reg_upper_gamma(2.5, 0.95)
         with pytest.raises(ValueError):
-            tq(np.array([3.0, 0.0]))
+            get_tail_quantile(1.0)
 
-    def test_direct_index_matches_spline(self, rng):
-        # evaluation by direct index must reproduce scipy's own evaluation of
-        # the spline: random shapes, every knot, both ends of the table
-        tq = get_tail_quantile(0.95)
-        knots = np.exp(tq._spline.x)
-        alpha = np.concatenate([
-            np.exp(rng.uniform(np.log(tq.alpha_lo), np.log(tq.alpha_hi), 200_000)),
-            knots[(knots >= tq.alpha_lo) & (knots <= tq.alpha_hi)],
-            [tq.alpha_lo, tq.alpha_hi]])
-        want = np.exp(tq._spline(np.log(alpha)))
-        assert (np.abs(tq(alpha) - want) <= 2 * np.spacing(want)).all()
-        # inside shapes of a mixed array take the same path; outside ones
-        # fall back to the direct inverse
-        mixed = np.array([5e-3, tq.alpha_lo, 3.7, tq.alpha_hi, 2e5])
-        got = tq(mixed)
-        inside = np.exp(tq._spline(np.log(mixed[1:4])))
-        assert (np.abs(got[1:4] - inside) <= 2 * np.spacing(inside)).all()
-        assert got[0] == inv_reg_upper_gamma(5e-3, 0.95)
-        assert got[4] == inv_reg_upper_gamma(2e5, 0.95)
-
-    def test_cache_returns_same_object(self):
-        assert get_tail_quantile(0.95) is get_tail_quantile(0.95)
-
-    def test_evicted_table_is_rebuilt(self):
-        first = get_tail_quantile(0.9)
-        # the cache is bounded: this many other targets push 0.9 out
-        for p in np.linspace(0.5, 0.6, get_tail_quantile.cache_info().maxsize):
-            get_tail_quantile(float(p))
-        again = get_tail_quantile(0.9)
-        assert again is not first
-        alpha = np.geomspace(2e-2, 9e4, 200)
-        assert np.array_equal(again(alpha), first(alpha))
-
-    def test_underflowing_table_rejected(self):
-        with pytest.raises(NumericsError):
-            TailQuantile(0.9999, alpha_lo=1e-3, alpha_hi=1.0, n_knots=50)
+    def test_against_mpmath(self):
+        q = get_tail_quantile(0.95)
+        alpha = np.geomspace(1e-2, 1e5, 60)
+        resid = [abs(mp_reg_upper_gamma(a, x) - mpmath.mpf("0.95"))
+                 for a, x in zip(alpha, q(alpha))]
+        assert max(resid) <= 1e-13
 
 
 class TestQuadrature:

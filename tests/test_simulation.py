@@ -156,7 +156,6 @@ class TestTopologySampling:
 
     def test_powers_are_the_shared_formulas(self, cell, radio, irs, plan_m15_a1):
         from irsplan.channel import required_power_irs
-        from irsplan.numerics import get_tail_quantile
         from irsplan.powerctl import cipc_power
         eta0, p_no = plan_m15_a1.allocation.eta0_star, 0.95
         topo = sample_topology(cell, radio, irs, plan_m15_a1.plan, eta0, p_no, 2,
@@ -164,8 +163,7 @@ class TestTopologySampling:
         irs_ue = topo.ring > 0
         assert irs_ue.any() and (~irs_ue).any()
         want_irs = required_power_irs(radio, irs, (topo.r[irs_ue], topo.l[irs_ue],
-                                                   topo.d[irs_ue]), eta0, p_no,
-                                      quantile=get_tail_quantile(p_no))
+                                                   topo.d[irs_ue]), eta0, p_no)
         want_ap = cipc_power(radio, eta0 / math.log(1.0 / p_no), topo.r[~irs_ue])
         assert np.array_equal(topo.power_model[irs_ue], want_irs)
         assert np.array_equal(topo.power_model[~irs_ue], want_ap)
