@@ -12,7 +12,8 @@ Layout:
 * :mod:`irsplan.channel`    -- mean gains, composite fading moments, NOP, and
   the required power, read off one table per (N, p_no) indexed by
   c^2 = g_i g_r / g_d
-* :mod:`irsplan.geometry`   -- cell partition, sector mapping, plan validation
+* :mod:`irsplan.geometry`   -- cell partition, array-form UE location
+  (``locate_ue_arrays``), plan validation
 * :mod:`irsplan.powerctl`   -- region energy coefficients and equalization
 * :mod:`irsplan.planner`    -- coverage study, exact ring search, fast heuristic
 * :mod:`irsplan.simulation` -- topology + fading Monte Carlo certification
@@ -29,8 +30,8 @@ from ._kernels import BACKEND as KERNEL_BACKEND  # read by perfbench's set-up pr
 from .channel import (CompositeChannelStats, IrsSpec, LinkGeometry, MeanGains,
                       RadioConfig, composite_stats, mean_gain_direct,
                       mean_gains_irs, nop_direct, nop_irs, required_power_irs)
-from .geometry import (CellConfig, PlanViolation, RingPlan, UeLocation,
-                       coverage_area_accounting, locate_ue, make_ring_plan,
+from .geometry import (CellConfig, PlanViolation, RingPlan,
+                       coverage_area_accounting, make_ring_plan,
                        mean_ues_per_sector, sector_area, validate_plan)
 from .numerics import (Tolerance, get_tail_quantile,
                        integrate_polar_sector, integrate_radial,
@@ -51,8 +52,8 @@ __all__ = [
     "CompositeChannelStats", "IrsSpec", "LinkGeometry", "MeanGains",
     "RadioConfig", "composite_stats", "mean_gain_direct",
     "mean_gains_irs", "nop_direct", "nop_irs", "required_power_irs",
-    "CellConfig", "PlanViolation", "RingPlan", "UeLocation",
-    "coverage_area_accounting", "locate_ue", "make_ring_plan",
+    "CellConfig", "PlanViolation", "RingPlan",
+    "coverage_area_accounting", "make_ring_plan",
     "mean_ues_per_sector", "sector_area", "validate_plan",
     "Tolerance", "get_tail_quantile",
     "integrate_polar_sector", "integrate_radial", "inv_reg_upper_gamma",

@@ -24,8 +24,6 @@ from dataclasses import asdict
 from datetime import datetime, timezone
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .config import ConfigError, ExperimentConfig, load_config
 from .geometry import RingPlan, mean_ues_per_sector, validate_plan
@@ -49,24 +47,6 @@ class CliError(Exception):
 # ---------------------------------------------------------------------------
 # deterministic writers
 # ---------------------------------------------------------------------------
-
-def _jsonable(x):
-    if isinstance(x, dict):
-        return {str(k): _jsonable(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_jsonable(v) for v in x]
-    if isinstance(x, np.bool_):
-        return bool(x)
-    if isinstance(x, np.integer):
-        return int(x)
-    if isinstance(x, np.floating):
-        return float(x)
-    if isinstance(x, np.ndarray):
-        return _jsonable(x.tolist())
-    if isinstance(x, (bool, int, float, str)) or x is None:
-        return x
-    return str(x)
-
 
 def _cell_text(v):
     if v is None:
@@ -98,7 +78,7 @@ def write_csv(path: Path, columns, rows, cfg: ExperimentConfig):
 
 def write_json(path: Path, payload: dict, cfg: ExperimentConfig):
     doc = {"schema_version": SCHEMA_VERSION, "config": cfg.to_dict()}
-    doc.update(_jsonable(payload))
+    doc.update(payload)
     path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n",
                     encoding="utf-8")
     _write_sidecar(path)
@@ -253,6 +233,18 @@ def _load_plan_file(path: Path, cfg: ExperimentConfig) -> PlanResult:
         raise CliError("plan-config-mismatch",
                        "plan file was produced under a different setup",
                        sections=mismatched)
+    # exact: the writer derives these with the same expressions, and JSON
+    # round-trips every float
+    contradictions = [text for bad, text in (
+        (allocation.R_bar != math.log2(1.0 + allocation.eta0_star),
+         "R_bar_bps_hz != log2(1 + eta0_star)"),
+        (allocation.nu_bar != allocation.p_no * allocation.R_bar,
+         "nu_bar_bps_hz != p_no * R_bar_bps_hz"),
+        (allocation.p_no != cfg.outage.p_no_min, "p_no != outage.p_no_min"),
+    ) if bad]
+    if contradictions:
+        raise CliError("plan-file-error", "plan file allocation contradicts itself",
+                       contradictions=contradictions)
     violations = validate_plan(cfg.cell, plan)
     if violations:
         raise CliError("plan-file-error", "plan file violates placement invariants",

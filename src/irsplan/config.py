@@ -14,7 +14,7 @@ Overrides are ``--set section.field=value`` with YAML-parsed values, e.g.
 import dataclasses
 import re
 import typing
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import yaml
 
@@ -114,17 +114,8 @@ class ExperimentConfig:
         return out
 
 
-_SECTIONS = {
-    "radio": RadioConfig,
-    "cell": CellConfig,
-    "irs": IrsSpec,
-    "outage": OutageParams,
-    "mc": McConfig,
-    "grid": SearchGrid,
-    "coverage": CoverageParams,
-    "plan": PlanParams,
-    "sweep": SweepParams,
-}
+# section name -> section class, in field order
+_SECTIONS = typing.get_type_hints(ExperimentConfig)
 
 _UNIT_RE = re.compile(r"^\s*([-+]?[0-9.]+(?:[eE][-+]?[0-9]+)?)\s*(dBm/Hz|dBm|dB)\s*$")
 
@@ -245,11 +236,10 @@ def load_config(path=None, overrides=(), seed=None) -> ExperimentConfig:
         if section not in _SECTIONS:
             raise ConfigError(f"--set: unknown section '{section}'")
         data.setdefault(section, {})[field] = value
+    if seed is not None:
+        data.setdefault("mc", {})["seed"] = seed
 
     sections = {}
     for name, cls in _SECTIONS.items():
         sections[name] = _build_section(name, cls, data.get(name, {}))
-    cfg = ExperimentConfig(**sections)
-    if seed is not None:
-        cfg = replace(cfg, mc=replace(cfg.mc, seed=int(seed)))
-    return cfg
+    return ExperimentConfig(**sections)

@@ -2,11 +2,15 @@
 
 The cell is a disc of radius R_ex around the AP.  IRS-served UEs live in I
 concentric rings indexed outermost-first: ring i spans radii
-(R_in[i], R_in[i-1]] and is tiled by M_i equal annulus sectors, each with one
-IRS on the circle of radius L_i.  Ring 1's surfaces sit on the near-AP circle
-L_min (they beamform outward to the cell edge); every deeper ring's circle is
-the mid-radius of its annulus.  UEs inside R_in[I] (and, if the exterior
-range is open, beyond R_in[0]) are served by the AP alone.
+[R_in[i], R_in[i-1]) (ring 1 also keeps R_in[0]) and is tiled by M_i equal
+annulus sectors, each with one IRS on the circle of radius L_i.  Ring 1's
+surfaces sit on the near-AP circle L_min (they beamform outward to the cell
+edge); every deeper ring's circle is the mid-radius of its annulus.  UEs
+inside R_in[I] (and, if the exterior range is open, beyond R_in[0]) are
+served by the AP alone.
+
+One routine, ``locate_ue_arrays``, maps UE position arrays to their ring,
+sector and link distances.
 """
 
 from __future__ import annotations
@@ -16,8 +20,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-
-from .channel import LinkGeometry
 
 TWO_PI = 2.0 * math.pi
 
@@ -83,23 +85,6 @@ def make_ring_plan(cell: CellConfig, R_in, M, rho=None) -> RingPlan:
         L.append(cell.L_min if i == 1 else 0.5 * (R_in[i] + R_in[i - 1]))
     return RingPlan(R_in=R_in, M=M, L=tuple(L),
                     rho=None if rho is None else tuple(float(v) for v in rho))
-
-
-@dataclass(frozen=True)
-class SectorAssignment:
-    ring: int            # 1-based ring index
-    sector: int          # 0-based sector index within the ring
-    irs_azimuth: float   # [rad], sector angular center
-    span: float          # phi_i [rad]
-
-
-@dataclass(frozen=True)
-class UeLocation:
-    region: str                            # "ap" or "irs"
-    ring: Optional[int] = None             # 1-based, IRS regions only
-    sector: Optional[int] = None
-    geom: Optional[LinkGeometry] = None    # None in the AP-only region
-    assignment: Optional[SectorAssignment] = None
 
 
 @dataclass(frozen=True)
@@ -188,23 +173,6 @@ def mean_ues_per_sector(cell: CellConfig, plan: RingPlan, i):
 def _wrap_to_half(angle):
     """Wrap angles into [-pi, pi)."""
     return (angle + math.pi) % TWO_PI - math.pi
-
-
-def locate_ue(cell: CellConfig, plan: RingPlan, r, azimuth) -> UeLocation:
-    """Region membership and link geometry for one UE at polar (r, azimuth).
-
-    The scalar form of ``locate_ue_arrays``, which sets the membership rules.
-    """
-    ring, sector, l, d = locate_ue_arrays(cell, plan, np.array([float(r)]),
-                                          np.array([float(azimuth)]))
-    if ring[0] == 0:
-        return UeLocation(region="ap")
-    i, s = int(ring[0]), int(sector[0])
-    phi = TWO_PI / plan.M[i - 1]
-    return UeLocation(region="irs", ring=i, sector=s,
-                      geom=LinkGeometry(r=float(r), l=float(l[0]), d=float(d[0])),
-                      assignment=SectorAssignment(ring=i, sector=s,
-                                                  irs_azimuth=(s + 0.5) * phi, span=phi))
 
 
 def locate_ue_arrays(cell: CellConfig, plan: RingPlan, r, azimuth):

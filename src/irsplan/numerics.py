@@ -19,16 +19,8 @@ from scipy.special import gammaincc, gammainccinv
 
 
 class NumericsError(RuntimeError):
-    """Raised when an iteration fails to converge.
-
-    Carries the last two estimates (quadrature) or the final residual
-    (root finding) so callers can report how close the failure was.
-    """
-
-    def __init__(self, msg, *, estimates=None, residual=None):
-        super().__init__(msg)
-        self.estimates = estimates
-        self.residual = residual
+    """Raised when a quadrature refinement fails to converge; the message
+    carries its last two estimates."""
 
 
 @dataclass(frozen=True)
@@ -132,8 +124,8 @@ def integrate_radial(f, a, b, tol: Tolerance = DEFAULT_TOL, nodes=32, max_levels
         if prev is not None and abs(cur - prev) <= tol.abs_tol + tol.rel_tol * abs(cur):
             return cur
         prev = cur
-    raise NumericsError("integrate_radial: refinement did not converge",
-                        estimates=(prev, cur))
+    raise NumericsError("integrate_radial: refinement did not converge "
+                        f"(last two estimates {prev!r}, {cur!r})")
 
 
 def integrate_polar_sector(f, r_in, r_out, phi, tol: Tolerance = DEFAULT_TOL,
@@ -162,8 +154,8 @@ def integrate_polar_sector(f, r_in, r_out, phi, tol: Tolerance = DEFAULT_TOL,
         if prev is not None and abs(cur - prev) <= tol.abs_tol + tol.rel_tol * abs(cur):
             return cur
         prev = cur
-    raise NumericsError("integrate_polar_sector: refinement did not converge",
-                        estimates=(prev, cur))
+    raise NumericsError("integrate_polar_sector: refinement did not converge "
+                        f"(last two estimates {prev!r}, {cur!r})")
 
 
 # ---------------------------------------------------------------------------

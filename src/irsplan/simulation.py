@@ -77,6 +77,8 @@ class McConfig:
             raise ValueError("McConfig: element_draws must be 'exact' or 'gaussian-surrogate'")
         if self.n_topologies < 1 or self.n_fading < 1 or self.n_workers < 1:
             raise ValueError("McConfig: counts must be positive")
+        if not 0 <= self.seed < 2 ** 64:
+            raise ValueError("McConfig: seed must lie in [0, 2**64), the Philox key word")
 
 
 @dataclass

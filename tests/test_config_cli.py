@@ -366,6 +366,19 @@ class TestValidateCommand:
         assert err["error"]["kind"] == "slot-limit"
         assert err["error"]["max_load"] == 21 and err["error"]["n_t"] == 20
 
+    @pytest.mark.parametrize("seed_args", [["--seed", "-1"],
+                                           ["--set", f"mc.seed={2 ** 64}"]],
+                             ids=["negative", "past-64-bits"])
+    def test_seed_outside_philox_key_rejected(self, tmp_path, plan_file, capsys,
+                                              seed_args):
+        # both once crashed with an OverflowError building the Philox key
+        rc = main(["validate", str(plan_file), "--out", str(tmp_path / "mc")]
+                  + VALIDATE_MC + seed_args)
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["kind"] == "config-error"
+        assert "seed" in err["error"]["detail"]
+
     def test_missing_plan_file(self, tmp_path, capsys):
         rc = main(["validate", str(tmp_path / "nope.json"),
                    "--out", str(tmp_path)] + VALIDATE_MC)
@@ -386,7 +399,11 @@ class TestValidateCommand:
         lambda doc: doc["allocation"].update(p_no=1.5),
         lambda doc: doc["plan"]["R_in_m"].__setitem__(1, math.nan),
         lambda doc: doc["allocation"].update(eta0_star=math.nan),
-    ], ids=["config-not-mapping", "p_no-out-of-range", "nan-radius", "nan-threshold"])
+        lambda doc: doc["allocation"].update(R_bar_bps_hz=99.0),
+        lambda doc: doc["allocation"].update(nu_bar_bps_hz=1.0),
+        lambda doc: doc["allocation"].update(p_no=0.5),
+    ], ids=["config-not-mapping", "p_no-out-of-range", "nan-radius", "nan-threshold",
+            "rate-off-threshold", "throughput-off-rate", "p_no-off-target"])
     def test_malformed_plan_values_rejected(self, tmp_path, plan_file, capsys, mutate):
         doc = json.loads(plan_file.read_text(encoding="utf-8"))
         mutate(doc)

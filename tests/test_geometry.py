@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from irsplan.geometry import (CellConfig, RingPlan, _wrap_to_half,
-                              coverage_area_accounting, irs_distance, locate_ue,
+                              coverage_area_accounting, irs_distance,
                               locate_ue_arrays, make_ring_plan,
                               mean_ues_per_sector, sector_area, validate_plan)
 
@@ -83,53 +83,48 @@ class TestRingPlanConstruction:
 
 class TestMembership:
     def test_regions_by_radius(self, cell, two_ring_plan):
-        assert locate_ue(cell, two_ring_plan, 60.0, 1.0).region == "ap"
-        assert locate_ue(cell, two_ring_plan, 160.0, 1.0).ring == 2
-        assert locate_ue(cell, two_ring_plan, 230.0, 1.0).ring == 1
+        ring, sector, l, d = locate_ue_arrays(cell, two_ring_plan, [60.0, 160.0, 230.0],
+                                              [1.0, 1.0, 1.0])
+        assert ring.tolist() == [0, 2, 1]
+        # AP-only UEs carry no sector and no link geometry
+        assert sector[0] == -1 and np.isnan(l[0]) and np.isnan(d[0])
 
     def test_boundary_ties_go_outward(self, cell, two_ring_plan):
         # shared boundary radius belongs to the outer ring; the innermost ring
         # keeps its own inner edge; the cell edge stays in ring 1
-        assert locate_ue(cell, two_ring_plan, 200.0, 0.3).ring == 1
-        assert locate_ue(cell, two_ring_plan, 120.0, 0.3).ring == 2
-        assert locate_ue(cell, two_ring_plan, 250.0, 0.3).ring == 1
-        assert locate_ue(cell, two_ring_plan, 119.999, 0.3).region == "ap"
+        ring, *_ = locate_ue_arrays(cell, two_ring_plan,
+                                    [200.0, 120.0, 250.0, 119.999], [0.3] * 4)
+        assert ring.tolist() == [1, 2, 1, 0]
 
     def test_exterior_is_ap(self, cell):
         plan = make_ring_plan(cell, (220.0, 150.0), (6,))
-        assert locate_ue(cell, plan, 240.0, 0.5).region == "ap"
-        assert locate_ue(cell, plan, 220.0, 0.5).ring == 1
+        ring, *_ = locate_ue_arrays(cell, plan, [240.0, 220.0], [0.5, 0.5])
+        assert ring.tolist() == [0, 1]
 
     def test_outside_cell_rejected(self, cell, two_ring_plan):
         with pytest.raises(ValueError):
-            locate_ue(cell, two_ring_plan, 251.0, 0.0)
+            locate_ue_arrays(cell, two_ring_plan, [251.0], [0.0])
 
     def test_sector_indexing(self, cell, two_ring_plan):
         phi = TWO_PI / 9
-        loc = locate_ue(cell, two_ring_plan, 230.0, 0.5 * phi)
-        assert loc.sector == 0
-        assert loc.assignment.irs_azimuth == pytest.approx(0.5 * phi)
-        assert loc.assignment.span == pytest.approx(phi)
-        assert locate_ue(cell, two_ring_plan, 230.0, TWO_PI - 1e-9).sector == 8
-        # azimuth wraps modulo 2 pi
-        a = locate_ue(cell, two_ring_plan, 230.0, 1.0)
-        b = locate_ue(cell, two_ring_plan, 230.0, 1.0 + TWO_PI)
-        assert a.sector == b.sector
+        # sector centre, just below 2 pi, and the same azimuth a turn apart
+        _, sector, _, _ = locate_ue_arrays(cell, two_ring_plan, [230.0] * 4,
+                                           [0.5 * phi, TWO_PI - 1e-9, 1.0, 1.0 + TWO_PI])
+        assert sector[0] == 0
+        assert sector[1] == 8
+        assert sector[2] == sector[3]
 
     def test_distance_against_cartesian_oracle(self, cell, two_ring_plan, rng):
-        for _ in range(300):
-            r = float(rng.uniform(120.0, 250.0))
-            az = float(rng.uniform(0.0, TWO_PI))
-            loc = locate_ue(cell, two_ring_plan, r, az)
-            assert loc.region == "irs"
-            L = two_ring_plan.L[loc.ring - 1]
-            c = loc.assignment.irs_azimuth
-            ue = np.array([r * math.cos(az), r * math.sin(az)])
-            irs_xy = np.array([L * math.cos(c), L * math.sin(c)])
-            assert loc.geom.d == pytest.approx(float(np.linalg.norm(ue - irs_xy)),
-                                               rel=1e-12, abs=1e-9)
-            assert loc.geom.l == L
-            assert loc.geom.r == r
+        r = rng.uniform(120.0, 250.0, size=300)
+        az = rng.uniform(0.0, TWO_PI, size=300)
+        ring, sector, l, d = locate_ue_arrays(cell, two_ring_plan, r, az)
+        assert (ring > 0).all()
+        L = np.array(two_ring_plan.L)[ring - 1]
+        # the sector's IRS sits at its angular centre (sector + 0.5) * phi
+        c = (sector + 0.5) * TWO_PI / np.array(two_ring_plan.M)[ring - 1]
+        gap = np.hypot(r * np.cos(az) - L * np.cos(c), r * np.sin(az) - L * np.sin(c))
+        assert np.array_equal(l, L)
+        np.testing.assert_allclose(d, gap, rtol=1e-12, atol=1e-9)
 
     def test_irs_distance(self, cell, two_ring_plan, rng):
         # a UE on the surface: at L = 141.73 rounding pushes the law of
@@ -144,28 +139,10 @@ class TestMembership:
         dphi = _wrap_to_half(az[at] - (sector[at] + 0.5) * phi)
         assert np.array_equal(irs_distance(r[at], l[at], dphi), d[at])
 
-    def test_array_form_matches_scalar(self, cell, two_ring_plan, rng):
-        n = 2000
-        r = cell.R_ex * np.sqrt(rng.uniform(size=n))
-        az = rng.uniform(0.0, TWO_PI, size=n)
-        ring, sector, l, d = locate_ue_arrays(cell, two_ring_plan, r, az)
-        idx = rng.choice(n, size=120, replace=False)
-        for j in idx:
-            loc = locate_ue(cell, two_ring_plan, r[j], az[j])
-            if loc.region == "ap":
-                assert ring[j] == 0
-                assert np.isnan(l[j]) and np.isnan(d[j])
-            else:
-                assert ring[j] == loc.ring
-                assert sector[j] == loc.sector
-                assert l[j] == pytest.approx(loc.geom.l, rel=1e-14)
-                assert d[j] == pytest.approx(loc.geom.d, rel=1e-12)
-
     def test_zero_ring_plan_is_all_ap(self, cell):
         plan = RingPlan(R_in=(250.0,), M=(), L=())
-        assert locate_ue(cell, plan, 100.0, 1.0).region == "ap"
-        ring, _, _, _ = locate_ue_arrays(cell, plan, np.array([5.0, 249.0]),
-                                         np.array([0.0, 3.0]))
+        ring, _, _, _ = locate_ue_arrays(cell, plan, np.array([5.0, 100.0, 249.0]),
+                                         np.array([0.0, 1.0, 3.0]))
         assert (ring == 0).all()
 
 

@@ -1,4 +1,5 @@
-"""Every imported name in src/ and tests/ is used; every src/ parameter is read.
+"""Every imported name in src/ and tests/ is used; every src/ parameter is read;
+every private module-level name in src/ is referenced somewhere in src/.
 
 A cold ``plan`` and ``validate`` also must not import ``scipy.interpolate``:
 it would add about a third of a second to every such process.
@@ -8,7 +9,9 @@ against dead imports and dead parameters.  A name counts as used when it
 appears anywhere in the module as an identifier or is listed in the module's
 ``__all__``.  A parameter counts as read when its name is loaded anywhere in
 its function's body (nested functions included); ``self`` and ``cls`` are
-exempt.
+exempt.  A private name (one leading underscore) defined at module level
+counts as referenced when some src/ module loads it, imports it or reads it
+as an attribute.
 """
 
 import ast
@@ -91,6 +94,57 @@ def test_scan_flags_an_unread_parameter():
                      "class K:\n    def m(self, x):\n        return (lambda y, z: z)(x, 0)\n")
     assert sorted((n, p) for n, p, _ in _unread_parameters(tree)) == [
         ("<lambda>", "y"), ("f", "args"), ("f", "b"), ("f", "c")]
+
+
+def _private_definitions(tree):
+    """(name, line) for every module-level ``_name`` a module defines."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                yield name, node.lineno
+
+
+def _references(tree):
+    """Names a module loads, imports or reads as attributes."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.ImportFrom):
+            yield from (alias.name for alias in node.names)
+
+
+def dead_private_names(trees):
+    """'label:line name' for each private module-level name nothing references."""
+    referenced = {name for tree in trees.values() for name in _references(tree)}
+    return [f"{label}:{line} {name}" for label, tree in trees.items()
+            for name, line in _private_definitions(tree) if name not in referenced]
+
+
+def test_no_dead_private_names():
+    files = sorted((ROOT / "src").rglob("*.py"))
+    assert files
+    dead = dead_private_names({str(f.relative_to(ROOT)): ast.parse(
+        f.read_text(encoding="utf-8"), filename=str(f)) for f in files})
+    assert not dead, "private names nothing in src/ references:\n" + "\n".join(dead)
+
+
+def test_scan_flags_a_dead_private_name():
+    a = ast.parse("_LIMIT = 3\n_orphan, _pair = 1, 2\n__version__ = '1'\n"
+                  "def _helper():\n    return _LIMIT\n"
+                  "def _dead(n):\n    return n\n"
+                  "class _Unused:\n    pass\n")
+    b = ast.parse("from a import _helper\nimport a\nprint(_helper(), a._pair)\n")
+    assert dead_private_names({"a": a, "b": b}) == [
+        "a:2 _orphan", "a:6 _dead", "a:8 _Unused"]
 
 
 COLD_RUN = """
