@@ -38,7 +38,7 @@ from .numerics import (Tolerance, get_tail_quantile,
                        inv_reg_upper_gamma, reg_upper_gamma)
 from .planner import (CoverageResult, PlanCheckError, PlanInfeasibleError,
                       PlanResult, SearchGrid, algorithm1, coverage_range,
-                      line_search)
+                      line_search, line_search_budgets)
 from .powerctl import (PowerAllocation, RegionEnergyCoefficient,
                        ThroughputReport, benchmark_cipc,
                        benchmark_equal_power, benchmark_irs_equal_power,
@@ -60,7 +60,7 @@ __all__ = [
     "reg_upper_gamma",
     "CoverageResult", "PlanCheckError", "PlanInfeasibleError", "PlanResult",
     "SearchGrid",
-    "algorithm1", "coverage_range", "line_search",
+    "algorithm1", "coverage_range", "line_search", "line_search_budgets",
     "PowerAllocation", "RegionEnergyCoefficient", "ThroughputReport",
     "benchmark_cipc", "benchmark_equal_power", "benchmark_irs_equal_power",
     "benchmark_irs_mean_cipc", "cipc_power", "equalize_power",

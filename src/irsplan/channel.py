@@ -22,8 +22,9 @@ convention), whose upper tail gives the NOP.  All gains and powers are linear
 
 Z / sqrt(g_d) has a law that depends on c^2 = g_i g_r / g_d alone, so the
 required power per unit W eta0, beta / q_alpha(p_no), is unit(c^2) / g_d.
-``_PowerFactorTable`` tabulates unit once per (N, p_no) from the exact inverse
-incomplete gamma; ``irs_power_factor`` and ``required_power_irs`` read it.
+``_PowerFactorTable`` tabulates ln unit once per (N, p_no) from the exact
+inverse incomplete gamma; ``irs_power_factor`` reads it in the log domain,
+from squared distances, and ``required_power_irs`` through it.
 """
 
 from __future__ import annotations
@@ -198,7 +199,7 @@ def _unit_power_factor(N, c2, p_no):
 
 
 class _PowerFactorTable:
-    """unit(c^2) = ``_unit_power_factor`` over c^2 for one (N, p_no).
+    """ln unit(c^2), unit = ``_unit_power_factor``, over ln c^2 for one (N, p_no).
 
     Z / sqrt(g_d) = c X' + Y' with X' and Y' free of the gains, so the Gamma
     fit's beta / q_alpha(p_no) is unit(c^2) / g_d.  log unit is tabulated on
@@ -223,34 +224,45 @@ class _PowerFactorTable:
         t = self.LOG_LO + h * np.arange(-1, self.KNOTS + 1)
         f = np.log(_unit_power_factor(N, np.exp(t), p_no))
         fm, f0, f1, f2 = f[:-3], f[1:-2], f[2:-1], f[3:]
-        # the cubic through knots -1, 0, 1, 2 in s = (log c^2 - knot 0) / h
-        self._c3 = (f2 - fm) / 6.0 + 0.5 * (f0 - f1)
-        self._c2 = 0.5 * (fm + f1) - f0
-        self._c1 = f1 - fm / 3.0 - 0.5 * f0 - f2 / 6.0
-        self._c0 = f0
+        # the cubic through knots -1, 0, 1, 2 in s = (log c^2 - knot 0) / h,
+        # its coefficients (s^3, s^2, s, 1) side by side: a point reads all
+        # four with one 32-byte gather
+        coef = np.stack([(f2 - fm) / 6.0 + 0.5 * (f0 - f1),
+                         0.5 * (fm + f1) - f0,
+                         f1 - fm / 3.0 - 0.5 * f0 - f2 / 6.0,
+                         f0], axis=1)
+        self._cubics = coef.view(np.dtype((np.void, coef.itemsize * 4))).ravel()
 
     def _inside(self, u):
+        """The cubics at a 1-D array u of table coordinates in [0, KNOTS - 1);
+        overwrites u."""
         i = u.astype(np.intp)
-        s = u - i
-        out = self._c3[i]
-        out *= s
-        out += self._c2[i]
-        out *= s
-        out += self._c1[i]
-        out *= s
-        out += self._c0[i]
-        return np.exp(out)
+        u -= i
+        c = np.take(self._cubics, i).view(float).reshape(u.size, 4)
+        out = c[:, 0] * u
+        out += c[:, 1]
+        out *= u
+        out += c[:, 2]
+        out *= u
+        out += c[:, 3]
+        return out
 
-    def __call__(self, c2):
-        c2 = np.asarray(c2, dtype=float)
-        u = (np.log(c2) - self.LOG_LO) * self._inv_h
+    def log_unit(self, ln_c2):
+        """ln unit(c^2) over an array of ln c^2.
+
+        ln c^2 maps to the table coordinate u = (ln c^2 - LOG_LO) / h, h the
+        knot spacing; points outside the table take the exact expression.
+        """
+        u = np.subtract(ln_c2, self.LOG_LO, dtype=float).reshape(-1)
+        u *= self._inv_h
+        if u.size and u.min() >= 0.0 and u.max() < self._n:
+            return self._inside(u).reshape(np.shape(ln_c2))
         inside = (u >= 0.0) & (u < self._n)
-        if inside.all():
-            return self._inside(u)
         out = np.empty_like(u)
         out[inside] = self._inside(u[inside])
-        out[~inside] = _unit_power_factor(self.N, c2[~inside], self.p_no)
-        return out
+        outside = np.exp(np.reshape(ln_c2, -1)[~inside])
+        out[~inside] = np.log(_unit_power_factor(self.N, outside, self.p_no))
+        return out.reshape(np.shape(ln_c2))
 
 
 @functools.lru_cache(maxsize=8)
@@ -317,15 +329,23 @@ def nop_irs(cfg: RadioConfig, irs: IrsSpec, p, geom, eta0):
     return float(out) if np.ndim(out) == 0 else out
 
 
-def irs_power_factor(cfg: RadioConfig, irs: IrsSpec, r, l, d, p_no):
-    """beta / q_alpha(p_no), the required power per unit W eta0, over (r, l, d).
+def irs_power_factor(cfg: RadioConfig, irs: IrsSpec, r2, l2, d2, p_no):
+    """beta / q_alpha(p_no), the required power per unit W eta0, over the
+    squared horizontal distances r2 (AP-UE), l2 (AP-IRS) and d2 (IRS-UE).
 
-    Equal to unit(c^2) / g_d with c^2 = g_i g_r / g_d; ``unit`` is read off the
-    shared (N, p_no) table.
+    Equal to unit(c^2) / g_d, worked in the log domain: with
+    a = (n0/2) ln(r2 + H_A^2), b = (n0/2) ln(l2 + (H_A - H_I)^2) and
+    e = (n0/2) ln(d2 + H_I^2), ln c^2 = ln alpha0 + a - b - e is read off the
+    shared (N, p_no) table and 1 / g_d = exp(a) / alpha0, so no power is
+    taken and no distance is square-rooted.  The arguments broadcast; only
+    e is evaluated at their full shape.
     """
-    g_d = mean_gain_direct(cfg, r)
-    g_i, g_r = _gain_irs_links(cfg, l, d)
-    return _power_factor_table(irs.N, p_no)(g_i * g_r / g_d) / g_d
+    h = 0.5 * cfg.n0
+    a = h * np.log(np.add(r2, cfg.H_A ** 2, dtype=float))
+    b = h * np.log(np.add(l2, (cfg.H_A - cfg.H_I) ** 2, dtype=float))
+    e = h * np.log(np.add(d2, cfg.H_I ** 2, dtype=float))
+    log_unit = _power_factor_table(irs.N, p_no).log_unit((math.log(cfg.alpha0) + a - b) - e)
+    return np.exp(log_unit + (a - math.log(cfg.alpha0)))
 
 
 def required_power_irs(cfg: RadioConfig, irs: IrsSpec, geom, eta0, p_no):
@@ -339,5 +359,6 @@ def required_power_irs(cfg: RadioConfig, irs: IrsSpec, geom, eta0, p_no):
         r, l, d = geom.r, geom.l, geom.d
     else:
         r, l, d = geom
-    out = cfg.W * np.asarray(eta0, float) * irs_power_factor(cfg, irs, r, l, d, p_no)
+    r2, l2, d2 = (np.square(v, dtype=float) for v in (r, l, d))
+    out = cfg.W * np.asarray(eta0, float) * irs_power_factor(cfg, irs, r2, l2, d2, p_no)
     return float(out) if np.ndim(out) == 0 else out

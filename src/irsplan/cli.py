@@ -27,8 +27,9 @@ from pathlib import Path
 from . import __version__
 from .config import ConfigError, ExperimentConfig, load_config
 from .geometry import RingPlan, mean_ues_per_sector, validate_plan
-from .planner import (PlanCheckError, PlanInfeasibleError, PlanResult,
-                      algorithm1, coverage_range, line_search)
+from .planner import (RING_TABLE_STATS, PlanCheckError, PlanInfeasibleError,
+                      PlanResult, algorithm1, coverage_range, line_search,
+                      line_search_budgets)
 from .powerctl import (PowerAllocation, benchmark_cipc, benchmark_equal_power,
                        benchmark_irs_equal_power, benchmark_irs_mean_cipc)
 from .simulation import SlotLimitError, validate_plan_mc
@@ -58,30 +59,37 @@ def _cell_text(v):
     return str(v)
 
 
-def _write_sidecar(path: Path):
+def _write_sidecar(path: Path, extra=None):
     meta = {"written_at": datetime.now(timezone.utc).isoformat(),
-            "tool": "irsplan", "version": __version__}
+            "tool": "irsplan", "version": __version__, **(extra or {})}
     Path(str(path) + ".meta.json").write_text(
         json.dumps(meta, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
-def write_csv(path: Path, columns, rows, cfg: ExperimentConfig):
-    """UTF-8 CSV: one '# config: {...}' comment line, header row, data rows."""
+def write_csv(path: Path, columns, rows, cfg: ExperimentConfig, meta=None):
+    """UTF-8 CSV: one '# config: {...}' comment line, header row, data rows.
+
+    meta adds entries to the ``.meta.json`` sidecar."""
     lines = ["# config: " + json.dumps(cfg.to_dict(), sort_keys=True,
                                        separators=(",", ":"))]
     lines.append(",".join(columns))
     for row in rows:
         lines.append(",".join(_cell_text(v) for v in row))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    _write_sidecar(path)
+    _write_sidecar(path, meta)
 
 
-def write_json(path: Path, payload: dict, cfg: ExperimentConfig):
+def write_json(path: Path, payload: dict, cfg: ExperimentConfig, meta=None):
     doc = {"schema_version": SCHEMA_VERSION, "config": cfg.to_dict()}
     doc.update(payload)
     path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n",
                     encoding="utf-8")
-    _write_sidecar(path)
+    _write_sidecar(path, meta)
+
+
+def _ring_table_meta():
+    """This process's ring-table work counters, for a sidecar."""
+    return {"ring_table": asdict(RING_TABLE_STATS)}
 
 
 # ---------------------------------------------------------------------------
@@ -152,7 +160,7 @@ def _ring_table_rows(cfg: ExperimentConfig, result: PlanResult):
 def cmd_plan(cfg: ExperimentConfig, out_dir: Path, method=None) -> int:
     method = method or cfg.plan.method
     result = _run_planner(cfg, method, cfg.plan.M)
-    write_json(out_dir / "plan.json", _plan_payload(result), cfg)
+    write_json(out_dir / "plan.json", _plan_payload(result), cfg, _ring_table_meta())
     write_csv(out_dir / "plan_rings.csv",
               ("region", "i", "R_out_m", "R_in_m", "M_i", "L_i_m",
                "rho_i", "Kbar_i", "C_J", "nu_bar_bps_hz"),
@@ -169,16 +177,18 @@ def cmd_sweep(cfg: ExperimentConfig, out_dir: Path) -> int:
     for report in (benchmark_equal_power(cfg.radio, cfg.cell, p_no),
                    benchmark_cipc(cfg.radio, cfg.cell, p_no)):
         rows.append((None, report.method, report.nu_bar))
-    placement_cache = {}
+    budgets = sorted(set(cfg.sweep.M_values) - {0})  # M = 0: the baselines alone
+    plans = {}
+    if budgets and set(cfg.sweep.methods) - {"algorithm1"}:  # the rest need placements
+        plans = line_search_budgets(cfg.cell, cfg.radio, cfg.irs, budgets, cfg.plan.I,
+                                    grid=cfg.grid, p_no=p_no)
 
     def placement(M):
-        if M not in placement_cache:
-            placement_cache[M] = _run_planner(cfg, "line-search", M)
-        return placement_cache[M]
+        if isinstance(plans[M], PlanInfeasibleError):
+            raise plans[M]
+        return plans[M]
 
-    for M in sorted(set(cfg.sweep.M_values)):
-        if M == 0:
-            continue  # no surfaces: only the AP-only baseline rows apply
+    for M in budgets:
         for method in cfg.sweep.methods:
             if method == "line-search":
                 nu = placement(M).nu_bar
@@ -192,7 +202,7 @@ def cmd_sweep(cfg: ExperimentConfig, out_dir: Path) -> int:
                                              placement(M).plan).nu_bar
             rows.append((M, method, nu))
     write_csv(out_dir / "sweep.csv", ("M", "method", "nu_bar_bps_hz"),
-              rows, cfg)
+              rows, cfg, _ring_table_meta())
     print(f"sweep: {len(rows)} rows -> {out_dir / 'sweep.csv'}")
     return 0
 
@@ -217,6 +227,7 @@ def _load_plan_file(path: Path, cfg: ExperimentConfig) -> PlanResult:
                                      R_bar=float(alloc["R_bar_bps_hz"]),
                                      nu_bar=float(alloc["nu_bar_bps_hz"]),
                                      p_no=float(alloc["p_no"]))
+        top_nu_bar = float(doc["nu_bar_bps_hz"])
     except (KeyError, TypeError, ValueError) as exc:
         raise CliError("plan-file-error", f"{path} is missing fields: {exc}")
     if not isinstance(embedded, dict):
@@ -241,6 +252,8 @@ def _load_plan_file(path: Path, cfg: ExperimentConfig) -> PlanResult:
         (allocation.nu_bar != allocation.p_no * allocation.R_bar,
          "nu_bar_bps_hz != p_no * R_bar_bps_hz"),
         (allocation.p_no != cfg.outage.p_no_min, "p_no != outage.p_no_min"),
+        (top_nu_bar != allocation.nu_bar,
+         "nu_bar_bps_hz != allocation.nu_bar_bps_hz"),
     ) if bad]
     if contradictions:
         raise CliError("plan-file-error", "plan file allocation contradicts itself",

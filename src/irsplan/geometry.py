@@ -10,7 +10,9 @@ inside R_in[I] (and, if the exterior range is open, beyond R_in[0]) are
 served by the AP alone.
 
 One routine, ``locate_ue_arrays``, maps UE position arrays to their ring,
-sector and link distances.
+sector and link distances.  The IRS-UE distance has one law of cosines,
+``irs_distance2``, which gives its square: the power-factor integrands read
+d^2 straight from it, and ``irs_distance`` is its square root.
 """
 
 from __future__ import annotations
@@ -215,10 +217,16 @@ def locate_ue_arrays(cell: CellConfig, plan: RingPlan, r, azimuth):
     return ring, sector, l, d
 
 
+def irs_distance2(r, L, dphi):
+    """Squared IRS-UE distance from the UE's AP distance r, the IRS's AP
+    distance L and their azimuth gap dphi (law of cosines, clamped at 0 so that
+    rounding cannot make it negative)."""
+    return np.maximum(r ** 2 + L ** 2 - 2.0 * r * L * np.cos(dphi), 0.0)
+
+
 def irs_distance(r, L, dphi):
-    """IRS-UE distance from the UE's AP distance r, the IRS's AP distance L and
-    their azimuth gap dphi (law of cosines, clamped so d = 0 is not NaN)."""
-    return np.sqrt(np.maximum(r ** 2 + L ** 2 - 2.0 * r * L * np.cos(dphi), 0.0))
+    """IRS-UE distance: the square root of ``irs_distance2``."""
+    return np.sqrt(irs_distance2(r, L, dphi))
 
 
 def coverage_area_accounting(cell: CellConfig, plan: RingPlan):

@@ -3,7 +3,8 @@
 Everything in this module is domain-free.  The regularized upper incomplete
 gamma function and its inverse are domain-checked wrappers around
 ``scipy.special.gammaincc`` and ``scipy.special.gammainccinv`` (the
-DiDonato-Morris algorithms, ACM TOMS 12, 1986); ``get_tail_quantile`` fixes
+DiDonato-Morris algorithms, ACM TOMS 12, 1986), imported where first called
+so that importing irsplan does not import scipy; ``get_tail_quantile`` fixes
 the inverse's probability.  Quadrature is composite Gauss-Legendre with
 dyadic refinement; root finding is bisection.
 """
@@ -15,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaincc, gammainccinv
 
 
 class NumericsError(RuntimeError):
@@ -53,6 +53,7 @@ def reg_upper_gamma(alpha, x):
         raise ValueError("reg_upper_gamma: inputs must be finite")
     if np.any(a <= 0.0) or np.any(xx < 0.0):
         raise ValueError("reg_upper_gamma: requires alpha > 0 and x >= 0")
+    from scipy.special import gammaincc  # imported on first use: coverage never needs it
     out = gammaincc(a, xx)
     return float(out) if scalar else out
 
@@ -70,6 +71,7 @@ def inv_reg_upper_gamma(alpha, p):
         raise ValueError("inv_reg_upper_gamma: alpha must be positive and finite")
     if not np.all((pp > 0.0) & (pp <= 1.0)):
         raise ValueError("inv_reg_upper_gamma: p must lie in (0, 1]")
+    from scipy.special import gammainccinv
     out = gammainccinv(a, pp)
     return float(out) if scalar else out
 

@@ -20,23 +20,28 @@ Three entry points:
 
 The search amortizes sector energy integrals through a per-configuration
 coefficient table (fixed 16-point tensor quadrature over the half sector,
-batched over the candidate inner radii the load cap allows) and re-derives
-the winning configuration through the adaptive-quadrature contract path
-before returning it.  Both integrate ``channel.irs_power_factor``, which
-reads one shared table per (N, p_no).
+over the candidate inner radii the load cap allows; each DP layer fills all
+the rings it needs in one batch, evaluated in chunks of a constant number
+of rings) and re-derives the winning configuration through the
+adaptive-quadrature contract path before returning it.  Both integrate
+``channel.irs_power_factor``, which reads one shared table per (N, p_no).
+``line_search_budgets`` runs the dynamic program once for many budgets
+(``line_search`` is its one-budget case), and ``RING_TABLE_STATS`` counts
+the table work of the process.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import time
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
 
 from .channel import IrsSpec, RadioConfig, composite_stats_arrays, irs_power_factor
-from .geometry import CellConfig, RingPlan, irs_distance, make_ring_plan, validate_plan
+from .geometry import CellConfig, RingPlan, irs_distance2, make_ring_plan, validate_plan
 from .numerics import _gl_nodes, bisect
 from .powerctl import (PowerAllocation, RegionEnergyCoefficient, _ap_spans,
                        ap_region_coefficient, equalize_power,
@@ -134,6 +139,27 @@ def coverage_range(cfg: RadioConfig, irs: IrsSpec, p, gamma_thresh,
 # ring-coefficient table for the line search
 # ---------------------------------------------------------------------------
 
+@dataclass
+class RingTableStats:
+    """Work counters of this process's ring-coefficient tables and searches.
+
+    Telemetry only (the CLI writes them to the ``.meta.json`` sidecars):
+    ``fills`` (hi, m, near_ap) keys filled, ``rows`` ring coefficients
+    computed in them, ``points`` integrand points evaluated, ``fill_s`` the
+    fills' seconds and ``dp_s`` the line searches' seconds outside fills and
+    the final adaptive re-derivation.
+    """
+
+    fills: int = 0
+    rows: int = 0
+    points: int = 0
+    fill_s: float = 0.0
+    dp_s: float = 0.0
+
+
+RING_TABLE_STATS = RingTableStats()
+
+
 class _RingCoefficientTable:
     """Cached per-ring energy coefficients on a fixed radius grid.
 
@@ -144,10 +170,17 @@ class _RingCoefficientTable:
     [lo_min(hi, m), hi) are filled; rows below it, which no feasible plan
     uses, hold +inf.  near_ap selects the L = L_min circle of ring 1; other
     rings take the annulus mid-radius.  The integrand is ``irs_power_factor``
-    at ``irs_distance``; ``c0_grid`` is ``ap_region_coefficient`` per radius.
+    at ``irs_distance2``; ``c0_grid`` is ``ap_region_coefficient`` per radius.
+
+    ``fill(keys)`` computes many keys in one batch: their rows (one per
+    candidate inner radius) are evaluated CHUNK_ROWS at a time, so the
+    working set stays bounded, and every row's coefficient is a function of
+    that row alone, the same bits whichever batch or chunk it falls in.
     """
 
     NODES = 16
+    CHUNK_ROWS = 60   # rows per integrand pass: 15,360 points, 120 KB per array
+    NODE_ROWS = 960   # rows whose nodes are laid out together
 
     def __init__(self, cell, cfg, irs, p_no, step):
         self.cell = cell
@@ -175,30 +208,60 @@ class _RingCoefficientTable:
 
     def ring_vec(self, hi_idx, m, near_ap):
         key = (int(hi_idx), int(m), bool(near_ap))
-        got = self._cache.get(key)
-        if got is not None:
-            return got
-        cfg = self.cfg
-        first = int(self.lo_min(hi_idx, m))
-        hi = self.radii[hi_idx]
-        lo = self.radii[first:hi_idx]  # candidate inner radii inside the window
-        half = math.pi / m        # half sector angle
-        r_hat = 0.5 * (hi + lo)[:, None] + 0.5 * (hi - lo)[:, None] * self._glx[None, :]
-        r_w = 0.5 * (hi - lo)[:, None] * self._glw[None, :]
-        az = 0.5 * half + 0.5 * half * self._glx
-        az_w = 0.5 * half * self._glw
-        if near_ap:
-            L = np.full((len(lo), 1, 1), self.cell.L_min)
-        else:
-            L = (0.5 * (hi + lo))[:, None, None]
-        rr = r_hat[:, :, None]
-        vals = irs_power_factor(cfg, self.irs, rr, L, irs_distance(rr, L, az[None, None, :]),
-                                self.p_no)
-        F = 2.0 * np.einsum("bi,j,bij->b", r_w * r_hat, az_w, vals)
-        C = np.full(hi_idx, math.inf)
-        C[first:] = m * self.cell.ue_density * cfg.W * cfg.t0 * F
-        self._cache[key] = C
-        return C
+        if key not in self._cache:
+            self.fill([key])
+        return self._cache[key]
+
+    def fill(self, keys):
+        """Compute and cache every (hi_idx, m, near_ap) key not cached yet."""
+        todo = [k for k in dict.fromkeys((int(h), int(m), bool(a)) for h, m, a in keys)
+                if k not in self._cache]
+        if not todo:
+            return
+        start = time.perf_counter()
+        firsts = [int(self.lo_min(hi, m)) for hi, m, _ in todo]
+        counts = [hi - first for (hi, _, _), first in zip(todo, firsts)]
+        # one row per (key, candidate inner radius)
+        row_hi = np.repeat(self.radii[[hi for hi, _, _ in todo]], counts)
+        row_lo = np.concatenate([self.radii[first:hi] for (hi, _, _), first in zip(todo, firsts)])
+        row_half = np.repeat([math.pi / m for _, m, _ in todo], counts)  # half sector angle
+        row_near = np.repeat([near_ap for _, _, near_ap in todo], counts)
+        F = np.empty(row_lo.size)
+        for at in range(0, F.size, self.NODE_ROWS):
+            rows = slice(at, at + self.NODE_ROWS)
+            F[rows] = self._half_sector_integrals(row_hi[rows], row_lo[rows], row_half[rows],
+                                                  row_near[rows])
+        cfg, at = self.cfg, 0
+        for (hi, m, near_ap), first, count in zip(todo, firsts, counts):
+            C = np.full(hi, math.inf)
+            C[first:] = m * self.cell.ue_density * cfg.W * cfg.t0 * F[at:at + count]
+            self._cache[hi, m, near_ap] = C
+            at += count
+        RING_TABLE_STATS.fills += len(todo)
+        RING_TABLE_STATS.rows += F.size
+        RING_TABLE_STATS.points += F.size * self.NODES ** 2
+        RING_TABLE_STATS.fill_s += time.perf_counter() - start
+
+    def _half_sector_integrals(self, hi, lo, half, near_ap):
+        """Twice the tensor-rule integral over each row's half sector.
+
+        The rows' nodes are laid out once; the integrand runs CHUNK_ROWS
+        rows at a time.
+        """
+        r = 0.5 * (hi + lo)[:, None] + 0.5 * (hi - lo)[:, None] * self._glx
+        r_weights = 0.5 * (hi - lo)[:, None] * self._glw * r
+        az = (0.5 * half[:, None] + 0.5 * half[:, None] * self._glx)[:, None, :]
+        az_weights = 0.5 * half[:, None] * self._glw
+        L = np.where(near_ap, self.cell.L_min, 0.5 * (hi + lo))[:, None, None]
+        r = r[:, :, None]
+        F = np.empty(len(hi))
+        for at in range(0, len(hi), self.CHUNK_ROWS):
+            rows = slice(at, at + self.CHUNK_ROWS)
+            vals = irs_power_factor(self.cfg, self.irs, r[rows] ** 2, L[rows] ** 2,
+                                    irs_distance2(r[rows], L[rows], az[rows]), self.p_no)
+            F[rows] = np.einsum("bi,bi->b", np.einsum("bij,bj->bi", vals, az_weights[rows]),
+                                r_weights[rows])
+        return 2.0 * F
 
 
 @functools.lru_cache(maxsize=8)
@@ -233,68 +296,158 @@ def _finalize(cell, cfg, irs, p_no, R_in, M, method, diagnostics=None) -> PlanRe
                       method=method, diagnostics=diag)
 
 
-def _ring_program(table, lo_min, M, depth, m1_max, tops):
-    """The dynamic program behind line_search, for R_in[0] indices `tops`.
+def _ring_program(table, lo_min, tops, I, m1_max):
+    """The dynamic program behind line_search, for every budget in `tops` at once.
 
-    Returns (V, best, choice): V[k, hi, j] as line_search describes it (+inf
-    at states no split reaches); best[lo] the cheapest total whose ring 1
-    ends at R_in[1] = radii[lo]; choice[lo] its (deeper ring count, R_in[0]
+    tops maps each budget M to its candidate R_in[0] indices.  V[k, hi, j]
+    (as line_search describes it) depends on no budget, and every state that
+    feeds a state some budget reaches is reached too, so one V over the union
+    of the budgets' reachable states holds, at each budget's states, the
+    values that budget's own program would compute (+inf at states no
+    budget reaches).  Each layer first collects its moves, then fills their
+    coefficients in one batch, then takes the minima.  Returns (V, found)
+    with found[M] = (best, choice): best[lo] the cheapest total whose ring 1
+    ends at R_in[1] = radii[lo], choice[lo] its (deeper ring count, R_in[0]
     index, M_1).
     """
     c0 = table.c0_grid
     n = len(c0)
+    top_M = max(tops)
+    depth = min(I, top_M)
 
-    def top_moves(k):
+    def top_moves(M, k):
         """(R_in[0] index, M_1, first lo) for ring 1 above k deeper rings."""
         if k:
             m1s = range(1, min(m1_max, M - k) + 1)
         else:  # ring 1 alone takes every surface
             m1s = [M] if M <= m1_max else []
-        for r0 in tops:
+        for r0 in tops[M]:
             for m1 in m1s:
                 lo = max(lo_min[r0, m1], k)
                 if lo < r0:
                     yield r0, m1, lo
 
+    ring1 = [(M, k, move) for M in sorted(tops) for k in range(min(I, M))
+             for move in top_moves(M, k)]
     # forward pass: reach[k, hi, j] marks the states some split can reach
-    reach = np.zeros((depth, n, M + 1), dtype=bool)
-    for k in range(depth):
-        for r0, m1, lo in top_moves(k):
-            reach[k, lo:r0, M - m1] = True
+    reach = np.zeros((depth, n, top_M + 1), dtype=bool)
+    for M, k, (r0, m1, lo) in ring1:
+        reach[k, lo:r0, M - m1] = True
     for k in range(depth - 1, 1, -1):
         for hi in np.flatnonzero(reach[k].any(axis=1)):
             for m in range(1, np.flatnonzero(reach[k, hi])[-1] - k + 2):
                 lo = max(lo_min[hi, m], k - 1)
-                reach[k - 1, lo:hi, k - 1:M + 1 - m] |= reach[k, hi, k - 1 + m:]
+                reach[k - 1, lo:hi, k - 1:top_M + 1 - m] |= reach[k, hi, k - 1 + m:]
 
-    V = np.full((depth, n, M + 1), math.inf)
+    V = np.full((depth, n, top_M + 1), math.inf)
     V[0, :, 0] = c0
     for k in range(1, depth):
+        moves = []
         for hi in np.flatnonzero(reach[k].any(axis=1)):
-            row, want = V[k, hi], reach[k, hi]
+            want = reach[k, hi]
             for m in range(1, np.flatnonzero(want)[-1] - k + 2):
                 lo = max(lo_min[hi, m], k - 1)
-                below = V[k - 1, lo:hi, k - 1:M + 1 - m]
-                if not np.isfinite(below[:, want[k - 1 + m:]]).any():
-                    continue
-                vec = table.ring_vec(hi, m, near_ap=False)[lo:hi, None]
-                np.minimum(row[k - 1 + m:], (vec + below).min(axis=0),
-                           out=row[k - 1 + m:])
-            row[~want] = math.inf
+                if np.isfinite(V[k - 1, lo:hi, k - 1:top_M + 1 - m][:, want[k - 1 + m:]]).any():
+                    moves.append((hi, m, lo))
+        table.fill((hi, m, False) for hi, m, _ in moves)
+        for hi, m, lo in moves:
+            vec = table.ring_vec(hi, m, near_ap=False)[lo:hi, None]
+            below = V[k - 1, lo:hi, k - 1:top_M + 1 - m]
+            out = V[k, hi, k - 1 + m:]
+            np.minimum(out, (vec + below).min(axis=0), out=out)
+        V[k][~reach[k]] = math.inf
 
     # ring 1 on top of V: the cheapest total for each R_in[1] index
-    best = np.full(n, math.inf)
-    choice = np.zeros((n, 3), dtype=np.int64)
-    for k in range(depth):
-        for r0, m1, lo in top_moves(k):
-            below = V[k, lo:r0, M - m1]
+    ring1 = [(M, k, move) for M, k, move in ring1
+             if np.isfinite(V[k, move[2]:move[0], M - move[1]]).any()]
+    table.fill((r0, m1, True) for _, _, (r0, m1, _) in ring1)
+    found = {M: (np.full(n, math.inf), np.zeros((n, 3), dtype=np.int64)) for M in tops}
+    for M, k, (r0, m1, lo) in ring1:
+        best, choice = found[M]
+        cost = ((c0[n - 1] - c0[r0] + table.ring_vec(r0, m1, near_ap=True)[lo:r0])
+                + V[k, lo:r0, M - m1])
+        better = cost < best[lo:r0]
+        best[lo:r0][better] = cost[better]
+        choice[lo:r0][better] = (k, r0, m1)
+    return V, found
+
+
+def _recover_path(table, lo_min, V, M, best, choice):
+    """Boundary indices and split of the winning plan of budget M.
+
+    Ties: the minimum summed coefficient wins; candidates within 1e-9
+    relative of it prefer the smallest R_in[1], then the lower cost.
+    """
+    c_min = best.min()
+    lo1 = int(np.flatnonzero(best - c_min <= 1e-9 * c_min)[0])
+    deeper, r0, m1 = (int(v) for v in choice[lo1])
+    R_idx, Ms = [r0, lo1], [m1]
+    hi, j = lo1, M - m1
+    for k in range(deeper, 0, -1):
+        step = (math.inf, 0, 0)  # (cost, m, lo) of the cheapest ring at hi
+        for m in range(1, j - k + 2):
+            lo = max(lo_min[hi, m], k - 1)
+            below = V[k - 1, lo:hi, j - m]
             if not np.isfinite(below).any():
                 continue
-            cost = (c0[n - 1] - c0[r0] + table.ring_vec(r0, m1, near_ap=True)[lo:r0]) + below
-            better = cost < best[lo:r0]
-            best[lo:r0][better] = cost[better]
-            choice[lo:r0][better] = (k, r0, m1)
-    return V, best, choice
+            cost = table.ring_vec(hi, m, near_ap=False)[lo:hi] + below
+            at = int(np.argmin(cost))
+            if cost[at] < step[0]:
+                step = (cost[at], m, lo + at)
+        if step[0] != V[k, hi, j]:
+            raise PlanCheckError("line-search", [
+                f"path recovery at ring depth {k}: cheapest ring costs "
+                f"{float(step[0])!r}, the table holds {float(V[k, hi, j])!r}"])
+        _, m, hi = step
+        j -= m
+        R_idx.append(hi)
+        Ms.append(m)
+    return R_idx, Ms
+
+
+def line_search_budgets(cell: CellConfig, cfg: RadioConfig, irs: IrsSpec, budgets, I,
+                        grid: SearchGrid = SearchGrid(), p_no=0.95) -> dict:
+    """``line_search`` for every budget in `budgets`, over one dynamic program.
+
+    Returns {M: PlanResult} with, for a budget no split serves, the
+    PlanInfeasibleError that line_search would raise in place of the result.
+    Every budget's plan is the one line_search finds for it alone.
+    """
+    budgets = sorted({int(M) for M in budgets})
+    I = int(I)
+    if not budgets or budgets[0] < 1 or I < 1:
+        raise ValueError("line_search: M >= 1 and I >= 1 required")
+    if cell.M1_max < 1:
+        return {M: PlanInfeasibleError(["no near-AP slots available (M1_max = 0)"])
+                for M in budgets}
+
+    start, fill_s = time.perf_counter(), RING_TABLE_STATS.fill_s
+    table = _coefficient_table(cell, cfg, irs, p_no, grid.radius_step)
+    radii, c0 = table.radii, table.c0_grid
+    n = len(radii)
+    lo_min = np.array([table.lo_min(hi, np.arange(budgets[-1] + 1)) for hi in range(n)])
+    V, found = _ring_program(table, lo_min, {M: [n - 1] for M in budgets}, I, cell.M1_max)
+    if grid.R_in0_search:
+        # every term of a plan's cost is nonnegative, so a plan whose open
+        # exterior annulus alone costs more than the best closed plan (with a
+        # margin far wider than the 1e-9 tie window) cannot win
+        tops = {M: [r0 for r0 in range(1, n) if c0[n - 1] - c0[r0] <= best.min() * (1.0 + 1e-6)]
+                for M, (best, _) in found.items()}
+        if any(len(t) > 1 for t in tops.values()):
+            V, found = _ring_program(table, lo_min, tops, I, cell.M1_max)
+    paths = {}
+    for M, (best, choice) in found.items():
+        if math.isfinite(best.min()):
+            paths[M] = _recover_path(table, lo_min, V, M, best, choice)
+        else:
+            paths[M] = PlanInfeasibleError([
+                "per-sector load cap and near-AP slot limit exclude every split "
+                f"of M={M} over ring counts 1..{I} on the {grid.radius_step:g} m grid"])
+    RING_TABLE_STATS.dp_s += (time.perf_counter() - start) - (RING_TABLE_STATS.fill_s - fill_s)
+    diag = {"grid_step_m": grid.radius_step, "searched_R_in0": grid.R_in0_search}
+    return {M: path if isinstance(path, PlanInfeasibleError) else _finalize(
+                cell, cfg, irs, p_no, [radii[i] for i in path[0]], path[1], "line-search", diag)
+            for M, path in paths.items()}
 
 
 def line_search(cell: CellConfig, cfg: RadioConfig, irs: IrsSpec, M, I,
@@ -326,58 +479,13 @@ def line_search(cell: CellConfig, cfg: RadioConfig, irs: IrsSpec, M, I,
     Ties: the minimum summed coefficient wins; candidates within 1e-9
     relative of it prefer the smallest R_in[1], then the lower cost.
     Raises PlanInfeasibleError when no assignment satisfies the near-AP slot
-    limit and per-sector load cap.
+    limit and per-sector load cap.  This is the one-budget case of
+    ``line_search_budgets``.
     """
-    M = int(M)
-    I = int(I)
-    if M < 1 or I < 1:
-        raise ValueError("line_search: M >= 1 and I >= 1 required")
-    if cell.M1_max < 1:
-        raise PlanInfeasibleError(["no near-AP slots available (M1_max = 0)"])
-
-    table = _coefficient_table(cell, cfg, irs, p_no, grid.radius_step)
-    radii, c0 = table.radii, table.c0_grid
-    n = len(radii)
-    lo_min = np.array([table.lo_min(hi, np.arange(M + 1)) for hi in range(n)])
-    V, best, choice = _ring_program(table, lo_min, M, min(I, M), cell.M1_max, [n - 1])
-    if grid.R_in0_search:
-        # every term of a plan's cost is nonnegative, so a plan whose open
-        # exterior annulus alone costs more than the best closed plan (with a
-        # margin far wider than the 1e-9 tie window) cannot win
-        bound = best.min() * (1.0 + 1e-6)
-        tops = [r0 for r0 in range(1, n) if c0[n - 1] - c0[r0] <= bound]
-        if len(tops) > 1:
-            V, best, choice = _ring_program(table, lo_min, M, min(I, M), cell.M1_max, tops)
-    c_min = best.min()
-    if not math.isfinite(c_min):
-        raise PlanInfeasibleError([
-            "per-sector load cap and near-AP slot limit exclude every split "
-            f"of M={M} over ring counts 1..{I} on the {grid.radius_step:g} m grid"])
-    lo1 = int(np.flatnonzero(best - c_min <= 1e-9 * c_min)[0])
-    deeper, r0, m1 = (int(v) for v in choice[lo1])
-    R_idx, Ms = [r0, lo1], [m1]
-    hi, j = lo1, M - m1
-    for k in range(deeper, 0, -1):
-        step = (math.inf, 0, 0)  # (cost, m, lo) of the cheapest ring at hi
-        for m in range(1, j - k + 2):
-            lo = max(lo_min[hi, m], k - 1)
-            below = V[k - 1, lo:hi, j - m]
-            if not np.isfinite(below).any():
-                continue
-            cost = table.ring_vec(hi, m, near_ap=False)[lo:hi] + below
-            at = int(np.argmin(cost))
-            if cost[at] < step[0]:
-                step = (cost[at], m, lo + at)
-        if step[0] != V[k, hi, j]:
-            raise PlanCheckError("line-search", [
-                f"path recovery at ring depth {k}: cheapest ring costs "
-                f"{float(step[0])!r}, the table holds {float(V[k, hi, j])!r}"])
-        _, m, hi = step
-        j -= m
-        R_idx.append(hi)
-        Ms.append(m)
-    return _finalize(cell, cfg, irs, p_no, [radii[i] for i in R_idx], Ms, "line-search",
-                     {"grid_step_m": grid.radius_step, "searched_R_in0": grid.R_in0_search})
+    got = line_search_budgets(cell, cfg, irs, [M], I, grid, p_no)[int(M)]
+    if isinstance(got, PlanInfeasibleError):
+        raise got
+    return got
 
 
 # ---------------------------------------------------------------------------

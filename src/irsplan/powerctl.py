@@ -34,6 +34,7 @@ relative margin for rounding.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -41,7 +42,7 @@ import numpy as np
 
 from .channel import (IrsSpec, RadioConfig, composite_stats_arrays,
                       irs_power_factor, mean_gain_direct)
-from .geometry import CellConfig, RingPlan, irs_distance
+from .geometry import CellConfig, RingPlan, irs_distance, irs_distance2
 from .numerics import integrate_polar_sector, reg_upper_gamma
 
 
@@ -102,7 +103,8 @@ def irs_region_coefficient(cfg: RadioConfig, cell: CellConfig, irs: IrsSpec,
 
     F_i integrates beta / q_alpha(p_no) over one sector (adaptive polar
     quadrature, exploiting mirror symmetry about the IRS azimuth); the ring
-    coefficient is C_i = M_i * lambda * W * t_0 * F_i.
+    coefficient is C_i = M_i * lambda * W * t_0 * F_i.  Each distinct ring
+    (R_in[i], R_in[i-1], L_i, M_i) is integrated once per process.
     """
     if not (0.0 < p_no < 1.0):
         raise ValueError("irs_region_coefficient: p_no must lie in (0, 1)")
@@ -110,15 +112,18 @@ def irs_region_coefficient(cfg: RadioConfig, cell: CellConfig, irs: IrsSpec,
     name = f"ring{i}"
     if hi - lo <= 0.0:
         return RegionEnergyCoefficient(region=name, C=0.0)
-    L = plan.L[i - 1]
-    phi = plan.sector_angle(i)
-
-    def integrand(r, az):
-        return irs_power_factor(cfg, irs, r, L, irs_distance(r, L, az), p_no)
-
-    F = 2.0 * integrate_polar_sector(integrand, lo, hi, 0.5 * phi)
-    C = plan.M[i - 1] * cell.ue_density * cfg.W * cfg.t0 * F
+    C = _ring_coefficient(cfg, cell, irs, lo, hi, plan.L[i - 1], plan.M[i - 1], p_no)
     return RegionEnergyCoefficient(region=name, C=C)
+
+
+@functools.lru_cache(maxsize=4096)
+def _ring_coefficient(cfg, cell, irs, lo, hi, L, m, p_no):
+    """C of the ring [lo, hi] with m surfaces on the circle of radius L."""
+    def integrand(r, az):
+        return irs_power_factor(cfg, irs, r * r, L * L, irs_distance2(r, L, az), p_no)
+
+    F = 2.0 * integrate_polar_sector(integrand, lo, hi, math.pi / m)
+    return m * cell.ue_density * cfg.W * cfg.t0 * F
 
 
 def equalize_power(coeffs, cfg: RadioConfig, p_no) -> PowerAllocation:

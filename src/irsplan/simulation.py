@@ -45,7 +45,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import stdtrit
 
 from ._kernels import exact_unit_draws
 from .channel import (IrsSpec, RadioConfig, _cascade_moments, _gain_irs_links,
@@ -212,10 +211,15 @@ def simulate_ue_successes(cfg: RadioConfig, irs: IrsSpec, topo: Topology,
     t = np.sqrt(z2_min[irs_ue] / g_d[irs_ue])
     s = np.sqrt(e)
     block = max(1, _BLOCK_ELEMS // mc.n_fading)
+    buf = np.empty((min(block, irs_ue.size), mc.n_fading))
+    hit = np.empty(buf.shape, dtype=bool)
     for lo in range(0, irs_ue.size, block):
-        hi = lo + block
-        counts[irs_ue[lo:hi]] = np.count_nonzero(
-            c[lo:hi, None] * x + s >= t[lo:hi, None], axis=1)
+        hi = min(lo + block, irs_ue.size)
+        z, ok = buf[:hi - lo], hit[:hi - lo]  # c x + s >= t, in place
+        np.multiply(c[lo:hi, None], x, out=z)
+        z += s
+        np.greater_equal(z, t[lo:hi, None], out=ok)
+        counts[irs_ue[lo:hi]] = np.count_nonzero(ok, axis=1)
     return counts
 
 
@@ -282,6 +286,7 @@ def validate_plan_mc(cell: CellConfig, cfg: RadioConfig, irs: IrsSpec,
 
     common_hw = e_rel_hw = math.inf
     if T > 1:  # both are means of T per-topology values: Student-t, T - 1 dof
+        from scipy.special import stdtrit  # imported on first use, as in numerics
         t95 = float(stdtrit(T - 1, 0.975))
         common_hw = t95 * float(v.std(ddof=1)) / math.sqrt(T)
         e_rel_hw = t95 * float(e_model.std(ddof=1)) / math.sqrt(T) / float(e_model.mean())

@@ -236,6 +236,30 @@ def mp_factor(N, c2, p_no):
         return float(beta / q)
 
 
+def table_unit(table, c2):
+    """unit(c^2) read off a power-factor table."""
+    return np.exp(table.log_unit(np.log(c2)))
+
+
+def pow_form_factor(cfg, irs, r, l, d, p_no):
+    """The pow-law form of beta / q_alpha(p_no) that the log-domain factor replaced.
+
+    Gains by powers, c^2 = g_i g_r / g_d, the table read at log c^2 and the
+    exact expression outside it, divided by g_d.
+    """
+    g_d = cfg.alpha0 * (r ** 2 + cfg.H_A ** 2) ** (-0.5 * cfg.n0)
+    g_i = cfg.alpha0 * (l ** 2 + (cfg.H_A - cfg.H_I) ** 2) ** (-0.5 * cfg.n0)
+    g_r = cfg.alpha0 * (d ** 2 + cfg.H_I ** 2) ** (-0.5 * cfg.n0)
+    table = _power_factor_table(irs.N, p_no)
+    c2 = g_i * g_r / g_d
+    u = (np.log(c2) - table.LOG_LO) * table._inv_h
+    inside = (u >= 0.0) & (u < table.KNOTS - 1)
+    unit = np.empty_like(c2)
+    unit[inside] = np.exp(table._inside(u[inside]))
+    unit[~inside] = _unit_power_factor(irs.N, c2[~inside], p_no)
+    return unit / g_d, inside
+
+
 class TestPowerFactorTable:
     LO = math.exp(_PowerFactorTable.LOG_LO)
     HI = math.exp(_PowerFactorTable.LOG_HI)
@@ -244,11 +268,11 @@ class TestPowerFactorTable:
         c2 = np.exp(rng.uniform(_PowerFactorTable.LOG_LO, _PowerFactorTable.LOG_HI, 100_000))
         for N, p_no in ((2000, 0.95), (2000, 0.99), (50, 0.9)):
             want = exact_factor(N, c2, p_no)
-            assert np.abs(_power_factor_table(N, p_no)(c2) / want - 1.0).max() <= 5e-12
+            assert np.abs(table_unit(_power_factor_table(N, p_no), c2) / want - 1.0).max() <= 5e-12
 
     def test_against_mpmath(self):
         c2 = np.geomspace(1.0001 * self.LO, 0.9999 * self.HI, 64)
-        got = _power_factor_table(2000, 0.95)(c2)
+        got = table_unit(_power_factor_table(2000, 0.95), c2)
         want = np.array([mp_factor(2000, x, 0.95) for x in c2])
         assert np.abs(got / want - 1.0).max() <= 5e-12
 
@@ -259,28 +283,51 @@ class TestPowerFactorTable:
         d = np.abs(r - l) + rng.uniform(0.0, 1.0, 2000) * (r + l - np.abs(r - l))
         _, _, alpha, beta = composite_stats_arrays(radio, irs, r, l, d)
         want = beta / inv_reg_upper_gamma(alpha, 0.95)
-        got = irs_power_factor(radio, irs, r, l, d, 0.95)
+        got = irs_power_factor(radio, irs, r * r, l * l, d * d, 0.95)
         assert np.abs(got / want - 1.0).max() <= 5e-12
         geom = LinkGeometry(180.0, 120.0, 70.0)
         assert required_power_irs(radio, irs, geom, 28.0, 0.95) == (
-            radio.W * 28.0 * float(irs_power_factor(radio, irs, 180.0, 120.0, 70.0, 0.95)))
+            radio.W * 28.0 * float(irs_power_factor(radio, irs, 180.0 ** 2, 120.0 ** 2,
+                                                    70.0 ** 2, 0.95)))
+
+    @pytest.mark.parametrize("f_c", [2.0e9, 1.0e5])
+    def test_log_domain_matches_pow_form(self, irs, rng, f_c):
+        # 1e5 geometries on the law of cosines, 500 of them with d = 0; at
+        # 100 kHz the gains are large enough that c^2 leaves the table near
+        # the surface.  Both forms round ln c^2 at the scale of the table
+        # coordinate (about 1e4, so 9e-15 of ln c^2 per half ulp), which
+        # bounds their agreement at a few 1e-14.
+        cfg = RadioConfig(f_c=f_c)
+        r = rng.uniform(0.0, 250.0, 100_000)
+        l = rng.uniform(0.0, 250.0, 100_000)
+        az = rng.uniform(0.0, math.pi, 100_000)
+        l[:500], az[:500] = r[:500], 0.0
+        d2 = np.maximum(r ** 2 + l ** 2 - 2.0 * r * l * np.cos(az), 0.0)
+        assert (d2[:500] == 0.0).all()
+        want, inside = pow_form_factor(cfg, irs, r, l, np.sqrt(d2), 0.95)
+        got = irs_power_factor(cfg, irs, r * r, l * l, d2, 0.95)
+        assert np.abs(got / want - 1.0).max() <= 3e-14
+        if f_c < 1e9:
+            assert 0 < np.count_nonzero(~inside) < inside.size
 
     def test_out_of_table_falls_back(self):
         table = _power_factor_table(2000, 0.95)
-        outside = np.array([1e-40, 0.5 * self.LO, self.HI, 3e5])
-        assert np.array_equal(table(outside), _unit_power_factor(2000, outside, 0.95))
-        assert table(1e-40) == pytest.approx(exact_factor(2000, 1e-40, 0.95), rel=1e-14)
-        mixed = np.array([1e-40, 1e-3, 2e-9, 3e5])
-        assert np.array_equal(table(mixed), [table(x) for x in mixed])
+        outside = np.log([1e-40, 0.5 * self.LO, self.HI, 3e5])
+        assert np.array_equal(table.log_unit(outside),
+                              np.log(_unit_power_factor(2000, np.exp(outside), 0.95)))
+        assert math.exp(table.log_unit(math.log(1e-40))) == pytest.approx(
+            exact_factor(2000, 1e-40, 0.95), rel=1e-14)
+        mixed = np.log([1e-40, 1e-3, 2e-9, 3e5])
+        assert np.array_equal(table.log_unit(mixed), [table.log_unit(x) for x in mixed])
         with pytest.raises(ValueError):
-            table(np.array([1e-3, np.nan]))
+            table.log_unit(np.array([1e-3, np.nan]))
 
     def test_no_elements_is_the_exponential_law(self, radio, rng):
         r = rng.uniform(0.0, 250.0, 500)
         l = rng.uniform(10.0, 250.0, 500)
         d = np.abs(r - l)
         for p_no in (0.5, 0.95, 0.999):
-            got = irs_power_factor(radio, IrsSpec(0), r, l, d, p_no)
+            got = irs_power_factor(radio, IrsSpec(0), r * r, l * l, d * d, p_no)
             want = 1.0 / (mean_gain_direct(radio, r) * math.log(1.0 / p_no))
             assert np.abs(got / want - 1.0).max() <= 1e-13
 
@@ -300,5 +347,5 @@ class TestPowerFactorTable:
             _power_factor_table(2000, float(p_no))
         again = _power_factor_table(2000, 0.9)
         assert again is not first
-        c2 = np.geomspace(1e-35, 1e5, 2000)
-        assert np.array_equal(again(c2), first(c2))
+        ln_c2 = np.log(np.geomspace(1e-35, 1e5, 2000))
+        assert np.array_equal(again.log_unit(ln_c2), first.log_unit(ln_c2))

@@ -173,6 +173,18 @@ class TestPlanCommand:
         for r in rows[1:]:
             assert float(r["Kbar_i"]) <= 10.0 + 1e-9
 
+    def test_sidecar_counts_ring_table_work(self, tmp_path):
+        rc = main(["plan", "--out", str(tmp_path), "--method", "line-search",
+                   "--set", "plan.M=12", "--set", "grid.radius_step=12.5"])
+        assert rc == 0
+        meta = json.loads((tmp_path / "plan.json.meta.json").read_text(encoding="utf-8"))
+        ring = meta["ring_table"]
+        assert set(ring) == {"fills", "rows", "points", "fill_s", "dp_s"}
+        assert ring["fills"] > 0 and ring["points"] == 256 * ring["rows"]
+        assert ring["fill_s"] > 0.0 and ring["dp_s"] > 0.0
+        doc = json.loads((tmp_path / "plan.json").read_text(encoding="utf-8"))
+        assert "ring_table" not in json.dumps(doc)
+
     def test_method_flag_overrides_config(self, tmp_path):
         rc = main(["plan", "--out", str(tmp_path), "--method", "algorithm1",
                    "--set", "plan.M=15", "--set", "plan.method=line-search"])
@@ -238,6 +250,13 @@ class TestSweepCommand:
         assert nu["ap-equal-power"] == pytest.approx(1.653242459858146, rel=1e-9)
         assert nu["ap-cipc"] == pytest.approx(2.635899187631741, rel=1e-9)
         assert nu["algorithm1"] == pytest.approx(3.267767924660948, rel=1e-9)
+
+    def test_sidecar_carries_ring_table_counters(self, tmp_path):
+        rc = main(["sweep", "--out", str(tmp_path), "--set", "sweep.M_values=[12]",
+                   "--set", "sweep.methods=[line-search]"])
+        assert rc == 0
+        meta = json.loads((tmp_path / "sweep.csv.meta.json").read_text(encoding="utf-8"))
+        assert meta["ring_table"]["points"] == 256 * meta["ring_table"]["rows"]
 
     @pytest.mark.parametrize("budgets", ["[true]", "[true, 1]", "[10, false]"])
     def test_boolean_budgets_are_rejected(self, tmp_path, capsys, budgets):
@@ -402,8 +421,10 @@ class TestValidateCommand:
         lambda doc: doc["allocation"].update(R_bar_bps_hz=99.0),
         lambda doc: doc["allocation"].update(nu_bar_bps_hz=1.0),
         lambda doc: doc["allocation"].update(p_no=0.5),
+        lambda doc: doc.update(nu_bar_bps_hz=99.0),
     ], ids=["config-not-mapping", "p_no-out-of-range", "nan-radius", "nan-threshold",
-            "rate-off-threshold", "throughput-off-rate", "p_no-off-target"])
+            "rate-off-threshold", "throughput-off-rate", "p_no-off-target",
+            "top-level-throughput-off-allocation"])
     def test_malformed_plan_values_rejected(self, tmp_path, plan_file, capsys, mutate):
         doc = json.loads(plan_file.read_text(encoding="utf-8"))
         mutate(doc)

@@ -2,7 +2,8 @@
 every private module-level name in src/ is referenced somewhere in src/.
 
 A cold ``plan`` and ``validate`` also must not import ``scipy.interpolate``:
-it would add about a third of a second to every such process.
+it would add about a third of a second to every such process.  A cold
+``coverage`` must not import ``scipy`` at all: it needs no special function.
 
 No linter runs with the tests, so these stdlib-``ast`` scans are the guard
 against dead imports and dead parameters.  A name counts as used when it
@@ -159,11 +160,29 @@ print(sorted(m for m in sys.modules if m.startswith("scipy.interpolate")))
 """
 
 
-def test_cold_commands_skip_scipy_interpolate(tmp_path):
+def _cold_run(script, out_dir):
+    """Last stdout line of `script` run in a fresh interpreter on src/."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
-    done = subprocess.run([sys.executable, "-c", COLD_RUN, str(tmp_path)], env=env,
+    done = subprocess.run([sys.executable, "-c", script, str(out_dir)], env=env,
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines()[-1] == "[]"
+    return done.stdout.splitlines()[-1]
+
+
+def test_cold_commands_skip_scipy_interpolate(tmp_path):
+    assert _cold_run(COLD_RUN, tmp_path) == "[]"
+
+
+COLD_COVERAGE = """
+import sys
+from irsplan.cli import main
+assert main(["coverage", "--out", sys.argv[1], "--set", "coverage.l_start=100",
+             "--set", "coverage.l_stop=120", "--set", "coverage.l_step=10"]) == 0
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+
+
+def test_cold_coverage_skips_scipy(tmp_path):
+    assert _cold_run(COLD_COVERAGE, tmp_path) == "[]"

@@ -2,17 +2,19 @@
 
 import itertools
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from irsplan.channel import IrsSpec, LinkGeometry, composite_stats
+from irsplan.channel import IrsSpec, LinkGeometry, _power_factor_table, composite_stats
 from irsplan.geometry import (CellConfig, coverage_area_accounting,
                               make_ring_plan, validate_plan)
 from irsplan.planner import (PlanInfeasibleError, SearchGrid,
                              _coefficient_table, _RingCoefficientTable,
-                             algorithm1, coverage_range, line_search)
+                             algorithm1, coverage_range, line_search,
+                             line_search_budgets)
 from irsplan.powerctl import ap_region_coefficient
 
 ETA_MIN = 10.0  # linear mean-SNR threshold for the coverage study
@@ -227,6 +229,74 @@ class TestExactSearch:
                     assert np.isfinite(full).all()
                     assert np.isinf(got[~inside]).all() and (got[~inside] > 0).all()
                     assert np.array_equal(got[inside], full[inside])
+
+
+class TestBatchedFill:
+    """One batched fill gives the bits of key-by-key fills."""
+
+    def test_batch_independence(self, cell, radio, irs):
+        keys = [(hi, m, False) for hi in range(20, 51) for m in (3, 9, 27, 81)]
+        keys += [(50, m, True) for m in range(1, 11)] + [(44, 3, True)]
+        one = _RingCoefficientTable(cell, radio, irs, 0.95, 5.0)
+        for key in keys:
+            one.fill([key])
+        batch = _RingCoefficientTable(cell, radio, irs, 0.95, 5.0)
+        batch.fill(keys)
+        shuffled = _RingCoefficientTable(cell, radio, irs, 0.95, 5.0)
+        shuffled.fill(keys[::-7] + keys)
+        rows = sum(hi - int(one.lo_min(hi, m)) for hi, m, _ in keys)
+        # several chunks and node groups, with keys straddling their edges
+        assert rows > 2 * one.NODE_ROWS and rows % one.CHUNK_ROWS
+        for key in keys:
+            assert np.array_equal(batch.ring_vec(*key), one.ring_vec(*key)), key
+            assert np.array_equal(shuffled.ring_vec(*key), one.ring_vec(*key)), key
+
+    def test_line_search_memory_is_bounded(self, cell, radio, irs):
+        # the fill's working set is one chunk, not one DP layer (the one-off
+        # power-factor table is built first: it is not the fill's)
+        _power_factor_table(irs.N, 0.95)
+        _coefficient_table.cache_clear()
+        tracemalloc.start()
+        try:
+            line_search(cell, radio, irs, 100, 3, grid=SearchGrid(radius_step=5.0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * 2 ** 20
+
+
+class TestMultiBudget:
+    """One dynamic program for many budgets gives every budget's own plan."""
+
+    # M = 1..3 cannot close a ring on the 10 m grid under R_in[0] = R_ex, and
+    # one ring holds at most M1_max = 10 surfaces
+    @pytest.mark.parametrize("I,search_r0,n_infeasible", [(3, False, 3), (1, False, 53),
+                                                          (2, True, 0)])
+    def test_every_budget_matches_its_own_run(self, cell, radio, irs, I, search_r0,
+                                              n_infeasible):
+        grid = SearchGrid(radius_step=10.0, R_in0_search=search_r0)
+        plans = line_search_budgets(cell, radio, irs, range(1, 61), I, grid=grid)
+        assert sorted(plans) == list(range(1, 61))
+        infeasible = 0
+        for M, got in plans.items():
+            try:
+                want = line_search(cell, radio, irs, M, I, grid=grid)
+            except PlanInfeasibleError as exc:
+                assert isinstance(got, PlanInfeasibleError), M
+                assert str(got) == str(exc)
+                infeasible += 1
+                continue
+            assert got.plan.R_in == want.plan.R_in, M
+            assert got.plan.M == want.plan.M, M
+            assert got.nu_bar == want.nu_bar, M
+            assert (got.diagnostics["region_coefficients_J"]
+                    == want.diagnostics["region_coefficients_J"]), M
+        assert infeasible == n_infeasible
+
+    def test_rejects_bad_budgets(self, cell, radio, irs):
+        for budgets in ([], [0, 5], [5, -1]):
+            with pytest.raises(ValueError):
+                line_search_budgets(cell, radio, irs, budgets, 3)
 
 
 class TestAlgorithm1:

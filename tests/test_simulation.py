@@ -312,6 +312,21 @@ class TestFadingBank:
         assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("draws", ["exact", "gaussian-surrogate"])
+    def test_counts_match_the_plain_expression(self, radio, irs, plan_m15_a1, topo, draws):
+        # the in-place counting loop against one full-size c x + s >= t
+        mc = McConfig(n_fading=700, seed=5, element_draws=draws)
+        eta0 = plan_m15_a1.allocation.eta0_star
+        x, e = simulation._fading_bank(mc, irs.N, 2)
+        irs_ue = np.flatnonzero(topo.served_by_irs)
+        g_d = mean_gain_direct(radio, topo.r[irs_ue])
+        g_i, g_r = _gain_irs_links(radio, topo.l[irs_ue], topo.d[irs_ue])
+        c = np.sqrt(g_i * g_r / g_d)
+        t = np.sqrt(radio.W * eta0 / topo.power[irs_ue] / g_d)
+        want = np.count_nonzero(c[:, None] * x + np.sqrt(e) >= t[:, None], axis=1)
+        got = simulate_ue_successes(radio, irs, topo, eta0, mc, 2)
+        assert np.array_equal(got[irs_ue], want)
+
+    @pytest.mark.parametrize("draws", ["exact", "gaussian-surrogate"])
     def test_block_size_invariance(self, radio, irs, plan_m15_a1, topo, draws,
                                    monkeypatch):
         mc = McConfig(n_fading=500, seed=4, element_draws=draws)
