@@ -33,7 +33,7 @@ from .channel import (CompositeChannelStats, IrsSpec, LinkGeometry, MeanGains,
 from .geometry import (CellConfig, PlanViolation, RingPlan,
                        coverage_area_accounting, make_ring_plan,
                        mean_ues_per_sector, sector_area, validate_plan)
-from .numerics import (Tolerance, get_tail_quantile,
+from .numerics import (Refused, Tolerance, get_tail_quantile,
                        integrate_polar_sector, integrate_radial,
                        inv_reg_upper_gamma, reg_upper_gamma)
 from .planner import (CoverageResult, PlanCheckError, PlanInfeasibleError,
@@ -55,7 +55,7 @@ __all__ = [
     "CellConfig", "PlanViolation", "RingPlan",
     "coverage_area_accounting", "make_ring_plan",
     "mean_ues_per_sector", "sector_area", "validate_plan",
-    "Tolerance", "get_tail_quantile",
+    "Refused", "Tolerance", "get_tail_quantile",
     "integrate_polar_sector", "integrate_radial", "inv_reg_upper_gamma",
     "reg_upper_gamma",
     "CoverageResult", "PlanCheckError", "PlanInfeasibleError", "PlanResult",

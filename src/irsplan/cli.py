@@ -10,9 +10,9 @@ Subcommands::
 Artifacts are deterministic: CSV files carry the resolved config as a '#'
 comment line, JSON reports embed it under "config", and anything
 time-dependent lives in a ``<name>.meta.json`` sidecar so reruns with the
-same config are byte-identical.  Exit codes: 0 ok, 2 rejected input,
-infeasible request or a result that failed its own consistency check
-(structured JSON on stderr), 1 crash.
+same config are byte-identical.  Exit codes: 0 ok, 2 a ``Refused`` request
+(rejected input, infeasible request or a result that failed its own check;
+its payload as JSON on stderr), 1 crash.
 """
 
 import argparse
@@ -25,24 +25,16 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__
-from .config import ConfigError, ExperimentConfig, load_config
+from .config import ExperimentConfig, load_config
 from .geometry import RingPlan, mean_ues_per_sector, validate_plan
-from .planner import (RING_TABLE_STATS, PlanCheckError, PlanInfeasibleError,
-                      PlanResult, algorithm1, coverage_range, line_search,
-                      line_search_budgets)
+from .numerics import Refused
+from .planner import (RING_TABLE_STATS, PlanInfeasibleError, PlanResult, algorithm1,
+                      coverage_range, line_search, line_search_budgets)
 from .powerctl import (PowerAllocation, benchmark_cipc, benchmark_equal_power,
                        benchmark_irs_equal_power, benchmark_irs_mean_cipc)
-from .simulation import SlotLimitError, validate_plan_mc
+from .simulation import validate_plan_mc
 
 SCHEMA_VERSION = 2
-
-
-class CliError(Exception):
-    """Rejected input with a structured payload (exit code 2)."""
-
-    def __init__(self, kind, detail, **extra):
-        super().__init__(f"{kind}: {detail}")
-        self.payload = {"kind": kind, "detail": detail, **extra}
 
 
 # ---------------------------------------------------------------------------
@@ -82,7 +74,7 @@ def write_csv(path: Path, columns, rows, cfg: ExperimentConfig, meta=None):
 def write_json(path: Path, payload: dict, cfg: ExperimentConfig, meta=None):
     doc = {"schema_version": SCHEMA_VERSION, "config": cfg.to_dict()}
     doc.update(payload)
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n",
+    path.write_text(json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n",
                     encoding="utf-8")
     _write_sidecar(path, meta)
 
@@ -119,10 +111,7 @@ def _run_planner(cfg: ExperimentConfig, method: str, M: int) -> PlanResult:
     if method == "line-search":
         return line_search(cfg.cell, cfg.radio, cfg.irs, M, cfg.plan.I,
                            grid=cfg.grid, p_no=p_no)
-    if method == "algorithm1":
-        return algorithm1(cfg.cell, cfg.radio, cfg.irs, M,
-                          I_max=cfg.plan.I_max, p_no=p_no)
-    raise CliError("usage", f"unknown planner method {method!r}")
+    return algorithm1(cfg.cell, cfg.radio, cfg.irs, M, I_max=cfg.plan.I_max, p_no=p_no)
 
 
 def _plan_payload(result: PlanResult) -> dict:
@@ -211,9 +200,9 @@ def _load_plan_file(path: Path, cfg: ExperimentConfig) -> PlanResult:
     try:
         doc = json.loads(path.read_text(encoding="utf-8"))
     except OSError as exc:
-        raise CliError("plan-file-error", f"cannot read {path}: {exc}")
+        raise Refused("plan-file-error", f"cannot read {path}: {exc}")
     except json.JSONDecodeError as exc:
-        raise CliError("plan-file-error", f"{path} is not valid JSON: {exc}")
+        raise Refused("plan-file-error", f"{path} is not valid JSON: {exc}")
     try:
         embedded = doc["config"]
         body = doc["plan"]
@@ -229,21 +218,21 @@ def _load_plan_file(path: Path, cfg: ExperimentConfig) -> PlanResult:
                                      p_no=float(alloc["p_no"]))
         top_nu_bar = float(doc["nu_bar_bps_hz"])
     except (KeyError, TypeError, ValueError) as exc:
-        raise CliError("plan-file-error", f"{path} is missing fields: {exc}")
+        raise Refused("plan-file-error", f"{path} is missing fields: {exc}")
     if not isinstance(embedded, dict):
-        raise CliError("plan-file-error", f"{path}: config is not a mapping")
+        raise Refused("plan-file-error", f"{path}: config is not a mapping")
     if not (math.isfinite(allocation.eta0_star) and allocation.eta0_star > 0.0):
-        raise CliError("plan-file-error",
-                       f"{path}: eta0_star={allocation.eta0_star} is not a positive number")
+        raise Refused("plan-file-error",
+                      f"{path}: eta0_star={allocation.eta0_star} is not a positive number")
     if not (0.0 < allocation.p_no < 1.0):
-        raise CliError("plan-file-error", f"{path}: p_no={allocation.p_no} lies outside (0, 1)")
+        raise Refused("plan-file-error", f"{path}: p_no={allocation.p_no} lies outside (0, 1)")
     current = cfg.to_dict()
     mismatched = [s for s in ("radio", "cell", "irs", "outage")
                   if embedded.get(s) != current[s]]
     if mismatched:
-        raise CliError("plan-config-mismatch",
-                       "plan file was produced under a different setup",
-                       sections=mismatched)
+        raise Refused("plan-config-mismatch",
+                      "plan file was produced under a different setup",
+                      sections=mismatched)
     # exact: the writer derives these with the same expressions, and JSON
     # round-trips every float
     contradictions = [text for bad, text in (
@@ -256,12 +245,12 @@ def _load_plan_file(path: Path, cfg: ExperimentConfig) -> PlanResult:
          "nu_bar_bps_hz != allocation.nu_bar_bps_hz"),
     ) if bad]
     if contradictions:
-        raise CliError("plan-file-error", "plan file allocation contradicts itself",
-                       contradictions=contradictions)
+        raise Refused("plan-file-error", "plan file allocation contradicts itself",
+                      contradictions=contradictions)
     violations = validate_plan(cfg.cell, plan)
     if violations:
-        raise CliError("plan-file-error", "plan file violates placement invariants",
-                       violations=[v.code for v in violations])
+        raise Refused("plan-file-error", "plan file violates placement invariants",
+                      violations=[v.code for v in violations])
     return PlanResult(plan=plan, allocation=allocation,
                       nu_bar=allocation.nu_bar,
                       method=str(doc.get("method", "unknown")), diagnostics={})
@@ -360,26 +349,8 @@ def main(argv=None) -> int:
         if args.command == "sweep":
             return cmd_sweep(cfg, out_dir)
         return cmd_validate(cfg, args.plan_file, out_dir)
-    except ConfigError as exc:
-        print(json.dumps({"error": {"kind": "config-error", "detail": str(exc)}}),
-              file=sys.stderr)
-        return 2
-    except CliError as exc:
+    except Refused as exc:
         print(json.dumps({"error": exc.payload}), file=sys.stderr)
-        return 2
-    except PlanInfeasibleError as exc:
-        print(json.dumps({"error": {"kind": "infeasible", "detail": str(exc),
-                                    "bindings": exc.bindings}}), file=sys.stderr)
-        return 2
-    except PlanCheckError as exc:
-        print(json.dumps({"error": {"kind": "invalid-plan", "detail": str(exc),
-                                    "method": exc.method,
-                                    "violations": exc.violations}}), file=sys.stderr)
-        return 2
-    except SlotLimitError as exc:
-        print(json.dumps({"error": {"kind": "slot-limit", "detail": str(exc),
-                                    "max_load": exc.max_load, "n_t": exc.n_t}}),
-              file=sys.stderr)
         return 2
     except Exception:
         traceback.print_exc()

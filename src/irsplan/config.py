@@ -4,7 +4,8 @@ One structured text file describes an experiment; every field has a default
 matching the reference setup, so an empty config is fully runnable.  Values
 carry linear units internally; the strings ``"<x> dB"``, ``"<x> dBm"`` and
 ``"<x> dBm/Hz"`` are accepted anywhere a number is expected and converted at
-the boundary (power ratio, watts, watts per hertz).
+the boundary (power ratio, watts, watts per hertz).  So is a bare number
+string such as ``1e-3``, which YAML 1.1 does not read as a number.
 
 Overrides are ``--set section.field=value`` with YAML-parsed values, e.g.
 ``--set irs.N=0``, ``--set radio.N0="-174 dBm/Hz"``,
@@ -20,12 +21,16 @@ import yaml
 
 from .channel import IrsSpec, RadioConfig
 from .geometry import CellConfig
+from .numerics import Refused
 from .planner import SearchGrid
 from .simulation import McConfig
 
 
-class ConfigError(ValueError):
+class ConfigError(Refused):
     """Config file or override rejected; message carries field diagnostics."""
+
+    def __init__(self, detail):
+        super().__init__("config-error", detail)
 
 
 @dataclass(frozen=True)
@@ -117,13 +122,14 @@ class ExperimentConfig:
 # section name -> section class, in field order
 _SECTIONS = typing.get_type_hints(ExperimentConfig)
 
-_UNIT_RE = re.compile(r"^\s*([-+]?[0-9.]+(?:[eE][-+]?[0-9]+)?)\s*(dBm/Hz|dBm|dB)\s*$")
+_UNIT_RE = re.compile(r"^\s*([-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)\s*(dBm/Hz|dBm|dB)?\s*$")
 
 
 def parse_unit_scalar(value):
     """Convert '<x> dB' / '<x> dBm' / '<x> dBm/Hz' strings to linear units.
 
-    Anything else passes through unchanged.
+    A bare number string becomes a float: YAML 1.1 reads '1e-3' (no dot) as
+    a string.  Anything else passes through unchanged.
     """
     if not isinstance(value, str):
         return value
@@ -131,6 +137,8 @@ def parse_unit_scalar(value):
     if m is None:
         return value
     x = float(m.group(1))
+    if m.group(2) is None:
+        return x
     if m.group(2) == "dB":
         return 10.0 ** (x / 10.0)
     return 10.0 ** ((x - 30.0) / 10.0)  # dBm and dBm/Hz -> W and W/Hz
@@ -150,15 +158,10 @@ def _coerce(value, hint, where):
             raise ConfigError(f"{where}: expected a number, got {value!r}")
         return float(value)
     if hint is int:
-        if isinstance(value, bool):
+        whole = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
+        if isinstance(value, bool) or not whole:
             raise ConfigError(f"{where}: expected an integer, got {value!r}")
-        if isinstance(value, float):
-            if not value.is_integer():
-                raise ConfigError(f"{where}: expected an integer, got {value!r}")
-            return int(value)
-        if not isinstance(value, int):
-            raise ConfigError(f"{where}: expected an integer, got {value!r}")
-        return value
+        return int(value)
     if hint is bool:
         if not isinstance(value, bool):
             raise ConfigError(f"{where}: expected true/false, got {value!r}")

@@ -18,9 +18,22 @@ from dataclasses import dataclass
 import numpy as np
 
 
-class NumericsError(RuntimeError):
+class Refused(Exception):
+    """A refused request.  ``.payload`` = {"kind", "detail", **extra} is what the
+    CLI prints on stderr with exit code 2; each extra is also an attribute."""
+
+    def __init__(self, kind, detail, **extra):
+        super().__init__(detail)
+        self.payload = {"kind": kind, "detail": detail, **extra}
+        vars(self).update(extra)
+
+
+class NumericsError(Refused):
     """Raised when a quadrature refinement fails to converge; the message
     carries its last two estimates."""
+
+    def __init__(self, detail):
+        super().__init__("numerics-error", detail)
 
 
 @dataclass(frozen=True)

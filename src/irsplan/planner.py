@@ -42,30 +42,30 @@ import numpy as np
 
 from .channel import IrsSpec, RadioConfig, composite_stats_arrays, irs_power_factor
 from .geometry import CellConfig, RingPlan, irs_distance2, make_ring_plan, validate_plan
-from .numerics import _gl_nodes, bisect
+from .numerics import Refused, _gl_nodes, bisect
 from .powerctl import (PowerAllocation, RegionEnergyCoefficient, _ap_spans,
                        ap_region_coefficient, equalize_power,
                        irs_region_coefficient)
 
 
-class PlanInfeasibleError(RuntimeError):
+class PlanInfeasibleError(Refused):
     """No feasible placement; .bindings lists the constraints that bit."""
 
     def __init__(self, bindings):
-        super().__init__("no feasible placement: " + "; ".join(bindings))
-        self.bindings = list(bindings)
+        super().__init__("infeasible", "no feasible placement: " + "; ".join(bindings),
+                         bindings=list(bindings))
 
 
-class PlanCheckError(RuntimeError):
+class PlanCheckError(Refused):
     """A planner's result failed its own consistency check.
 
     .method names the planner and .violations lists the checks that failed.
     """
 
     def __init__(self, method, violations):
-        super().__init__(f"{method} produced an invalid plan: " + "; ".join(violations))
-        self.method = method
-        self.violations = list(violations)
+        super().__init__("invalid-plan",
+                         f"{method} produced an invalid plan: " + "; ".join(violations),
+                         method=method, violations=list(violations))
 
 
 @dataclass(frozen=True)
@@ -187,9 +187,8 @@ class _RingCoefficientTable:
         self.cfg = cfg
         self.irs = irs
         self.p_no = p_no
-        self.radii = np.arange(0.0, cell.R_ex + 0.5 * step, step)
-        if abs(self.radii[-1] - cell.R_ex) > 1e-9:
-            self.radii = np.append(self.radii, cell.R_ex)
+        # strictly increasing and ending at R_ex whatever the remainder
+        self.radii = np.append(np.arange(0.0, cell.R_ex - 1e-9, step), cell.R_ex)
         self._r2 = self.radii ** 2
         self._glx, self._glw = _gl_nodes(self.NODES)
         self.c0_grid = np.array([ap_region_coefficient(cfg, cell, p_no, R).C

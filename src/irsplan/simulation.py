@@ -41,6 +41,7 @@ and the as-deployed mean including the overflow surcharge.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -50,17 +51,17 @@ from ._kernels import exact_unit_draws
 from .channel import (IrsSpec, RadioConfig, _cascade_moments, _gain_irs_links,
                       mean_gain_direct, required_power_irs)
 from .geometry import CellConfig, RingPlan, locate_ue_arrays
+from .numerics import Refused
 from .planner import PlanResult
 from .powerctl import cipc_power
 
 
-class SlotLimitError(RuntimeError):
+class SlotLimitError(Refused):
     """A simulated sector served more UEs than the frame has time slots."""
 
     def __init__(self, max_load, n_t):
-        super().__init__(f"slot limit violated: {max_load} > n_t={n_t}")
-        self.max_load = max_load
-        self.n_t = n_t
+        super().__init__("slot-limit", f"slot limit violated: {max_load} > n_t={n_t}",
+                         max_load=max_load, n_t=n_t)
 
 
 @dataclass(frozen=True)
@@ -74,8 +75,9 @@ class McConfig:
     def __post_init__(self):
         if self.element_draws not in ("exact", "gaussian-surrogate"):
             raise ValueError("McConfig: element_draws must be 'exact' or 'gaussian-surrogate'")
-        if self.n_topologies < 1 or self.n_fading < 1 or self.n_workers < 1:
-            raise ValueError("McConfig: counts must be positive")
+        if self.n_topologies < 2 or self.n_fading < 1 or self.n_workers < 1:
+            raise ValueError("McConfig: need n_fading, n_workers >= 1 and n_topologies >= 2 "
+                             "(every interval takes T - 1 degrees of freedom)")
         if not 0 <= self.seed < 2 ** 64:
             raise ValueError("McConfig: seed must lie in [0, 2**64), the Philox key word")
 
@@ -247,6 +249,12 @@ def _run_topology(args):
             int(topo.overflow.sum()))
 
 
+def _cpus_available():
+    """CPUs this process may run on (``sched_getaffinity`` is Linux-only)."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else os.cpu_count() or 1
+
+
 def validate_plan_mc(cell: CellConfig, cfg: RadioConfig, irs: IrsSpec,
                      result: PlanResult, mc: McConfig) -> McEstimate:
     """Monte Carlo certification of a PlanResult's throughput promise."""
@@ -255,7 +263,8 @@ def validate_plan_mc(cell: CellConfig, cfg: RadioConfig, irs: IrsSpec,
     eta0 = alloc.eta0_star
     p_no = alloc.p_no
     tasks = [(cell, cfg, irs, plan, eta0, p_no, mc, t) for t in range(mc.n_topologies)]
-    with ThreadPoolExecutor(max_workers=mc.n_workers) as pool:
+    workers = min(mc.n_workers, mc.n_topologies, _cpus_available())
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         rows = list(pool.map(_run_topology, tasks))
     successes, n_ue, min_count, load, e_model, e_actual, n_over = map(np.array, zip(*rows))
     max_load = int(load.max())
@@ -275,7 +284,7 @@ def validate_plan_mc(cell: CellConfig, cfg: RadioConfig, irs: IrsSpec,
     T = mc.n_topologies
     # cluster interval: the ratio estimator's variance across topologies ...
     resid2 = np.square(successes - hat * trials).sum(axis=0)
-    hw = _Z95 * np.sqrt(resid2 * T / (T - 1)) / n if T > 1 else np.full(n.shape, math.inf)
+    hw = _Z95 * np.sqrt(resid2 * T / (T - 1)) / n
     # ... floored by Agresti-Coull at n_fading draws per topology present
     n_ac = (trials > 0).sum(axis=0) * mc.n_fading + _Z95 ** 2
     p_ac = (hat * (n_ac - _Z95 ** 2) + _Z95 ** 2 / 2.0) / n_ac
@@ -284,12 +293,11 @@ def validate_plan_mc(cell: CellConfig, cfg: RadioConfig, irs: IrsSpec,
                for i in np.flatnonzero(present[:n_regions])}
     deciles = n_regions + np.flatnonzero(present[n_regions:])
 
-    common_hw = e_rel_hw = math.inf
-    if T > 1:  # both are means of T per-topology values: Student-t, T - 1 dof
-        from scipy.special import stdtrit  # imported on first use, as in numerics
-        t95 = float(stdtrit(T - 1, 0.975))
-        common_hw = t95 * float(v.std(ddof=1)) / math.sqrt(T)
-        e_rel_hw = t95 * float(e_model.std(ddof=1)) / math.sqrt(T) / float(e_model.mean())
+    # both are means of T per-topology values: Student-t, T - 1 dof
+    from scipy.special import stdtrit  # imported on first use, as in numerics
+    t95 = float(stdtrit(T - 1, 0.975))
+    common_hw = t95 * float(v.std(ddof=1)) / math.sqrt(T)
+    e_rel_hw = t95 * float(e_model.std(ddof=1)) / math.sqrt(T) / float(e_model.mean())
     irs_bias = {k: float(hat[i]) - p_no for k, i in regions.items() if k != "ap"}
     return McEstimate(
         n_topologies=T, n_fading=mc.n_fading, seed=mc.seed,

@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from irsplan.cli import main
+from irsplan.cli import main, write_json
 from irsplan.config import (ConfigError, ExperimentConfig, load_config,
                             parse_unit_scalar)
 
@@ -23,6 +23,12 @@ class TestUnitParsing:
         assert parse_unit_scalar("10 dollars") == "10 dollars"
         assert parse_unit_scalar(None) is None
 
+    def test_bare_numbers(self):
+        # YAML 1.1 reads 1e-3 (no dot) as a string
+        assert parse_unit_scalar("1e-3") == 1e-3
+        assert parse_unit_scalar("-2.5E+2") == -250.0
+        assert parse_unit_scalar("1.2.3") == "1.2.3"
+
 
 class TestLoadConfig:
     def test_empty_is_default(self):
@@ -38,6 +44,12 @@ class TestLoadConfig:
         assert cfg.irs.N == 1000
         assert cfg.cell.K == 200
         assert cfg.plan.M == 100  # untouched sections keep defaults
+
+    def test_scientific_notation(self, tmp_path):
+        assert load_config(overrides=["radio.E_total=1e-3"]).radio.E_total == 1e-3
+        p = tmp_path / "exp.yaml"
+        p.write_text("radio:\n  E_total: 2e-3\n", encoding="utf-8")
+        assert load_config(p).radio.E_total == 2e-3
 
     def test_overrides(self):
         cfg = load_config(overrides=["irs.N=0", "plan.method=algorithm1",
@@ -229,6 +241,22 @@ class TestPlanCommand:
         assert err["error"]["kind"] == "config-error"
         assert setting.split("=")[0] in err["error"]["detail"]
 
+    def test_numerics_error_is_structured(self, tmp_path, capsys, monkeypatch):
+        # a quadrature that does not converge exits with code 2, not a traceback
+        import irsplan.powerctl
+        from irsplan.numerics import NumericsError
+
+        def diverges(*args, **kwargs):
+            raise NumericsError("integrate_polar_sector: refinement did not converge")
+
+        irsplan.powerctl._ring_coefficient.cache_clear()  # reach the quadrature
+        monkeypatch.setattr(irsplan.powerctl, "integrate_polar_sector", diverges)
+        rc = main(["plan", "--out", str(tmp_path), "--method", "algorithm1"] + PLAN_ARGS)
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == {"kind": "numerics-error",
+                                "detail": "integrate_polar_sector: refinement did not converge"}
+
 
 SWEEP_ARGS = ["--set", "sweep.M_values=[0, 15]",
               "--set", "sweep.methods=[algorithm1, irs-mean-cipc]"]
@@ -298,6 +326,28 @@ class TestValidateCommand:
         assert d["energy_budget_ratio"] == pytest.approx(1.0, abs=0.2)
         assert abs(d["common_minus_analytical"]) < 0.2
         assert isinstance(d["analytical_within_interval"], bool)
+
+    def test_report_is_strict_json(self, tmp_path, plan_file):
+        def refuse(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        out = tmp_path / "mc"
+        assert main(["validate", str(plan_file), "--out", str(out)] + VALIDATE_MC) == 0
+        doc = json.loads((out / "mc_report.json").read_text(encoding="utf-8"),
+                         parse_constant=refuse)
+        assert math.isfinite(doc["mc"]["common_half_width"])
+        with pytest.raises(ValueError):  # the writer refuses what it cannot encode
+            write_json(tmp_path / "bad.json", {"x": math.inf}, load_config())
+
+    def test_one_topology_is_a_config_error(self, tmp_path, plan_file, capsys):
+        # T = 1 once wrote Infinity half-widths and a 'met' verdict
+        rc = main(["validate", str(plan_file), "--out", str(tmp_path / "mc")]
+                  + VALIDATE_MC + ["--set", "mc.n_topologies=1"])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["kind"] == "config-error"
+        assert "n_topologies" in err["error"]["detail"]
+        assert not (tmp_path / "mc" / "mc_report.json").exists()
 
     def _forced_report(self, tmp_path, plan_file, monkeypatch, **changes):
         # a real run with some McEstimate fields overridden, for outcomes a

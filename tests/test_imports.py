@@ -1,5 +1,7 @@
 """Every imported name in src/ and tests/ is used; every src/ parameter is read;
-every private module-level name in src/ is referenced somewhere in src/.
+every private module-level name in src/ is referenced somewhere in src/; every
+exception class in src/ derives from ``numerics.Refused``, so ``cli.main``
+needs one refusal handler (exit code 2) beside its crash handler.
 
 A cold ``plan`` and ``validate`` also must not import ``scipy.interpolate``:
 it would add about a third of a second to every such process.  A cold
@@ -16,6 +18,7 @@ as an attribute.
 """
 
 import ast
+import builtins
 import os
 import subprocess
 import sys
@@ -146,6 +149,44 @@ def test_scan_flags_a_dead_private_name():
     b = ast.parse("from a import _helper\nimport a\nprint(_helper(), a._pair)\n")
     assert dead_private_names({"a": a, "b": b}) == [
         "a:2 _orphan", "a:6 _dead", "a:8 _Unused"]
+
+
+def exceptions_outside(base, trees):
+    """Sorted names of the exception classes in `trees` that do not derive from
+    `base`; a class is an exception when its bases lead to a built-in one."""
+    bases = {node.name: [ast.unparse(b).split(".")[-1] for b in node.bases]
+             for tree in trees for node in ast.walk(tree) if isinstance(node, ast.ClassDef)}
+
+    def derives(name, root):
+        builtin = getattr(builtins, name, None)
+        if isinstance(builtin, type) and issubclass(builtin, BaseException):
+            return root == "BaseException"
+        return name == root or any(derives(b, root) for b in bases.get(name, ()) if b != name)
+
+    return sorted(n for n in bases if derives(n, "BaseException") and not derives(n, base))
+
+
+def test_every_exception_is_a_refusal():
+    trees = [ast.parse(f.read_text(encoding="utf-8"), filename=str(f))
+             for f in sorted((ROOT / "src").rglob("*.py"))]
+    assert trees
+    outside = exceptions_outside("Refused", trees)
+    assert not outside, "exceptions cli.main would report as crashes: " + ", ".join(outside)
+
+
+def test_scan_flags_an_exception_outside_the_base():
+    tree = ast.parse("class Refused(Exception):\n    pass\n"
+                     "class A(Refused):\n    pass\nclass B(A, ValueError):\n    pass\n"
+                     "class C(RuntimeError):\n    pass\nclass D(C):\n    pass\n"
+                     "class E:\n    pass\nclass F(mod.E):\n    pass\n")
+    assert exceptions_outside("Refused", [tree]) == ["C", "D"]
+
+
+def test_cli_main_has_one_refusal_handler():
+    tree = ast.parse((ROOT / "src" / "irsplan" / "cli.py").read_text(encoding="utf-8"))
+    main = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "main")
+    handlers = [ast.unparse(h.type) for h in ast.walk(main) if isinstance(h, ast.ExceptHandler)]
+    assert handlers == ["Refused", "Exception"]
 
 
 COLD_RUN = """

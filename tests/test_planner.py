@@ -353,3 +353,11 @@ class TestSearchGrid:
     def test_validation(self):
         with pytest.raises(ValueError):
             SearchGrid(radius_step=0.0)
+
+    @pytest.mark.parametrize("step", [3.0, 5.0, 6.0, 7.0, 40.0, 300.0])
+    def test_radius_grid_rises_to_the_cell_edge(self, cell, radio, irs, step):
+        # a remainder above half a step once put a point past R_ex before it
+        # (..., 252, 250 at step 6), and lo_min needs the grid increasing
+        radii = _RingCoefficientTable(cell, radio, irs, 0.95, step).radii
+        assert radii[0] == 0.0 and radii[-1] == cell.R_ex
+        assert np.all(np.diff(radii) > 0.0)

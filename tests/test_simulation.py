@@ -56,6 +56,9 @@ class TestMcConfig:
             McConfig(element_draws="fancy")
         with pytest.raises(ValueError):
             McConfig(n_topologies=0)
+        # the cluster and Student-t intervals need T - 1 >= 1
+        with pytest.raises(ValueError, match="n_topologies >= 2"):
+            McConfig(n_topologies=1)
 
 
 class TestTopologySampling:
@@ -236,7 +239,9 @@ class TestRingPlanCertification:
                 surr.nop_by_region[k], abs=0.02)
 
     def test_worker_count_does_not_change_results(self, cell, radio, irs,
-                                                  plan_m15_a1):
+                                                  plan_m15_a1, monkeypatch):
+        # three threads on any host, however few CPUs it has
+        monkeypatch.setattr(simulation, "_cpus_available", lambda: 3)
         kw = dict(n_topologies=4, n_fading=800, seed=6,
                   element_draws="gaussian-surrogate")
         one = validate_plan_mc(cell, radio, irs, plan_m15_a1,
@@ -245,6 +250,35 @@ class TestRingPlanCertification:
                                  McConfig(n_workers=3, **kw))
         for f in dataclasses.fields(one):
             assert getattr(one, f.name) == getattr(three, f.name), f.name
+
+    @pytest.mark.parametrize("n_workers,T,cpus,want", [(10 ** 6, 5, 2, 2), (64, 3, 64, 3),
+                                                       (1, 4, 8, 1), (4, 10, 3, 3)])
+    def test_worker_threads_are_clamped(self, cell, radio, irs, plan_m15_a1, monkeypatch,
+                                        n_workers, T, cpus, want):
+        # min(n_workers, n_topologies, CPUs); the pool is faked, so no thread
+        # starts whatever the settings ask for
+        assert simulation._cpus_available() >= 1
+        asked = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(simulation, "ThreadPoolExecutor", SerialPool)
+        monkeypatch.setattr(simulation, "_cpus_available", lambda: cpus)
+        validate_plan_mc(cell, radio, irs, plan_m15_a1,
+                         McConfig(n_topologies=T, n_fading=10, n_workers=n_workers,
+                                  element_draws="gaussian-surrogate"))
+        assert asked == [want]
 
     def test_repeat_run_is_identical(self, cell, radio, irs, plan_m15_a1):
         kw = dict(n_topologies=3, n_fading=600, seed=8,
