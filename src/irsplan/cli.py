@@ -11,8 +11,8 @@ Artifacts are deterministic: CSV files carry the resolved config as a '#'
 comment line, JSON reports embed it under "config", and anything
 time-dependent lives in a ``<name>.meta.json`` sidecar so reruns with the
 same config are byte-identical.  Exit codes: 0 ok, 2 a ``Refused`` request
-(rejected input, infeasible request or a result that failed its own check;
-its payload as JSON on stderr), 1 crash.
+(rejected input, infeasible or too expensive request, or a result that
+failed its own check; its payload as JSON on stderr), 1 crash.
 """
 
 import argparse
@@ -35,6 +35,7 @@ from .powerctl import (PowerAllocation, benchmark_cipc, benchmark_equal_power,
 from .simulation import validate_plan_mc
 
 SCHEMA_VERSION = 2
+MAX_COVERAGE_ROWS = 100_000  # each l-row bisects its own radius (about 0.4 ms)
 
 
 # ---------------------------------------------------------------------------
@@ -93,6 +94,9 @@ def cmd_coverage(cfg: ExperimentConfig, out_dir: Path) -> int:
     base = coverage_range(cfg.radio, cfg.irs, cov.p_tx, cov.snr_min)
     rows = [("direct", None, base.r_star, base.limited)]
     n = int(round((cov.l_stop - cov.l_start) / cov.l_step)) + 1
+    if n > MAX_COVERAGE_ROWS:
+        raise Refused("too-expensive", f"a {cov.l_step:g} m l-step asks for {n} coverage "
+                      f"rows; at most {MAX_COVERAGE_ROWS} are allowed")
     for k in range(n):
         l = cov.l_start + k * cov.l_step
         if l > cov.l_stop + 1e-9:

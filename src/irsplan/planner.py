@@ -175,18 +175,23 @@ class _RingCoefficientTable:
     ``fill(keys)`` computes many keys in one batch: their rows (one per
     candidate inner radius) are evaluated CHUNK_ROWS at a time, so the
     working set stays bounded, and every row's coefficient is a function of
-    that row alone, the same bits whichever batch or chunk it falls in.
+    that row alone, the same bits whichever batch or chunk it falls in.  A
+    grid of more than MAX_RADII radii is refused before any of this work.
     """
 
     NODES = 16
     CHUNK_ROWS = 60   # rows per integrand pass: 15,360 points, 120 KB per array
-    NODE_ROWS = 960   # rows whose nodes are laid out together
+    MAX_RADII = 1001  # rows grow as radii^2: the default sweep fills 70,849 at 51 radii
 
     def __init__(self, cell, cfg, irs, p_no, step):
         self.cell = cell
         self.cfg = cfg
         self.irs = irs
         self.p_no = p_no
+        n = math.ceil((cell.R_ex - 1e-9) / step) + 1  # the grid below, counted first
+        if n > self.MAX_RADII:
+            raise Refused("too-expensive", f"a {step:g} m radius grid has {n} radii; "
+                          f"the ring table allows at most {self.MAX_RADII}")
         # strictly increasing and ending at R_ex whatever the remainder
         self.radii = np.append(np.arange(0.0, cell.R_ex - 1e-9, step), cell.R_ex)
         self._r2 = self.radii ** 2
@@ -226,8 +231,8 @@ class _RingCoefficientTable:
         row_half = np.repeat([math.pi / m for _, m, _ in todo], counts)  # half sector angle
         row_near = np.repeat([near_ap for _, _, near_ap in todo], counts)
         F = np.empty(row_lo.size)
-        for at in range(0, F.size, self.NODE_ROWS):
-            rows = slice(at, at + self.NODE_ROWS)
+        for at in range(0, F.size, self.CHUNK_ROWS):
+            rows = slice(at, at + self.CHUNK_ROWS)
             F[rows] = self._half_sector_integrals(row_hi[rows], row_lo[rows], row_half[rows],
                                                   row_near[rows])
         cfg, at = self.cfg, 0
@@ -242,25 +247,16 @@ class _RingCoefficientTable:
         RING_TABLE_STATS.fill_s += time.perf_counter() - start
 
     def _half_sector_integrals(self, hi, lo, half, near_ap):
-        """Twice the tensor-rule integral over each row's half sector.
-
-        The rows' nodes are laid out once; the integrand runs CHUNK_ROWS
-        rows at a time.
-        """
+        """Twice the tensor-rule integral over each row's half sector, in one pass."""
         r = 0.5 * (hi + lo)[:, None] + 0.5 * (hi - lo)[:, None] * self._glx
         r_weights = 0.5 * (hi - lo)[:, None] * self._glw * r
         az = (0.5 * half[:, None] + 0.5 * half[:, None] * self._glx)[:, None, :]
         az_weights = 0.5 * half[:, None] * self._glw
         L = np.where(near_ap, self.cell.L_min, 0.5 * (hi + lo))[:, None, None]
         r = r[:, :, None]
-        F = np.empty(len(hi))
-        for at in range(0, len(hi), self.CHUNK_ROWS):
-            rows = slice(at, at + self.CHUNK_ROWS)
-            vals = irs_power_factor(self.cfg, self.irs, r[rows] ** 2, L[rows] ** 2,
-                                    irs_distance2(r[rows], L[rows], az[rows]), self.p_no)
-            F[rows] = np.einsum("bi,bi->b", np.einsum("bij,bj->bi", vals, az_weights[rows]),
-                                r_weights[rows])
-        return 2.0 * F
+        vals = irs_power_factor(self.cfg, self.irs, r ** 2, L ** 2, irs_distance2(r, L, az),
+                                self.p_no)
+        return 2.0 * np.einsum("bi,bi->b", np.einsum("bij,bj->bi", vals, az_weights), r_weights)
 
 
 @functools.lru_cache(maxsize=8)

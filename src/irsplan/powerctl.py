@@ -23,13 +23,16 @@ form: eta0* = E_total / sum(C); the power ratios follow as rho = eta0* C / E.
 form; the planner and the mean-CIPC benchmark call them.
 
 The fixed-placement policy benchmarks (``benchmark_irs_equal_power``,
-``benchmark_irs_mean_cipc``) tune the common rate max-min over a grid of
-positions.  ``_maxmin_over_rate`` finds the same optimum as evaluating every
-position at every rate, but evaluates few: an upper bound from a small seed
-subset rules out most of the 240 coarse rates before any full evaluation
-(bound and verify), and inside the golden-section bracket only positions
-that monotonicity in eta0 allows to be the minimum are kept, with a 1e-9
-relative margin for rounding.
+``benchmark_irs_mean_cipc``) share one position model: Z^2 ~ Gamma(alpha,
+beta) at every worst-case grid position, exactly Gamma(1, 1/g_d) at the AP
+radii.  A policy picks each position's power p, and ``_policy_report`` tunes
+the common rate max-min on the one forward NOP G_alpha(beta W eta0 / p).
+``_maxmin_over_rate`` finds the same optimum as evaluating every position at
+every rate, but evaluates few: an upper bound from a small seed subset rules
+out most of the 240 coarse rates before any full evaluation (bound and
+verify), and inside the golden-section bracket only positions that
+monotonicity in eta0 allows to be the minimum are kept, with a 1e-9 relative
+margin for rounding.
 """
 
 from __future__ import annotations
@@ -178,37 +181,29 @@ def _ap_spans(cell, plan):
     return [(lo, hi) for lo, hi in spans if hi > lo]
 
 
+@functools.lru_cache(maxsize=8)
 def _worst_case_grid(cfg, cell, irs, plan):
-    """Mean-Z2 / direct-gain samples over a radial-angular worst-case grid.
-
-    Returns (mean_z2, alpha, beta) arrays for IRS sectors plus an AP-region
-    radius grid; covers each ring's full radial span with 40 radii and half
-    sector with 33 azimuths (the statistics are mirror-symmetric about the
-    IRS azimuth), and each AP span with 40 radii.
-    """
+    """(alpha, beta, mean_z2) of Z^2 ~ Gamma(alpha, beta) on a worst-case grid:
+    40 radii x 33 azimuths per ring over its half sector (the statistics are
+    mirror-symmetric about the IRS azimuth) and 40 radii per AP span, where
+    Z^2 = g_d E is exactly Gamma(1, 1/g_d).  Read-only, built once per plan."""
     n_r, n_az = 40, 33
-    mean_list, alpha_list, beta_list = [], [], []
+    parts = [np.empty((3, 0))]
     for i in range(1, plan.I + 1):
         lo, hi = plan.ring_bounds(i)
         if hi <= lo:
             continue
         L = plan.L[i - 1]
-        half = 0.5 * plan.sector_angle(i)
         r = np.linspace(lo if lo > 0 else 1e-6, hi, n_r)[:, None]
-        az = np.linspace(0.0, half, n_az)[None, :]
+        az = np.linspace(0.0, 0.5 * plan.sector_angle(i), n_az)[None, :]
         mean, _, alpha, beta = composite_stats_arrays(cfg, irs, r, L, irs_distance(r, L, az))
-        mean_list.append(mean.ravel())
-        alpha_list.append(alpha.ravel())
-        beta_list.append(beta.ravel())
-    if mean_list:
-        mean_z2 = np.concatenate(mean_list)
-        alpha = np.concatenate(alpha_list)
-        beta = np.concatenate(beta_list)
-    else:
-        mean_z2 = alpha = beta = np.empty(0)
-    r_ap = [np.linspace(lo, hi, n_r) for lo, hi in _ap_spans(cell, plan)]
-    g_ap = mean_gain_direct(cfg, np.concatenate(r_ap)) if r_ap else np.empty(0)
-    return mean_z2, alpha, beta, g_ap
+        parts.append(np.stack([alpha, beta, mean]).reshape(3, -1))
+    for lo, hi in _ap_spans(cell, plan):
+        g_d = mean_gain_direct(cfg, np.linspace(lo, hi, n_r))
+        parts.append(np.stack([np.ones(n_r), 1.0 / g_d, g_d]))
+    grid = np.concatenate(parts, axis=1)
+    grid.flags.writeable = False
+    return tuple(grid)
 
 
 def _maxmin_over_rate(nops, n, seed):
@@ -235,12 +230,13 @@ def _maxmin_over_rate(nops, n, seed):
       NOP_j(a) and NOP_k(eta0) >= NOP_k(b), so only positions with
       NOP_k(b) <= min_j NOP_j(a) can be the minimum inside the bracket.  The
       test carries a relative margin of 1e-9, because computed NOPs are
-      monotone only up to rounding: exp errs by under one ulp, and
-      gammaincc's values rose against the trend by at most 4.3e-14 relative
-      when measured over 400 shapes of the sweep's grids (alpha 1.09 to
-      235) at steps of 1 to 4096 ulps in x.  The margin keeps every position
-      that a rounding error of that size could make the minimum, with four
-      orders of magnitude to spare.  A rate the section evaluates outside
+      monotone only up to rounding: gammaincc's values rose against the
+      trend by at most 4.3e-14 relative when measured over 400 shapes of the
+      sweep's grids (alpha 1.09 to 235), and by at most 2.8e-15 at alpha = 1
+      (the AP radii; 2e5 points of x in [1e-8, 700]), at steps of 1 to 4096
+      ulps in x.  The margin keeps every position that a rounding error of
+      that size could make the minimum, with four orders of magnitude to
+      spare.  A rate the section evaluates outside
       [a, b] (exp of a rounded log endpoint) falls back to every position.
     """
     coarse = 240
@@ -300,35 +296,28 @@ def _pareto_seed(alpha, beta):
     return order[b > prev_max]
 
 
+def _policy_report(method, alpha, scale, seed, details) -> ThroughputReport:
+    """Max-min common rate when position k has NOP G_alpha[k](scale[k] eta0);
+    seed bounds the rate scan (see ``_maxmin_over_rate``)."""
+    def nops(eta0, idx):
+        return reg_upper_gamma(alpha[idx], scale[idx] * eta0)
+
+    eta0, nu, nop = _maxmin_over_rate(nops, alpha.size, seed)
+    return ThroughputReport(method=method, eta0=eta0, R_bar=math.log2(1.0 + eta0),
+                            p_no=nop, nu_bar=nu, details={**details, "benchmark": True})
+
+
 def benchmark_irs_equal_power(cfg, cell, irs, plan) -> ThroughputReport:
     """IRS placement kept, power policy replaced by an equal per-UE split.
 
     The common rate is tuned so the worst grid position's throughput is
     maximal; unlike the target-NOP policies the achieved NOP floats.
-    Positions 0..n_irs-1 are the surface grid, the rest the AP radii.
     """
     p = cfg.E_total / (cell.K * cfg.t0)
-    _, alpha, beta, g_ap = _worst_case_grid(cfg, cell, irs, plan)
-    n_irs = alpha.size
-
-    def nops(eta0, idx):
-        thr = cfg.W * eta0 / p
-        on_irs = idx < n_irs
-        out = np.empty(np.broadcast_shapes(np.shape(thr), idx.shape))
-        out[..., ~on_irs] = np.exp(-thr / g_ap[idx[~on_irs] - n_irs])
-        if on_irs.any():
-            irs_idx = idx[on_irs]
-            out[..., on_irs] = reg_upper_gamma(alpha[irs_idx], beta[irs_idx] * thr)
-        return out
-
-    seed = _pareto_seed(alpha, beta)
-    if g_ap.size:
-        seed = np.append(seed, n_irs + np.argmin(g_ap))
-    eta0, nu, nop = _maxmin_over_rate(nops, n_irs + g_ap.size, seed)
-    return ThroughputReport(method="irs-equal-power", eta0=eta0,
-                            R_bar=math.log2(1.0 + eta0), p_no=nop, nu_bar=nu,
-                            details={"p_ue_W": p, "benchmark": True,
-                                     "policy": "equal per-UE power on the fixed placement"})
+    alpha, beta, _ = _worst_case_grid(cfg, cell, irs, plan)
+    scale = beta * cfg.W / p
+    return _policy_report("irs-equal-power", alpha, scale, _pareto_seed(alpha, scale),
+                          {"p_ue_W": p, "policy": "equal per-UE power on the fixed placement"})
 
 
 def benchmark_irs_mean_cipc(cfg, cell, irs, plan) -> ThroughputReport:
@@ -343,9 +332,8 @@ def benchmark_irs_mean_cipc(cfg, cell, irs, plan) -> ThroughputReport:
         lo, hi = plan.ring_bounds(i)
         if hi <= lo:
             continue
-        L = plan.L[i - 1]
 
-        def inv_mean(r, az, L=L):
+        def inv_mean(r, az, L=plan.L[i - 1]):
             mean, _, _, _ = composite_stats_arrays(cfg, irs, r, L, irs_distance(r, L, az))
             return 1.0 / mean
 
@@ -356,30 +344,11 @@ def benchmark_irs_mean_cipc(cfg, cell, irs, plan) -> ThroughputReport:
                               / cfg.alpha0)
     gamma_bar = cfg.E_total / (cell.ue_density * cfg.W * cfg.t0 * inv_gain_integral)
 
-    mean_z2, alpha, beta, g_ap = _worst_case_grid(cfg, cell, irs, plan)
-    # thr = W eta0 / p with p = gbar W / mean; beta * mean is alpha up to
-    # rounding, and G_alpha(alpha t) is monotone in alpha, so the extreme
-    # shapes seed the bound.  Position n_irs (if any) is the AP term, the
-    # same at every AP radius.
-    beta_mean = beta * mean_z2
-    n_irs = alpha.size
-    ap_nop = np.vectorize(lambda eta0: math.exp(-eta0 / gamma_bar), otypes=[float])
-
-    def nops(eta0, idx):
-        on_irs = idx < n_irs
-        out = np.empty(np.broadcast_shapes(np.shape(eta0), idx.shape))
-        out[...] = ap_nop(eta0)
-        if on_irs.any():
-            irs_idx = idx[on_irs]
-            out[..., on_irs] = reg_upper_gamma(alpha[irs_idx],
-                                               beta_mean[irs_idx] * eta0 / gamma_bar)
-        return out
-
-    seed = np.unique([np.argmin(alpha), np.argmax(alpha)]) if n_irs else np.empty(0, int)
-    if g_ap.size:
-        seed = np.append(seed, n_irs)
-    eta0, nu, nop = _maxmin_over_rate(nops, n_irs + min(g_ap.size, 1), seed)
-    return ThroughputReport(method="irs-mean-cipc", eta0=eta0,
-                            R_bar=math.log2(1.0 + eta0), p_no=nop, nu_bar=nu,
-                            details={"gamma_bar": gamma_bar, "benchmark": True,
-                                     "policy": "mean-gain inversion on the fixed placement"})
+    alpha, beta, mean_z2 = _worst_case_grid(cfg, cell, irs, plan)
+    # p = gbar W / E{Z^2}: scale is alpha / gbar up to rounding, so every
+    # position is on the Pareto front and the extreme shapes seed the bound
+    scale = beta * mean_z2 / gamma_bar
+    seed = np.unique([np.argmin(alpha), np.argmax(alpha)])
+    return _policy_report("irs-mean-cipc", alpha, scale, seed,
+                          {"gamma_bar": gamma_bar,
+                           "policy": "mean-gain inversion on the fixed placement"})

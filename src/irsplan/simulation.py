@@ -321,7 +321,4 @@ def validate_plan_mc(cell: CellConfig, cfg: RadioConfig, irs: IrsSpec,
                                "bank each), floored by Agresti-Coull at "
                                "n_fading draws per topology present"),
             "irs_region_nop_minus_target": irs_bias,
-            "tail_fit_note": ("IRS-region empirical NOP sits above the target: "
-                              "the Gamma tail fit is conservative at this "
-                              "operating point (positive deltas above)"),
         })

@@ -158,6 +158,15 @@ class TestCoverageCommand:
         for r in rows[1:]:
             assert float(r["r_star_m"]) == pytest.approx(base, abs=1e-3)
 
+    def test_runaway_l_grid_is_refused(self, tmp_path, capsys):
+        # 590,000,001 rows at 0.4 ms each: refused before the first one
+        rc = main(["coverage", "--out", str(tmp_path), "--set", "coverage.l_step=1e-6"])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["kind"] == "too-expensive"
+        assert "590000001" in err["detail"] and "100000" in err["detail"]
+        assert not (tmp_path / "coverage.csv").exists()
+
 
 PLAN_ARGS = ["--set", "plan.method=algorithm1", "--set", "plan.M=15"]
 
@@ -196,6 +205,17 @@ class TestPlanCommand:
         assert ring["fill_s"] > 0.0 and ring["dp_s"] > 0.0
         doc = json.loads((tmp_path / "plan.json").read_text(encoding="utf-8"))
         assert "ring_table" not in json.dumps(doc)
+
+    def test_runaway_radius_grid_is_refused(self, tmp_path, capsys):
+        # 250,001 radii would ask c0_grid for as many quadratures and the
+        # dynamic program for a 600 MB array; refused before either
+        rc = main(["plan", "--out", str(tmp_path), "--method", "line-search",
+                   "--set", "grid.radius_step=1e-3"])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["kind"] == "too-expensive"
+        assert "250001" in err["detail"] and "1001" in err["detail"]
+        assert not (tmp_path / "plan.json").exists()
 
     def test_method_flag_overrides_config(self, tmp_path):
         rc = main(["plan", "--out", str(tmp_path), "--method", "algorithm1",
@@ -285,6 +305,15 @@ class TestSweepCommand:
         assert rc == 0
         meta = json.loads((tmp_path / "sweep.csv.meta.json").read_text(encoding="utf-8"))
         assert meta["ring_table"]["points"] == 256 * meta["ring_table"]["rows"]
+
+    def test_one_policy_grid_per_placement(self, tmp_path):
+        # both IRS policy benchmarks of a budget read one cached grid
+        from irsplan.powerctl import _worst_case_grid
+        _worst_case_grid.cache_clear()
+        assert main(["sweep", "--out", str(tmp_path)]) == 0  # M = 10..100, every method
+        _, _, rows = read_csv(tmp_path / "sweep.csv")
+        assert sum(r["method"] == "irs-mean-cipc" for r in rows) == 10
+        assert _worst_case_grid.cache_info().misses == 10
 
     @pytest.mark.parametrize("budgets", ["[true]", "[true, 1]", "[10, false]"])
     def test_boolean_budgets_are_rejected(self, tmp_path, capsys, budgets):
@@ -409,6 +438,21 @@ class TestValidateCommand:
         assert d["irs_nop_slack"] == pytest.approx(low - 0.95, abs=1e-12)
         assert d["verdict"] == ("violated" if upper < mc["analytical_nu_bar"] else
                                 "met-conservative" if low > 0.95 else "met")
+
+    def test_violated_run_claims_no_conservative_fit(self, tmp_path):
+        # at p_no = 0.6 the Gamma fit is optimistic: every IRS region falls
+        # short of the target, and no note may say the fit is conservative
+        low = ["--set", "outage.p_no_min=0.6"]
+        assert main(["plan", "--out", str(tmp_path)] + low) == 0
+        out = tmp_path / "mc"
+        assert main(["validate", str(tmp_path / "plan.json"), "--out", str(out),
+                     "--seed", "1", "--set", "mc.element_draws=gaussian-surrogate",
+                     "--set", "mc.n_topologies=20", "--set", "mc.n_fading=2000"] + low) == 0
+        doc = json.loads((out / "mc_report.json").read_text(encoding="utf-8"))
+        assert doc["deltas"]["verdict"] == "violated"
+        notes = doc["mc"]["notes"]
+        assert "tail_fit_note" not in notes
+        assert all(v < 0.0 for v in notes["irs_region_nop_minus_target"].values())
 
     def test_rerun_is_byte_identical(self, tmp_path, plan_file):
         a, b = tmp_path / "a", tmp_path / "b"

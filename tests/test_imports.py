@@ -1,7 +1,8 @@
 """Every imported name in src/ and tests/ is used; every src/ parameter is read;
 every private module-level name in src/ is referenced somewhere in src/; every
 exception class in src/ derives from ``numerics.Refused``, so ``cli.main``
-needs one refusal handler (exit code 2) beside its crash handler.
+needs one refusal handler (exit code 2) beside its crash handler; and the
+policy benchmarks of ``powerctl`` reach ``reg_upper_gamma`` from one function.
 
 A cold ``plan`` and ``validate`` also must not import ``scipy.interpolate``:
 it would add about a third of a second to every such process.  A cold
@@ -187,6 +188,26 @@ def test_cli_main_has_one_refusal_handler():
     main = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "main")
     handlers = [ast.unparse(h.type) for h in ast.walk(main) if isinstance(h, ast.ExceptHandler)]
     assert handlers == ["Refused", "Exception"]
+
+
+def callers(name, tree):
+    """Sorted module-level functions of `tree` whose bodies (nested functions
+    included) call `name`."""
+    return sorted(fn.name for fn in tree.body if isinstance(fn, ast.FunctionDef)
+                  and any(isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
+                          and n.func.id == name for n in ast.walk(fn)))
+
+
+def test_policy_benchmarks_share_one_forward_nop():
+    # a tail-model option must reach every policy through one place
+    tree = ast.parse((ROOT / "src" / "irsplan" / "powerctl.py").read_text(encoding="utf-8"))
+    assert callers("reg_upper_gamma", tree) == ["_policy_report"]
+
+
+def test_scan_flags_a_second_caller():
+    tree = ast.parse("def f(a):\n    def g(x):\n        return h(x)\n    return g(a)\n"
+                     "def k(b):\n    return h(b) + m.h(b)\nh(1)\n")
+    assert callers("h", tree) == ["f", "k"]
 
 
 COLD_RUN = """

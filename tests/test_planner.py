@@ -245,8 +245,8 @@ class TestBatchedFill:
         shuffled = _RingCoefficientTable(cell, radio, irs, 0.95, 5.0)
         shuffled.fill(keys[::-7] + keys)
         rows = sum(hi - int(one.lo_min(hi, m)) for hi, m, _ in keys)
-        # several chunks and node groups, with keys straddling their edges
-        assert rows > 2 * one.NODE_ROWS and rows % one.CHUNK_ROWS
+        # several chunks, with keys straddling their edges
+        assert rows > 2 * one.CHUNK_ROWS and rows % one.CHUNK_ROWS
         for key in keys:
             assert np.array_equal(batch.ring_vec(*key), one.ring_vec(*key)), key
             assert np.array_equal(shuffled.ring_vec(*key), one.ring_vec(*key)), key

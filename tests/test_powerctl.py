@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from irsplan.channel import nop_direct
+from irsplan.channel import mean_gain_direct, nop_direct
 from irsplan.geometry import make_ring_plan
 from irsplan.numerics import integrate_radial, reg_upper_gamma
 from irsplan.planner import _coefficient_table, _finalize, line_search
@@ -159,7 +159,6 @@ class TestApBaselines:
         assert rep.nu_bar == pytest.approx(1.653242459858146, rel=1e-12)
 
     def test_equal_power_closed_form(self, radio, cell):
-        from irsplan.channel import mean_gain_direct
         rep = benchmark_equal_power(radio, cell, 0.95)
         p = radio.E_total / (cell.K * radio.t0)
         eta0 = p * mean_gain_direct(radio, cell.R_ex) * math.log(1 / 0.95) / radio.W
@@ -257,35 +256,21 @@ def unpruned_scan(nop_of_eta0):
     return eta0, objective(eta0), nop_of_eta0(eta0)
 
 
+def unpruned_policy(alpha, scale):
+    """Oracle scan when position k has NOP G_alpha[k](scale[k] eta0)."""
+    return unpruned_scan(
+        lambda eta0: float(np.min(reg_upper_gamma(alpha, scale * eta0), initial=1.0)))
+
+
 def unpruned_equal_power(radio, cell, irs, plan):
     p = radio.E_total / (cell.K * radio.t0)
-    _, alpha, beta, g_ap = _worst_case_grid(radio, cell, irs, plan)
-
-    def min_nop(eta0):
-        thr = radio.W * eta0 / p
-        worst = 1.0
-        if alpha.size:
-            worst = min(worst, float(reg_upper_gamma(alpha, beta * thr).min()))
-        if g_ap.size:
-            worst = min(worst, float(np.exp(-thr / g_ap).min()))
-        return worst
-
-    return unpruned_scan(min_nop)
+    alpha, beta, _ = _worst_case_grid(radio, cell, irs, plan)
+    return unpruned_policy(alpha, beta * radio.W / p)
 
 
 def unpruned_mean_cipc(radio, cell, irs, plan, gamma_bar):
-    mean_z2, alpha, beta, g_ap = _worst_case_grid(radio, cell, irs, plan)
-
-    def min_nop(eta0):
-        worst = 1.0
-        if alpha.size:
-            x = beta * mean_z2 * eta0 / gamma_bar
-            worst = min(worst, float(reg_upper_gamma(alpha, x).min()))
-        if g_ap.size:
-            worst = min(worst, math.exp(-eta0 / gamma_bar))
-        return worst
-
-    return unpruned_scan(min_nop)
+    alpha, beta, mean_z2 = _worst_case_grid(radio, cell, irs, plan)
+    return unpruned_policy(alpha, beta * mean_z2 / gamma_bar)
 
 
 def unpruned_synthetic(nops, n):
@@ -334,12 +319,33 @@ class TestPrunedRateScan:
     @pytest.mark.parametrize("name", ["ap-only", "no-ap-span", "two-rings"])
     def test_edge_plans(self, radio, cell, irs, name):
         plan = _plans(cell)[name]
-        if name == "no-ap-span":
-            assert _worst_case_grid(radio, cell, irs, plan)[3].size == 0
+        alpha = _worst_case_grid(radio, cell, irs, plan)[0]
+        if name == "no-ap-span":  # AP radii are the Gamma(1, 1/g_d) positions
+            assert not (alpha == 1.0).any()
+        if name == "ap-only":
+            assert (alpha == 1.0).all()
         self.assert_both_policies_exact(radio, cell, irs, plan)
 
+    def test_ap_radii_are_exponential_positions(self, radio, cell, irs):
+        # Z^2 = g_d E at an AP radius: Gamma(1, 1/g_d), so the equal-power NOP
+        # G_1(beta W eta0 / p) is the direct link's exp(-W eta0 / (p g_d))
+        alpha, beta, mean_z2 = _worst_case_grid(radio, cell, irs, _plans(cell)["ap-only"])
+        r = np.concatenate([np.linspace(0.0, 200.0, 40), np.linspace(200.0, 250.0, 40)])
+        assert np.array_equal(mean_z2, mean_gain_direct(radio, r))
+        assert np.array_equal(beta, 1.0 / mean_z2)
+        p, eta0 = 0.02, 7.5
+        got = reg_upper_gamma(alpha, beta * radio.W / p * eta0)
+        assert got == pytest.approx(nop_direct(radio, p, r, eta0), rel=1e-13)
+
+    def test_grid_is_shared_and_read_only(self, radio, cell, irs):
+        plan = _plans(cell)["two-rings"]
+        grid = _worst_case_grid(radio, cell, irs, plan)
+        assert _worst_case_grid(radio, cell, irs, plan) is grid
+        with pytest.raises(ValueError):
+            grid[0][0] = 2.0
+
     def test_pareto_seed_dominates_every_position(self, radio, cell, irs):
-        _, alpha, beta, _ = _worst_case_grid(radio, cell, irs, _plans(cell)["two-rings"])
+        alpha, beta, _ = _worst_case_grid(radio, cell, irs, _plans(cell)["two-rings"])
         seed = _pareto_seed(alpha, beta)
         assert 0 < seed.size < alpha.size / 10
         dominated = ((alpha[seed][:, None] <= alpha[None, :])
@@ -353,8 +359,7 @@ class TestPrunedRateScan:
         # the seed sets the cost only: any subset, even none, gives the
         # brute-force numbers
         if case == "duplicated":
-            _, alpha, beta, _ = _worst_case_grid(radio, cell, irs,
-                                                 _plans(cell)["two-rings"])
+            alpha, beta, _ = _worst_case_grid(radio, cell, irs, _plans(cell)["two-rings"])
             thr_per_eta0 = radio.W * cell.K * radio.t0 / radio.E_total
             alpha, beta = np.tile(alpha, 3), np.tile(beta * thr_per_eta0, 3)
         elif case == "all-equal":

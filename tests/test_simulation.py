@@ -223,7 +223,6 @@ class TestRingPlanCertification:
             0.95, abs=3 * est.nop_half_width_by_region["ap"] + 1e-3)
         for k in ("ring1", "ring2"):
             assert est.nop_by_region[k] > 0.94
-        assert "tail_fit_note" in est.notes
         assert est.notes["irs_region_nop_minus_target"].keys() == {"ring1", "ring2"}
 
     def test_exact_draws_agree_with_surrogate(self, cell, radio, irs,
