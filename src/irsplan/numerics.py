@@ -5,8 +5,9 @@ gamma function and its inverse are domain-checked wrappers around
 ``scipy.special.gammaincc`` and ``scipy.special.gammainccinv`` (the
 DiDonato-Morris algorithms, ACM TOMS 12, 1986), imported where first called
 so that importing irsplan does not import scipy; ``get_tail_quantile`` fixes
-the inverse's probability.  Quadrature is composite Gauss-Legendre with
-dyadic refinement; root finding is bisection.
+the inverse's probability.  Quadrature is composite Gauss-Legendre on given
+panel breakpoints (``_gl_panels``); the public integrators refine dyadic
+panels and serve as references.  Root finding is bisection.
 """
 
 from __future__ import annotations
@@ -29,8 +30,9 @@ class Refused(Exception):
 
 
 class NumericsError(Refused):
-    """Raised when a quadrature refinement fails to converge; the message
-    carries its last two estimates."""
+    """Raised when an adaptive quadrature's refinement fails to converge; the
+    message carries its last two estimates.  No CLI command integrates
+    adaptively, so none emits this kind."""
 
     def __init__(self, detail):
         super().__init__("numerics-error", detail)
@@ -109,15 +111,16 @@ def _gl_nodes(n):
     return np.polynomial.legendre.leggauss(n)
 
 
-def _gl_panels(a, b, n_panels, nodes):
-    """Node positions and weights for composite GL over [a, b]."""
+def _gl_panels(edges, nodes):
+    """Node positions and weights of composite GL on the panels between
+    consecutive breakpoints along the last axis of the array `edges`; leading
+    axes batch independent rules."""
     x, w = _gl_nodes(nodes)
-    edges = np.linspace(a, b, n_panels + 1)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    pts = (mid[:, None] + half[:, None] * x[None, :]).ravel()
-    wts = (half[:, None] * w[None, :]).ravel()
-    return pts, wts
+    mid = 0.5 * (edges[..., :-1] + edges[..., 1:])
+    half = 0.5 * (edges[..., 1:] - edges[..., :-1])
+    shape = edges.shape[:-1] + (-1,)
+    pts = (mid[..., None] + half[..., None] * x).reshape(shape)
+    return pts, (half[..., None] * w).reshape(shape)
 
 
 def integrate_radial(f, a, b, tol: Tolerance = DEFAULT_TOL, nodes=32, max_levels=12):
@@ -134,7 +137,7 @@ def integrate_radial(f, a, b, tol: Tolerance = DEFAULT_TOL, nodes=32, max_levels
         return 0.0
     prev = None
     for level in range(max_levels + 1):
-        pts, wts = _gl_panels(a, b, 2 ** level, nodes)
+        pts, wts = _gl_panels(np.linspace(a, b, 2 ** level + 1), nodes)
         cur = float(np.dot(wts, np.asarray(f(pts), dtype=float)))
         if prev is not None and abs(cur - prev) <= tol.abs_tol + tol.rel_tol * abs(cur):
             return cur
@@ -162,8 +165,8 @@ def integrate_polar_sector(f, r_in, r_out, phi, tol: Tolerance = DEFAULT_TOL,
         return 0.0
     prev = None
     for level in range(max_levels + 1):
-        rp, rw = _gl_panels(r_in, r_out, 2 ** level, nodes)
-        pp, pw = _gl_panels(0.0, phi, 2 ** level, nodes)
+        rp, rw = _gl_panels(np.linspace(r_in, r_out, 2 ** level + 1), nodes)
+        pp, pw = _gl_panels(np.linspace(0.0, phi, 2 ** level + 1), nodes)
         vals = np.asarray(f(rp[:, None], pp[None, :]), dtype=float)
         cur = float(np.einsum("i,j,ij->", rw * rp, pw, vals))
         if prev is not None and abs(cur - prev) <= tol.abs_tol + tol.rel_tol * abs(cur):

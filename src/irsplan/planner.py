@@ -18,16 +18,17 @@ Three entry points:
   first, then lay rings inward with equal-interval tentative radii, sizing
   each ring so one sector carries the per-IRS UE cap.
 
-The search amortizes sector energy integrals through a per-configuration
-coefficient table (fixed 16-point tensor quadrature over the half sector,
-over the candidate inner radii the load cap allows; each DP layer fills all
-the rings it needs in one batch, evaluated in chunks of a constant number
-of rings) and re-derives the winning configuration through the
-adaptive-quadrature contract path before returning it.  Both integrate
+The search screens sector energy integrals through a per-configuration
+coefficient table (one 16-point Gauss-Legendre panel per direction over the
+half sector, over the candidate inner radii the load cap allows; each DP
+layer fills all the rings it needs in one batch, evaluated in chunks of a
+constant number of rings) and prices the winning configuration with
+``powerctl``'s graded rule (``irs_region_coefficient``) before returning it.
+Both rules are the same panel arithmetic, ``numerics._gl_panels``, over
 ``channel.irs_power_factor``, which reads one shared table per (N, p_no).
 ``line_search_budgets`` runs the dynamic program once for many budgets
 (``line_search`` is its one-budget case), and ``RING_TABLE_STATS`` counts
-the table work of the process.
+the table and pricing work of the process.
 """
 
 from __future__ import annotations
@@ -42,9 +43,9 @@ import numpy as np
 
 from .channel import IrsSpec, RadioConfig, composite_stats_arrays, irs_power_factor
 from .geometry import CellConfig, RingPlan, irs_distance2, make_ring_plan, validate_plan
-from .numerics import Refused, _gl_nodes, bisect
-from .powerctl import (PowerAllocation, RegionEnergyCoefficient, _ap_spans,
-                       ap_region_coefficient, equalize_power,
+from .numerics import Refused, _gl_panels, bisect
+from .powerctl import (RING_TABLE_STATS, PowerAllocation, RegionEnergyCoefficient,
+                       _ap_spans, ap_region_coefficient, equalize_power,
                        irs_region_coefficient)
 
 
@@ -139,27 +140,6 @@ def coverage_range(cfg: RadioConfig, irs: IrsSpec, p, gamma_thresh,
 # ring-coefficient table for the line search
 # ---------------------------------------------------------------------------
 
-@dataclass
-class RingTableStats:
-    """Work counters of this process's ring-coefficient tables and searches.
-
-    Telemetry only (the CLI writes them to the ``.meta.json`` sidecars):
-    ``fills`` (hi, m, near_ap) keys filled, ``rows`` ring coefficients
-    computed in them, ``points`` integrand points evaluated, ``fill_s`` the
-    fills' seconds and ``dp_s`` the line searches' seconds outside fills and
-    the final adaptive re-derivation.
-    """
-
-    fills: int = 0
-    rows: int = 0
-    points: int = 0
-    fill_s: float = 0.0
-    dp_s: float = 0.0
-
-
-RING_TABLE_STATS = RingTableStats()
-
-
 class _RingCoefficientTable:
     """Cached per-ring energy coefficients on a fixed radius grid.
 
@@ -195,7 +175,6 @@ class _RingCoefficientTable:
         # strictly increasing and ending at R_ex whatever the remainder
         self.radii = np.append(np.arange(0.0, cell.R_ex - 1e-9, step), cell.R_ex)
         self._r2 = self.radii ** 2
-        self._glx, self._glw = _gl_nodes(self.NODES)
         self.c0_grid = np.array([ap_region_coefficient(cfg, cell, p_no, R).C
                                  for R in self.radii])
         self._cache = {}
@@ -247,15 +226,15 @@ class _RingCoefficientTable:
         RING_TABLE_STATS.fill_s += time.perf_counter() - start
 
     def _half_sector_integrals(self, hi, lo, half, near_ap):
-        """Twice the tensor-rule integral over each row's half sector, in one pass."""
-        r = 0.5 * (hi + lo)[:, None] + 0.5 * (hi - lo)[:, None] * self._glx
-        r_weights = 0.5 * (hi - lo)[:, None] * self._glw * r
-        az = (0.5 * half[:, None] + 0.5 * half[:, None] * self._glx)[:, None, :]
-        az_weights = 0.5 * half[:, None] * self._glw
+        """Twice the tensor-rule integral over each row's half sector, in one pass:
+        one NODES-point panel per row in each direction."""
+        r, r_weights = _gl_panels(np.stack([lo, hi], axis=-1), self.NODES)
+        az, az_weights = _gl_panels(np.stack([np.zeros_like(half), half], axis=-1), self.NODES)
+        r_weights = r_weights * r
         L = np.where(near_ap, self.cell.L_min, 0.5 * (hi + lo))[:, None, None]
         r = r[:, :, None]
-        vals = irs_power_factor(self.cfg, self.irs, r ** 2, L ** 2, irs_distance2(r, L, az),
-                                self.p_no)
+        vals = irs_power_factor(self.cfg, self.irs, r ** 2, L ** 2,
+                                irs_distance2(r, L, az[:, None, :]), self.p_no)
         return 2.0 * np.einsum("bi,bi->b", np.einsum("bij,bj->bi", vals, az_weights), r_weights)
 
 
@@ -273,7 +252,7 @@ def _coefficient_table(cell, cfg, irs, p_no, step) -> _RingCoefficientTable:
 # ---------------------------------------------------------------------------
 
 def _finalize(cell, cfg, irs, p_no, R_in, M, method, diagnostics=None) -> PlanResult:
-    """Re-derive a candidate through the adaptive contract path and package it."""
+    """Price a candidate's rings with the graded rule and package it."""
     plan = make_ring_plan(cell, R_in, M)
     C0 = sum(ap_region_coefficient(cfg, cell, p_no, hi).C
              - ap_region_coefficient(cfg, cell, p_no, lo).C for lo, hi in _ap_spans(cell, plan))

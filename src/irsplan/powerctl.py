@@ -20,7 +20,10 @@ sum(eta0 * C) = E_total pins the max-min-optimal common threshold in closed
 form: eta0* = E_total / sum(C); the power ratios follow as rho = eta0* C / E.
 
 ``f0_integral`` and ``ap_region_coefficient`` are the one AP-energy closed
-form; the planner and the mean-CIPC benchmark call them.
+form; the planner and the mean-CIPC benchmark call them.  ``_sector_integral``
+is the one sector-quadrature rule, a fixed graded Gauss-Legendre rule: it
+prices every ring (``irs_region_coefficient``) and the mean-CIPC inverse-gain
+integral.
 
 The fixed-placement policy benchmarks (``benchmark_irs_equal_power``,
 ``benchmark_irs_mean_cipc``) share one position model: Z^2 ~ Gamma(alpha,
@@ -46,7 +49,34 @@ import numpy as np
 from .channel import (IrsSpec, RadioConfig, composite_stats_arrays,
                       irs_power_factor, mean_gain_direct)
 from .geometry import CellConfig, RingPlan, irs_distance, irs_distance2
-from .numerics import integrate_polar_sector, reg_upper_gamma
+from .numerics import _gl_panels, reg_upper_gamma
+
+SECTOR_NODES = 10                     # Gauss-Legendre nodes per panel of the graded rule
+SECTOR_GRADING = 3.0 ** np.arange(6)  # breakpoints at L +- 3^k m and 3^k / L rad, k = 0..5
+
+
+@dataclass
+class RingTableStats:
+    """Work counters of this process's ring tables, searches and pricing.
+
+    Telemetry only (the CLI writes them to the ``.meta.json`` sidecars):
+    ``fills`` (hi, m, near_ap) keys filled in the planner's tables, ``rows``
+    ring coefficients computed in them, ``points`` their integrand points,
+    ``fill_s`` the fills' seconds, ``dp_s`` the line searches' seconds less
+    fills and pricing, ``priced_rings`` / ``priced_points`` the graded rule's
+    sector integrals and integrand points.
+    """
+
+    fills: int = 0
+    rows: int = 0
+    points: int = 0
+    fill_s: float = 0.0
+    dp_s: float = 0.0
+    priced_rings: int = 0
+    priced_points: int = 0
+
+
+RING_TABLE_STATS = RingTableStats()
 
 
 @dataclass(frozen=True)
@@ -104,10 +134,10 @@ def irs_region_coefficient(cfg: RadioConfig, cell: CellConfig, irs: IrsSpec,
                            plan: RingPlan, i, p_no) -> RegionEnergyCoefficient:
     """Energy-per-eta0 coefficient of ring i (1-based).
 
-    F_i integrates beta / q_alpha(p_no) over one sector (adaptive polar
-    quadrature, exploiting mirror symmetry about the IRS azimuth); the ring
-    coefficient is C_i = M_i * lambda * W * t_0 * F_i.  Each distinct ring
-    (R_in[i], R_in[i-1], L_i, M_i) is integrated once per process.
+    F_i integrates beta / q_alpha(p_no) over one sector (the graded rule of
+    ``_sector_integral`` over the half sector, doubled by mirror symmetry
+    about the IRS azimuth); the ring coefficient is
+    C_i = M_i * lambda * W * t_0 * F_i.
     """
     if not (0.0 < p_no < 1.0):
         raise ValueError("irs_region_coefficient: p_no must lie in (0, 1)")
@@ -115,18 +145,28 @@ def irs_region_coefficient(cfg: RadioConfig, cell: CellConfig, irs: IrsSpec,
     name = f"ring{i}"
     if hi - lo <= 0.0:
         return RegionEnergyCoefficient(region=name, C=0.0)
-    C = _ring_coefficient(cfg, cell, irs, lo, hi, plan.L[i - 1], plan.M[i - 1], p_no)
-    return RegionEnergyCoefficient(region=name, C=C)
+    L, m = plan.L[i - 1], plan.M[i - 1]
 
-
-@functools.lru_cache(maxsize=4096)
-def _ring_coefficient(cfg, cell, irs, lo, hi, L, m, p_no):
-    """C of the ring [lo, hi] with m surfaces on the circle of radius L."""
-    def integrand(r, az):
+    def factor(r, az):
         return irs_power_factor(cfg, irs, r * r, L * L, irs_distance2(r, L, az), p_no)
 
-    F = 2.0 * integrate_polar_sector(integrand, lo, hi, math.pi / m)
-    return m * cell.ue_density * cfg.W * cfg.t0 * F
+    F = 2.0 * _sector_integral(factor, lo, hi, L, math.pi / m)
+    return RegionEnergyCoefficient(region=name, C=m * cell.ue_density * cfg.W * cfg.t0 * F)
+
+
+def _sector_integral(f, lo, hi, L, half):
+    """Integral of f(r, az) * r over [lo, hi] x [0, half] by the graded rule:
+    composite GL, SECTOR_NODES a panel, with breakpoints at L +- 3^k m and
+    3^k / L rad (clipped to the box) grading the panels toward (L, 0), where
+    the IRS-UE distance falls to H_I (Davis & Rabinowitz, Methods of
+    Numerical Integration, 1984).  f sees the broadcast grid once."""
+    r_edges = np.concatenate(([lo, hi], L - SECTOR_GRADING, L + SECTOR_GRADING))
+    az_edges = np.concatenate(([0.0, half], SECTOR_GRADING / L))
+    r, r_w = _gl_panels(np.unique(np.clip(r_edges, lo, hi)), SECTOR_NODES)
+    az, az_w = _gl_panels(np.unique(np.clip(az_edges, 0.0, half)), SECTOR_NODES)
+    RING_TABLE_STATS.priced_rings += 1
+    RING_TABLE_STATS.priced_points += r.size * az.size
+    return float((r_w * r) @ f(r[:, None], az[None, :]) @ az_w)
 
 
 def equalize_power(coeffs, cfg: RadioConfig, p_no) -> PowerAllocation:
@@ -332,13 +372,14 @@ def benchmark_irs_mean_cipc(cfg, cell, irs, plan) -> ThroughputReport:
         lo, hi = plan.ring_bounds(i)
         if hi <= lo:
             continue
+        L = plan.L[i - 1]
 
-        def inv_mean(r, az, L=plan.L[i - 1]):
+        def inv_mean(r, az):
             mean, _, _, _ = composite_stats_arrays(cfg, irs, r, L, irs_distance(r, L, az))
             return 1.0 / mean
 
         half = 0.5 * plan.sector_angle(i)
-        inv_gain_integral += plan.M[i - 1] * 2.0 * integrate_polar_sector(inv_mean, lo, hi, half)
+        inv_gain_integral += plan.M[i - 1] * 2.0 * _sector_integral(inv_mean, lo, hi, L, half)
     for lo, hi in _ap_spans(cell, plan):  # 1/g_d = (r^2 + H_A^2)^(n0/2) / alpha0
         inv_gain_integral += (2.0 * math.pi * (f0_integral(cfg, hi) - f0_integral(cfg, lo))
                               / cfg.alpha0)

@@ -200,8 +200,11 @@ class TestPlanCommand:
         assert rc == 0
         meta = json.loads((tmp_path / "plan.json.meta.json").read_text(encoding="utf-8"))
         ring = meta["ring_table"]
-        assert set(ring) == {"fills", "rows", "points", "fill_s", "dp_s"}
+        assert set(ring) == {"fills", "rows", "points", "fill_s", "dp_s",
+                             "priced_rings", "priced_points"}
         assert ring["fills"] > 0 and ring["points"] == 256 * ring["rows"]
+        # the graded rule prices the winning plan's rings, 10 x 10 nodes a panel at least
+        assert ring["priced_points"] >= 100 * ring["priced_rings"] > 0
         assert ring["fill_s"] > 0.0 and ring["dp_s"] > 0.0
         doc = json.loads((tmp_path / "plan.json").read_text(encoding="utf-8"))
         assert "ring_table" not in json.dumps(doc)
@@ -260,22 +263,6 @@ class TestPlanCommand:
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["kind"] == "config-error"
         assert setting.split("=")[0] in err["error"]["detail"]
-
-    def test_numerics_error_is_structured(self, tmp_path, capsys, monkeypatch):
-        # a quadrature that does not converge exits with code 2, not a traceback
-        import irsplan.powerctl
-        from irsplan.numerics import NumericsError
-
-        def diverges(*args, **kwargs):
-            raise NumericsError("integrate_polar_sector: refinement did not converge")
-
-        irsplan.powerctl._ring_coefficient.cache_clear()  # reach the quadrature
-        monkeypatch.setattr(irsplan.powerctl, "integrate_polar_sector", diverges)
-        rc = main(["plan", "--out", str(tmp_path), "--method", "algorithm1"] + PLAN_ARGS)
-        assert rc == 2
-        err = json.loads(capsys.readouterr().err)
-        assert err["error"] == {"kind": "numerics-error",
-                                "detail": "integrate_polar_sector: refinement did not converge"}
 
 
 SWEEP_ARGS = ["--set", "sweep.M_values=[0, 15]",

@@ -1,8 +1,9 @@
 """Every imported name in src/ and tests/ is used; every src/ parameter is read;
 every private module-level name in src/ is referenced somewhere in src/; every
 exception class in src/ derives from ``numerics.Refused``, so ``cli.main``
-needs one refusal handler (exit code 2) beside its crash handler; and the
-policy benchmarks of ``powerctl`` reach ``reg_upper_gamma`` from one function.
+needs one refusal handler (exit code 2) beside its crash handler; the
+policy benchmarks of ``powerctl`` reach ``reg_upper_gamma`` from one function;
+and no module but ``numerics`` calls its adaptive integrators.
 
 A cold ``plan`` and ``validate`` also must not import ``scipy.interpolate``:
 it would add about a third of a second to every such process.  A cold
@@ -208,6 +209,37 @@ def test_scan_flags_a_second_caller():
     tree = ast.parse("def f(a):\n    def g(x):\n        return h(x)\n    return g(a)\n"
                      "def k(b):\n    return h(b) + m.h(b)\nh(1)\n")
     assert callers("h", tree) == ["f", "k"]
+
+
+def calls_to(names, tree):
+    """(line, name) for every call in `tree` of a function in `names`, whether
+    bound by import (``f(...)``) or reached as an attribute (``mod.f(...)``)."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name in names:
+                yield node.lineno, name
+
+
+def test_only_numerics_calls_the_adaptive_quadrature():
+    # powerctl's graded rule prices every ring and the mean-CIPC integral; the
+    # adaptive integrators stay public as references for the tests
+    adaptive = {"integrate_polar_sector", "integrate_radial"}
+    found = [f"{f.relative_to(ROOT)}:{line} {name}"
+             for f in sorted((ROOT / "src").rglob("*.py")) if f.name != "numerics.py"
+             for line, name in calls_to(adaptive, ast.parse(f.read_text(encoding="utf-8")))]
+    assert not found, "adaptive quadrature called outside numerics:\n" + "\n".join(found)
+
+
+def test_scan_flags_a_quadrature_call():
+    tree = ast.parse("from irsplan import numerics\n"
+                     "from irsplan.numerics import integrate_radial\n"
+                     "x = integrate_radial(f, 0, 1)\n"
+                     "y = numerics.integrate_polar_sector(f, 0, 1, 1)\n"
+                     "z = integrate_polar_sector\n")
+    assert list(calls_to({"integrate_polar_sector", "integrate_radial"}, tree)) == [
+        (3, "integrate_radial"), (4, "integrate_polar_sector")]
 
 
 COLD_RUN = """

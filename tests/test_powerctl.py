@@ -1,16 +1,19 @@
 """Power-control policies: CIPC, region energy coefficients, equalization."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy import integrate
 from scipy.optimize import brentq
 
-from irsplan.channel import mean_gain_direct, nop_direct
-from irsplan.geometry import make_ring_plan
+from irsplan.channel import (composite_stats_arrays, irs_power_factor,
+                             mean_gain_direct, nop_direct)
+from irsplan.geometry import irs_distance, irs_distance2, make_ring_plan
 from irsplan.numerics import integrate_radial, reg_upper_gamma
 from irsplan.planner import _coefficient_table, _finalize, line_search
-from irsplan.powerctl import (RegionEnergyCoefficient, _maxmin_over_rate,
+from irsplan.powerctl import (RING_TABLE_STATS, RegionEnergyCoefficient, _maxmin_over_rate,
                               _pareto_seed, _worst_case_grid,
                               ap_region_coefficient, benchmark_cipc,
                               benchmark_equal_power, benchmark_irs_equal_power,
@@ -89,17 +92,72 @@ class TestApCoefficient:
 
 
 class TestIrsCoefficient:
-    def test_fixed_vs_adaptive_quadrature(self, radio, cell, irs):
-        # the planner's fixed 16-point rule against the adaptive contract path
+    def test_screen_vs_graded_price(self, radio, cell, irs):
+        # the planner's 16-point screen against the graded rule that prices plans
         plan = make_ring_plan(cell, (250.0, 230.0, 190.0), (10, 17))
         table = _coefficient_table(cell, radio, irs, 0.95, 10.0)
         index = {float(r): k for k, r in enumerate(table.radii)}
         for i in (1, 2):
-            adaptive = irs_region_coefficient(radio, cell, irs, plan, i, 0.95)
+            graded = irs_region_coefficient(radio, cell, irs, plan, i, 0.95)
             lo, hi = plan.ring_bounds(i)
-            C_fixed = table.ring_vec(index[hi], plan.M[i - 1], i == 1)[index[lo]]
-            assert adaptive.C == pytest.approx(C_fixed, rel=2e-6)
-            assert adaptive.region == f"ring{i}"
+            C_screen = table.ring_vec(index[hi], plan.M[i - 1], i == 1)[index[lo]]
+            assert graded.C == pytest.approx(C_screen, rel=2e-6)
+            assert graded.region == f"ring{i}"
+
+    def test_graded_rule_against_nested_quad(self, radio, cell, irs):
+        # scipy's adaptive quad, split at the surface radius, as the reference
+        def nested_quad(f, lo, hi, L, half):
+            def inner(r):
+                return integrate.quad(lambda az: float(f(r, az)) * r, 0.0, half,
+                                      epsabs=0.0, epsrel=1e-11, limit=200)[0]
+            points = [L] if lo < L < hi else None
+            return integrate.quad(inner, lo, hi, points=points, epsabs=0.0,
+                                  epsrel=1e-11, limit=200)[0]
+
+        rings = [((250.0, 200.0, 196.85), (10, 1)),  # d -> 0 inside, half sector pi
+                 ((250.0, 225.0, 185.0), (10, 57)),  # d -> 0 inside, narrow sector
+                 ((250.0, 200.0, 120.0), (10, 1)),   # wide ring, half sector pi
+                 ((250.0, 230.0, 0.0), (10, 40))]    # reaches the AP
+        for R_in, M in rings:
+            plan = make_ring_plan(cell, R_in, M)
+            for i in (1, 2):  # ring 1 is a near-AP ring, L = L_min
+                lo, hi = plan.ring_bounds(i)
+                L, m = plan.L[i - 1], plan.M[i - 1]
+
+                def factor(r, az):
+                    return irs_power_factor(radio, irs, r * r, L * L,
+                                            irs_distance2(r, L, az), 0.95)
+
+                F = 2.0 * nested_quad(factor, lo, hi, L, math.pi / m)
+                want = m * cell.ue_density * radio.W * radio.t0 * F
+                got = irs_region_coefficient(radio, cell, irs, plan, i, 0.95).C
+                assert got == pytest.approx(want, rel=2e-12, abs=0.0), (R_in, M, i)
+
+        # the mean-CIPC calibration integrates 1/E{Z^2} with the same rule
+        plan = make_ring_plan(cell, (250.0, 225.0, 185.0, 120.0), (10, 57, 33))
+        inv_gain = 2.0 * math.pi * f0_integral(radio, plan.R_in[-1]) / radio.alpha0
+        for i in range(1, plan.I + 1):
+            lo, hi = plan.ring_bounds(i)
+            L = plan.L[i - 1]
+
+            def inv_mean(r, az):
+                return 1.0 / composite_stats_arrays(radio, irs, r, L, irs_distance(r, L, az))[0]
+
+            inv_gain += plan.M[i - 1] * 2.0 * nested_quad(inv_mean, lo, hi, L,
+                                                          0.5 * plan.sector_angle(i))
+        gamma_bar = radio.E_total / (cell.ue_density * radio.W * radio.t0 * inv_gain)
+        got = benchmark_irs_mean_cipc(radio, cell, irs, plan).details["gamma_bar"]
+        assert got == pytest.approx(gamma_bar, rel=2e-12, abs=0.0)
+
+    def test_graded_rule_counts_its_points(self, radio, cell, irs):
+        # ring [185, 225] m, L = 205 m, 57 sectors: radial breakpoints at
+        # 196, 202, 204, 206, 208, 214 m (7 panels) and azimuth breakpoints at
+        # 1/205, 3/205, 9/205 rad below pi/57 (4 panels), 10 x 10 nodes each
+        plan = make_ring_plan(cell, (250.0, 225.0, 185.0), (10, 57))
+        before = replace(RING_TABLE_STATS)
+        irs_region_coefficient(radio, cell, irs, plan, 2, 0.95)
+        assert RING_TABLE_STATS.priced_rings - before.priced_rings == 1
+        assert RING_TABLE_STATS.priced_points - before.priced_points == 70 * 40
 
     def test_empty_ring_has_zero_cost(self, radio, cell, irs):
         plan = make_ring_plan(cell, (250.0, 250.0, 190.0), (10, 17))
