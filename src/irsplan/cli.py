@@ -125,7 +125,7 @@ def _plan_payload(result: PlanResult) -> dict:
         "method": result.method,
         "nu_bar_bps_hz": alloc.nu_bar,
         "plan": {"R_in_m": list(plan.R_in), "M": list(plan.M),
-                 "L_m": list(plan.L), "rho": list(plan.rho)},
+                 "L_m": list(plan.L), "rho": list(alloc.rho)},
         "allocation": {"eta0_star": alloc.eta0_star,
                        "R_bar_bps_hz": alloc.R_bar, "p_no": alloc.p_no,
                        "nu_bar_bps_hz": alloc.nu_bar},
@@ -213,13 +213,12 @@ def _load_plan_file(path: Path, cfg: ExperimentConfig) -> PlanResult:
         alloc = doc["allocation"]
         plan = RingPlan(R_in=tuple(float(x) for x in body["R_in_m"]),
                         M=tuple(int(x) for x in body["M"]),
-                        L=tuple(float(x) for x in body["L_m"]),
-                        rho=tuple(float(x) for x in body["rho"]))
-        allocation = PowerAllocation(rho=plan.rho,
+                        L=tuple(float(x) for x in body["L_m"]))
+        allocation = PowerAllocation(rho=tuple(float(x) for x in body["rho"]),
                                      eta0_star=float(alloc["eta0_star"]),
-                                     R_bar=float(alloc["R_bar_bps_hz"]),
-                                     nu_bar=float(alloc["nu_bar_bps_hz"]),
                                      p_no=float(alloc["p_no"]))
+        R_bar = float(alloc["R_bar_bps_hz"])
+        nu_bar = float(alloc["nu_bar_bps_hz"])
         top_nu_bar = float(doc["nu_bar_bps_hz"])
     except (KeyError, TypeError, ValueError) as exc:
         raise Refused("plan-file-error", f"{path} is missing fields: {exc}")
@@ -240,23 +239,19 @@ def _load_plan_file(path: Path, cfg: ExperimentConfig) -> PlanResult:
     # exact: the writer derives these with the same expressions, and JSON
     # round-trips every float
     contradictions = [text for bad, text in (
-        (allocation.R_bar != math.log2(1.0 + allocation.eta0_star),
-         "R_bar_bps_hz != log2(1 + eta0_star)"),
-        (allocation.nu_bar != allocation.p_no * allocation.R_bar,
-         "nu_bar_bps_hz != p_no * R_bar_bps_hz"),
+        (R_bar != allocation.R_bar, "R_bar_bps_hz != log2(1 + eta0_star)"),
+        (nu_bar != allocation.p_no * R_bar, "nu_bar_bps_hz != p_no * R_bar_bps_hz"),
         (allocation.p_no != cfg.outage.p_no_min, "p_no != outage.p_no_min"),
-        (top_nu_bar != allocation.nu_bar,
-         "nu_bar_bps_hz != allocation.nu_bar_bps_hz"),
+        (top_nu_bar != nu_bar, "nu_bar_bps_hz != allocation.nu_bar_bps_hz"),
     ) if bad]
     if contradictions:
         raise Refused("plan-file-error", "plan file allocation contradicts itself",
                       contradictions=contradictions)
-    violations = validate_plan(cfg.cell, plan)
+    violations = validate_plan(cfg.cell, plan, rho=allocation.rho)
     if violations:
         raise Refused("plan-file-error", "plan file violates placement invariants",
                       violations=[v.code for v in violations])
     return PlanResult(plan=plan, allocation=allocation,
-                      nu_bar=allocation.nu_bar,
                       method=str(doc.get("method", "unknown")), diagnostics={})
 
 

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -48,16 +47,11 @@ class CellConfig:
 
 @dataclass(frozen=True)
 class RingPlan:
-    """A ring deployment: radii (descending, length I+1), IRS counts, circles.
-
-    rho holds the power split (AP region first, then rings 1..I) once a power
-    allocation has been attached; it is None for bare placements.
-    """
+    """A ring deployment: radii (descending, length I+1), IRS counts, circles."""
 
     R_in: tuple      # (R_in[0], ..., R_in[I]) [m], nonincreasing
     M: tuple         # (M_1, ..., M_I) surfaces per ring
     L: tuple         # (L_1, ..., L_I) IRS circle radii [m]
-    rho: Optional[tuple] = None
 
     @property
     def I(self):
@@ -72,7 +66,7 @@ class RingPlan:
         return TWO_PI / self.M[i - 1]
 
 
-def make_ring_plan(cell: CellConfig, R_in, M, rho=None) -> RingPlan:
+def make_ring_plan(cell: CellConfig, R_in, M) -> RingPlan:
     """Construct a RingPlan with the standard IRS circle radii.
 
     Ring 1 uses the near-AP circle L_min; ring i >= 2 uses the mid-radius
@@ -85,77 +79,69 @@ def make_ring_plan(cell: CellConfig, R_in, M, rho=None) -> RingPlan:
     L = []
     for i in range(1, len(M) + 1):
         L.append(cell.L_min if i == 1 else 0.5 * (R_in[i] + R_in[i - 1]))
-    return RingPlan(R_in=R_in, M=M, L=tuple(L),
-                    rho=None if rho is None else tuple(float(v) for v in rho))
+    return RingPlan(R_in=R_in, M=M, L=tuple(L))
 
 
 @dataclass(frozen=True)
 class PlanViolation:
     code: str
     detail: str
-    slack: float
 
 
-def validate_plan(cell: CellConfig, plan: RingPlan, total_irs=None):
-    """All violated placement invariants, with quantitative slack.
+def validate_plan(cell: CellConfig, plan: RingPlan, total_irs=None, rho=None):
+    """All violated placement invariants.
 
     Returns an empty list when the plan is feasible.  ``total_irs`` adds the
-    fixed-budget check sum(M_i) == total_irs when given.
+    fixed-budget check sum(M_i) == total_irs when given; ``rho`` adds the
+    checks of a power split (AP region first, then rings 1..I) when given.
     """
     v = []
     R = plan.R_in
     if len(R) != plan.I + 1:
-        v.append(PlanViolation("radii-length", f"len(R_in)={len(R)} != I+1={plan.I + 1}",
-                               abs(len(R) - plan.I - 1)))
+        v.append(PlanViolation("radii-length", f"len(R_in)={len(R)} != I+1={plan.I + 1}"))
         return v
-    for name, values in (("R_in", R), ("L", plan.L), ("rho", plan.rho or ())):
+    for name, values in (("R_in", R), ("L", plan.L), ("rho", rho or ())):
         bad = [i for i, x in enumerate(values) if not math.isfinite(x)]
         if bad:
-            v.append(PlanViolation("non-finite", f"{name}[{bad[0]}]={values[bad[0]]}", math.inf))
+            v.append(PlanViolation("non-finite", f"{name}[{bad[0]}]={values[bad[0]]}"))
     if v:
         return v  # every comparison below is False on NaN
     if R[0] > cell.R_ex * (1 + 1e-12):
-        v.append(PlanViolation("radii-range", f"R_in[0]={R[0]:.6g} exceeds R_ex={cell.R_ex:.6g}",
-                               R[0] - cell.R_ex))
+        v.append(PlanViolation("radii-range", f"R_in[0]={R[0]:.6g} exceeds R_ex={cell.R_ex:.6g}"))
     if plan.I and R[-1] < -1e-12:
-        v.append(PlanViolation("radii-range", f"R_in[{plan.I}]={R[-1]:.6g} negative", -R[-1]))
+        v.append(PlanViolation("radii-range", f"R_in[{plan.I}]={R[-1]:.6g} negative"))
     for i in range(1, len(R)):
         if R[i] > R[i - 1] * (1 + 1e-12) + 1e-12:
             v.append(PlanViolation("radii-order",
-                                   f"R_in[{i}]={R[i]:.6g} > R_in[{i - 1}]={R[i - 1]:.6g}",
-                                   R[i] - R[i - 1]))
+                                   f"R_in[{i}]={R[i]:.6g} > R_in[{i - 1}]={R[i - 1]:.6g}"))
     if plan.I and plan.M[0] > cell.M1_max:
-        v.append(PlanViolation("near-ap-slots", f"M_1={plan.M[0]} exceeds M1_max={cell.M1_max}",
-                               plan.M[0] - cell.M1_max))
+        v.append(PlanViolation("near-ap-slots", f"M_1={plan.M[0]} exceeds M1_max={cell.M1_max}"))
     for i, m in enumerate(plan.M, start=1):
         if m < 1:
-            v.append(PlanViolation("ring-count", f"ring {i} has M_i={m} < 1", 1 - m))
+            v.append(PlanViolation("ring-count", f"ring {i} has M_i={m} < 1"))
     if total_irs is not None and sum(plan.M) != total_irs:
-        v.append(PlanViolation("irs-budget", f"sum(M_i)={sum(plan.M)} != M={total_irs}",
-                               abs(sum(plan.M) - total_irs)))
+        v.append(PlanViolation("irs-budget", f"sum(M_i)={sum(plan.M)} != M={total_irs}"))
     for i in range(1, plan.I + 1):
         if plan.M[i - 1] < 1:
             continue  # ring-count violation already recorded; area/M undefined
         want = cell.L_min if i == 1 else 0.5 * (R[i] + R[i - 1])
         if abs(plan.L[i - 1] - want) > 1e-9 * max(1.0, want):
-            v.append(PlanViolation("irs-circle", f"ring {i} L={plan.L[i - 1]:.6g}, expected {want:.6g}",
-                                   abs(plan.L[i - 1] - want)))
+            v.append(PlanViolation("irs-circle",
+                                   f"ring {i} L={plan.L[i - 1]:.6g}, expected {want:.6g}"))
         kbar = mean_ues_per_sector(cell, plan, i)
         if kbar > cell.K_irs_max * (1 + 1e-12):
             v.append(PlanViolation("sector-load", f"ring {i} mean UEs/sector {kbar:.4g} "
-                                   f"exceeds cap {cell.K_irs_max:.4g}", kbar - cell.K_irs_max))
-    if plan.rho is not None:
-        rho = np.asarray(plan.rho, dtype=float)
+                                   f"exceeds cap {cell.K_irs_max:.4g}"))
+    if rho is not None:
+        rho = np.asarray(rho, dtype=float)
         if len(rho) != plan.I + 1:
-            v.append(PlanViolation("power-length", f"len(rho)={len(rho)} != I+1={plan.I + 1}",
-                                   abs(len(rho) - plan.I - 1)))
+            v.append(PlanViolation("power-length", f"len(rho)={len(rho)} != I+1={plan.I + 1}"))
         else:
             if (rho < -1e-12).any():
-                v.append(PlanViolation("power-sign", "negative power ratio", float(-rho.min())))
+                v.append(PlanViolation("power-sign", "negative power ratio"))
             s = float(rho.sum())
             if abs(s - 1.0) > 1e-9:
-                v.append(PlanViolation("power-sum", f"power ratios sum to {s:.6g} != 1",
-                                       abs(s - 1.0)))
+                v.append(PlanViolation("power-sum", f"power ratios sum to {s:.6g} != 1"))
     return v
 
 

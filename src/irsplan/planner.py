@@ -36,7 +36,7 @@ from __future__ import annotations
 import functools
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -89,9 +89,13 @@ class CoverageResult:
 class PlanResult:
     plan: RingPlan
     allocation: PowerAllocation
-    nu_bar: float
     method: str
     diagnostics: dict = field(default_factory=dict)
+
+    @property
+    def nu_bar(self):
+        """The allocation's common throughput [bps/Hz]."""
+        return self.allocation.nu_bar
 
 
 # ---------------------------------------------------------------------------
@@ -104,8 +108,9 @@ def coverage_range(cfg: RadioConfig, irs: IrsSpec, p, gamma_thresh,
 
     Without an IRS the mean SNR is p g_d(r) / W and the radius is closed-form.
     With an IRS at AP distance l (surface on the AP-UE axis, d = r - l), the
-    mean channel power E{Z^2} replaces g_d and the radius is bisected on
-    [l, 10 x no-IRS radius].
+    mean channel power E{Z^2} replaces g_d and the radius is bisected between
+    l and an upper end that starts at max(10 x no-IRS radius, 2 l + 1) and
+    doubles until the threshold fails there.
     """
     if p <= 0 or gamma_thresh <= 0:
         raise ValueError("coverage_range: p and gamma_thresh must be positive")
@@ -128,9 +133,7 @@ def coverage_range(cfg: RadioConfig, irs: IrsSpec, p, gamma_thresh,
     if margin(l) < 0.0:
         return CoverageResult(r_star=l, limited=True)
     hi = max(10.0 * direct.r_star, 2.0 * l + 1.0)
-    for _ in range(8):  # the mean gain decays like r^-n0, so this terminates
-        if margin(hi) < 0.0:
-            break
+    while margin(hi) >= 0.0:  # E{Z^2} -> 0 as r grows, so this terminates
         hi *= 2.0
     r_star = bisect(margin, l, hi)
     return CoverageResult(r_star=r_star, limited=False)
@@ -156,12 +159,15 @@ class _RingCoefficientTable:
     candidate inner radius) are evaluated CHUNK_ROWS at a time, so the
     working set stays bounded, and every row's coefficient is a function of
     that row alone, the same bits whichever batch or chunk it falls in.  A
-    grid of more than MAX_RADII radii is refused before any of this work.
+    grid of more than MAX_RADII radii is refused before any of this work,
+    and ``line_search_budgets`` refuses a search whose ``candidate_rows``
+    exceed MAX_ROWS.
     """
 
     NODES = 16
     CHUNK_ROWS = 60   # rows per integrand pass: 15,360 points, 120 KB per array
     MAX_RADII = 1001  # rows grow as radii^2: the default sweep fills 70,849 at 51 radii
+    MAX_ROWS = 4_000_000  # ~70k rows/s cold on a 2-core Xeon: about a minute at the limit
 
     def __init__(self, cell, cfg, irs, p_no, step):
         self.cell = cell
@@ -182,6 +188,13 @@ class _RingCoefficientTable:
     def max_span2(self, m):
         """Largest hi^2 - lo^2 a ring of m surfaces may cover under the load cap."""
         return self.cell.K_irs_max * m / (self.cell.ue_density * math.pi)
+
+    def candidate_rows(self, M):
+        """Rows (lo < hi, m <= M) the load cap admits: the most that the
+        searches up to budget M can fill with the near_ap=False keys."""
+        span2 = (self._r2[:, None] - self._r2)[np.tril_indices(len(self._r2), -1)]
+        m_min = np.maximum(np.ceil(span2 / (self.max_span2(1) * (1 + 1e-12))), 1.0)
+        return int(np.maximum(M + 1.0 - m_min, 0.0).sum())
 
     def lo_min(self, hi_idx, m):
         """Lowest inner index lo a ring ending at radii[hi_idx] with m surfaces
@@ -260,14 +273,12 @@ def _finalize(cell, cfg, irs, p_no, R_in, M, method, diagnostics=None) -> PlanRe
     for i in range(1, plan.I + 1):
         coeffs.append(irs_region_coefficient(cfg, cell, irs, plan, i, p_no))
     alloc = equalize_power(coeffs, cfg, p_no)
-    plan = replace(plan, rho=alloc.rho)
-    violations = validate_plan(cell, plan, total_irs=sum(M))
+    violations = validate_plan(cell, plan, total_irs=sum(M), rho=alloc.rho)
     if violations:
         raise PlanCheckError(method, [f"{v.code}: {v.detail}" for v in violations])
     diag = dict(diagnostics or {})
     diag["region_coefficients_J"] = {c.region: c.C for c in coeffs}
-    return PlanResult(plan=plan, allocation=alloc, nu_bar=alloc.nu_bar,
-                      method=method, diagnostics=diag)
+    return PlanResult(plan=plan, allocation=alloc, method=method, diagnostics=diag)
 
 
 def _ring_program(table, lo_min, tops, I, m1_max):
@@ -397,6 +408,11 @@ def line_search_budgets(cell: CellConfig, cfg: RadioConfig, irs: IrsSpec, budget
 
     start, fill_s = time.perf_counter(), RING_TABLE_STATS.fill_s
     table = _coefficient_table(cell, cfg, irs, p_no, grid.radius_step)
+    rows = table.candidate_rows(budgets[-1])
+    if rows > table.MAX_ROWS:
+        raise Refused("too-expensive", f"a line search up to M={budgets[-1]} on the "
+                      f"{grid.radius_step:g} m grid admits {rows} ring-table rows; "
+                      f"at most {table.MAX_ROWS} are allowed")
     radii, c0 = table.radii, table.c0_grid
     n = len(radii)
     lo_min = np.array([table.lo_min(hi, np.arange(budgets[-1] + 1)) for hi in range(n)])

@@ -89,19 +89,35 @@ class RegionEnergyCoefficient:
 class PowerAllocation:
     rho: tuple          # power split, same order as the coefficient list
     eta0_star: float    # common SNR threshold
-    R_bar: float        # common rate [bps/Hz]
-    nu_bar: float       # common throughput [bps/Hz]
     p_no: float         # non-outage target the split was built for
+
+    @property
+    def R_bar(self):
+        """Common rate log2(1 + eta0*) [bps/Hz]."""
+        return math.log2(1.0 + self.eta0_star)
+
+    @property
+    def nu_bar(self):
+        """Common throughput p_no * R_bar [bps/Hz]."""
+        return self.p_no * self.R_bar
 
 
 @dataclass(frozen=True)
 class ThroughputReport:
     method: str
     eta0: float
-    R_bar: float
     p_no: float
-    nu_bar: float
     details: dict = field(default_factory=dict)
+
+    @property
+    def R_bar(self):
+        """Common rate log2(1 + eta0) [bps/Hz]."""
+        return math.log2(1.0 + self.eta0)
+
+    @property
+    def nu_bar(self):
+        """Common throughput p_no * R_bar [bps/Hz]."""
+        return self.p_no * self.R_bar
 
 
 def cipc_power(cfg: RadioConfig, gamma_bar, r):
@@ -183,27 +199,22 @@ def equalize_power(coeffs, cfg: RadioConfig, p_no) -> PowerAllocation:
         raise ValueError("equalize_power: all region coefficients are zero")
     eta0 = cfg.E_total / total
     rho = eta0 * C / cfg.E_total
-    R_bar = math.log2(1.0 + eta0)
-    return PowerAllocation(rho=tuple(float(v) for v in rho), eta0_star=eta0,
-                           R_bar=R_bar, nu_bar=p_no * R_bar, p_no=p_no)
+    return PowerAllocation(rho=tuple(float(v) for v in rho), eta0_star=eta0, p_no=p_no)
 
 
 def benchmark_equal_power(cfg: RadioConfig, cell: CellConfig, p_no) -> ThroughputReport:
     """AP-only, equal per-UE power; the cell-edge UE pins the common rate."""
     p = cfg.E_total / (cell.K * cfg.t0)
     eta0 = p * mean_gain_direct(cfg, cell.R_ex) * math.log(1.0 / p_no) / cfg.W
-    R_bar = math.log2(1.0 + eta0)
-    return ThroughputReport(method="ap-equal-power", eta0=eta0, R_bar=R_bar,
-                            p_no=p_no, nu_bar=p_no * R_bar,
-                            details={"p_ue_W": p, "benchmark": True})
+    return ThroughputReport(method="ap-equal-power", eta0=eta0, p_no=p_no,
+                            details={"p_ue_W": p})
 
 
 def benchmark_cipc(cfg: RadioConfig, cell: CellConfig, p_no) -> ThroughputReport:
     """AP-only CIPC over the whole cell (single-region equalization)."""
     alloc = equalize_power([ap_region_coefficient(cfg, cell, p_no, cell.R_ex)], cfg, p_no)
-    return ThroughputReport(method="ap-cipc", eta0=alloc.eta0_star, R_bar=alloc.R_bar,
-                            p_no=p_no, nu_bar=alloc.nu_bar,
-                            details={"C0_J": cfg.E_total / alloc.eta0_star, "benchmark": True})
+    return ThroughputReport(method="ap-cipc", eta0=alloc.eta0_star, p_no=p_no,
+                            details={"C0_J": cfg.E_total / alloc.eta0_star})
 
 
 # ---------------------------------------------------------------------------
@@ -254,8 +265,7 @@ def _maxmin_over_rate(nops, n, seed):
     column of thresholds it returns one row per threshold.  The NOP at eta0
     is the minimum over all n positions, capped at 1.  The search is a
     deterministic 240-point log-space scan of [1e-4, 1e6], then 60
-    golden-section steps around its argmax; returns a
-    ThroughputReport-ready (eta0, nu_bar, nop).  It finds the same numbers
+    golden-section steps around its argmax; returns (eta0, nop).  It finds the same numbers
     as evaluating every position at every rate, while evaluating few:
 
     * Bound and verify.  A minimum over the subset ``seed`` can only be
@@ -321,7 +331,7 @@ def _maxmin_over_rate(nops, n, seed):
             dd = la + invphi * (lb - la)
             fd = objective(math.exp(dd))
     eta0 = math.exp(0.5 * (la + lb))
-    return eta0, objective(eta0), nop_of_eta0(eta0)
+    return eta0, nop_of_eta0(eta0)
 
 
 def _pareto_seed(alpha, beta):
@@ -342,9 +352,8 @@ def _policy_report(method, alpha, scale, seed, details) -> ThroughputReport:
     def nops(eta0, idx):
         return reg_upper_gamma(alpha[idx], scale[idx] * eta0)
 
-    eta0, nu, nop = _maxmin_over_rate(nops, alpha.size, seed)
-    return ThroughputReport(method=method, eta0=eta0, R_bar=math.log2(1.0 + eta0),
-                            p_no=nop, nu_bar=nu, details={**details, "benchmark": True})
+    eta0, nop = _maxmin_over_rate(nops, alpha.size, seed)
+    return ThroughputReport(method=method, eta0=eta0, p_no=nop, details=details)
 
 
 def benchmark_irs_equal_power(cfg, cell, irs, plan) -> ThroughputReport:
@@ -357,7 +366,7 @@ def benchmark_irs_equal_power(cfg, cell, irs, plan) -> ThroughputReport:
     alpha, beta, _ = _worst_case_grid(cfg, cell, irs, plan)
     scale = beta * cfg.W / p
     return _policy_report("irs-equal-power", alpha, scale, _pareto_seed(alpha, scale),
-                          {"p_ue_W": p, "policy": "equal per-UE power on the fixed placement"})
+                          {"p_ue_W": p})
 
 
 def benchmark_irs_mean_cipc(cfg, cell, irs, plan) -> ThroughputReport:
@@ -390,6 +399,4 @@ def benchmark_irs_mean_cipc(cfg, cell, irs, plan) -> ThroughputReport:
     # position is on the Pareto front and the extreme shapes seed the bound
     scale = beta * mean_z2 / gamma_bar
     seed = np.unique([np.argmin(alpha), np.argmax(alpha)])
-    return _policy_report("irs-mean-cipc", alpha, scale, seed,
-                          {"gamma_bar": gamma_bar,
-                           "policy": "mean-gain inversion on the fixed placement"})
+    return _policy_report("irs-mean-cipc", alpha, scale, seed, {"gamma_bar": gamma_bar})

@@ -152,8 +152,7 @@ def _fading_bank(mc: McConfig, n_elems, topo_idx):
     """One topology's n_fading unit draws (X, E) in the configured flavour."""
     bit_generator = _philox(mc.seed, topo_idx, _BANK_SLOT)
     if mc.element_draws == "exact":
-        xs, es = zip(*exact_unit_draws(bit_generator, mc.n_fading, n_elems))
-        return np.concatenate(xs), np.concatenate(es)
+        return exact_unit_draws(bit_generator, mc.n_fading, n_elems)
     rng = np.random.Generator(bit_generator)
     mu, s2 = _cascade_moments(n_elems, 1.0, 1.0)
     x = mu + math.sqrt(s2) * rng.standard_normal(mc.n_fading)

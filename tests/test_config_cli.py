@@ -2,9 +2,11 @@
 
 import json
 import math
+import time
 
 import pytest
 
+from irsplan.channel import LinkGeometry, composite_stats
 from irsplan.cli import main, write_json
 from irsplan.config import (ConfigError, ExperimentConfig, load_config,
                             parse_unit_scalar)
@@ -158,6 +160,21 @@ class TestCoverageCommand:
         for r in rows[1:]:
             assert float(r["r_star_m"]) == pytest.approx(base, abs=1e-3)
 
+    def test_far_reaching_surface_is_bracketed(self, tmp_path):
+        # r* lies about 13 doublings above the first upper bracket at this N
+        rc = main(["coverage", "--out", str(tmp_path), "--set", "irs.N=1000000000",
+                   "--set", "coverage.l_stop=20"])
+        assert rc == 0
+        cfg = load_config(overrides=["irs.N=1000000000"])
+        _, _, rows = read_csv(tmp_path / "coverage.csv")
+        assert [r["l_m"] for r in rows[1:]] == ["10.0", "15.0", "20.0"]
+        for r in rows[1:]:
+            l, r_star = float(r["l_m"]), float(r["r_star_m"])
+            assert math.isfinite(r_star) and r["limited"] == "false"
+            st = composite_stats(cfg.radio, cfg.irs, LinkGeometry(r_star, l, r_star - l))
+            assert cfg.coverage.p_tx * st.mean_Z2 / cfg.radio.W == pytest.approx(
+                cfg.coverage.snr_min, rel=1e-6)
+
     def test_runaway_l_grid_is_refused(self, tmp_path, capsys):
         # 590,000,001 rows at 0.4 ms each: refused before the first one
         rc = main(["coverage", "--out", str(tmp_path), "--set", "coverage.l_step=1e-6"])
@@ -220,6 +237,21 @@ class TestPlanCommand:
         assert "250001" in err["detail"] and "1001" in err["detail"]
         assert not (tmp_path / "plan.json").exists()
 
+    @pytest.mark.parametrize("command,setting,rows", [
+        ("plan", "plan.M=4000", 5078560),             # over a minute of fills
+        ("plan", "grid.radius_step=0.25", 41938902),  # 1,001 radii pass the grid limit
+        ("sweep", "sweep.M_values=[10,4000]", 5078560)])
+    def test_oversized_line_search_is_refused(self, tmp_path, capsys, command, setting, rows):
+        start = time.perf_counter()
+        rc = main([command, "--out", str(tmp_path), "--set", "plan.method=line-search",
+                   "--set", setting])
+        assert time.perf_counter() - start < 2.0
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["kind"] == "too-expensive"
+        assert str(rows) in err["detail"] and "4000000" in err["detail"]
+        assert not list(tmp_path.glob("*.csv")) + list(tmp_path.glob("*.json"))
+
     def test_method_flag_overrides_config(self, tmp_path):
         rc = main(["plan", "--out", str(tmp_path), "--method", "algorithm1",
                    "--set", "plan.M=15", "--set", "plan.method=line-search"])
@@ -240,7 +272,7 @@ class TestPlanCommand:
         import irsplan.planner
         from irsplan.geometry import PlanViolation
         monkeypatch.setattr(irsplan.planner, "validate_plan", lambda *a, **k: [
-            PlanViolation("sector-load", "ring 2 over the cap", 0.5)])
+            PlanViolation("sector-load", "ring 2 over the cap")])
         rc = main(["plan", "--out", str(tmp_path)] + PLAN_ARGS)
         assert rc == 2
         err = json.loads(capsys.readouterr().err)
@@ -526,3 +558,21 @@ class TestValidateCommand:
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["kind"] == "plan-file-error"
         assert "near-ap-slots" in err["error"]["violations"]
+
+    @pytest.mark.parametrize("mutate,code", [
+        (lambda rho: rho.append(0.0), "power-length"),
+        (lambda rho: rho.__setitem__(slice(0, 2), [rho[0] + rho[1] + 0.1, -0.1]),
+         "power-sign"),
+        (lambda rho: rho.__setitem__(0, rho[0] + 0.1), "power-sum"),
+        (lambda rho: rho.__setitem__(1, math.nan), "non-finite"),
+    ], ids=["length", "negative", "sum", "nan"])
+    def test_bad_power_split_rejected(self, tmp_path, plan_file, capsys, mutate, code):
+        doc = json.loads(plan_file.read_text(encoding="utf-8"))
+        mutate(doc["plan"]["rho"])
+        bad = tmp_path / "split.json"
+        bad.write_text(json.dumps(doc), encoding="utf-8")
+        rc = main(["validate", str(bad), "--out", str(tmp_path)] + VALIDATE_MC)
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["kind"] == "plan-file-error"
+        assert err["error"]["violations"] == [code]

@@ -180,17 +180,12 @@ class TestValidatePlan:
         assert "sector-load" in self._codes(v)
 
     def test_power_ratio_checks(self, cell):
-        plan = make_ring_plan(cell, (250.0, 230.0, 190.0), (10, 17),
-                              rho=(0.5, 0.3, 0.3))
-        assert "power-sum" in self._codes(validate_plan(cell, plan))
-        plan = make_ring_plan(cell, (250.0, 230.0, 190.0), (10, 17),
-                              rho=(0.5, 0.6, -0.1))
-        assert "power-sign" in self._codes(validate_plan(cell, plan))
-        plan = make_ring_plan(cell, (250.0, 230.0, 190.0), (10, 17),
-                              rho=(0.2, 0.3, 0.5))
-        assert validate_plan(cell, plan) == []
+        plan = make_ring_plan(cell, (250.0, 230.0, 190.0), (10, 17))
+        assert "power-sum" in self._codes(validate_plan(cell, plan, rho=(0.5, 0.3, 0.3)))
+        assert "power-sign" in self._codes(validate_plan(cell, plan, rho=(0.5, 0.6, -0.1)))
+        assert validate_plan(cell, plan, rho=(0.2, 0.3, 0.5)) == []
 
-    def test_slack_is_quantitative(self, cell):
+    def test_violation_detail_is_quantitative(self, cell):
         v = validate_plan(cell, make_ring_plan(cell, (250.0, 200.0), (11,)))
         slot = [x for x in v if x.code == "near-ap-slots"][0]
-        assert slot.slack == pytest.approx(1.0)
+        assert slot.detail == "M_1=11 exceeds M1_max=10"

@@ -78,16 +78,15 @@ class TestLayoutContract:
         assert count == 1234
 
     def test_unit_draws_follow_the_layout(self, monkeypatch):
-        # the one draw routine yields the reference's unit cascade and direct
+        # the one draw routine returns the reference's unit cascade and direct
         # draw, in stream order, however the stream is chunked
         n, N = 700, 12
         e = np.random.Generator(_philox(9, 4)).standard_exponential((n, 2 * N + 1))
         monkeypatch.setattr(_kernels, "_CHUNK_TARGET", 1000)
-        xs, es = zip(*_kernels.exact_unit_draws(_philox(9, 4), n, N))
-        assert len(xs) > 1
-        assert np.array_equal(np.concatenate(xs),
-                              np.sqrt(e[:, 0:2 * N:2] * e[:, 1:2 * N:2]).sum(axis=1))
-        assert np.array_equal(np.concatenate(es), e[:, 2 * N])
+        assert n > _kernels._CHUNK_TARGET // (2 * N + 1) > 1  # several chunks of 40 rows
+        x, direct = _kernels.exact_unit_draws(_philox(9, 4), n, N)
+        assert np.array_equal(x, np.sqrt(e[:, 0:2 * N:2] * e[:, 1:2 * N:2]).sum(axis=1))
+        assert np.array_equal(direct, e[:, 2 * N])
 
     def test_benchmark_hooks(self):
         # perfbench reads the backend name and wraps these names, reading

@@ -3,7 +3,6 @@
 import itertools
 import math
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -78,7 +77,7 @@ class TestLineSearch:
         assert plan.L == (10.0, 205.0, 152.5)
         assert plan_m100.allocation.eta0_star == pytest.approx(28.05372746237608, rel=1e-9)
         assert plan_m100.nu_bar == pytest.approx(4.617618793583888, rel=1e-9)
-        assert plan.rho == pytest.approx(
+        assert plan_m100.allocation.rho == pytest.approx(
             (0.12397569809205518, 0.3206221290851474,
              0.280549358444113, 0.27485281437868453), rel=1e-9)
 
@@ -90,7 +89,7 @@ class TestLineSearch:
 
     def test_allocation_consistency(self, radio, plan_m100):
         alloc = plan_m100.allocation
-        assert sum(plan_m100.plan.rho) == pytest.approx(1.0, rel=1e-12)
+        assert sum(alloc.rho) == pytest.approx(1.0, rel=1e-12)
         assert alloc.R_bar == pytest.approx(math.log2(1.0 + alloc.eta0_star), rel=1e-14)
         assert plan_m100.nu_bar == pytest.approx(0.95 * alloc.R_bar, rel=1e-14)
         # diagnostics carry the region coefficients that produced eta0*
@@ -193,7 +192,7 @@ class TestExactSearch:
                     line_search(cell, radio, irs, M, I, grid=grid)
             else:
                 res = line_search(cell, radio, irs, M, I, grid=grid)
-                assert replace(res.plan, rho=None) == want, (M, I, search_r0)
+                assert res.plan == want, (M, I, search_r0)
 
     def test_exact_ties_prefer_the_smallest_r1(self, cell, radio, irs, monkeypatch):
         # every ring costs the same and the AP disc is free, so all one-ring
@@ -229,6 +228,21 @@ class TestExactSearch:
                     assert np.isfinite(full).all()
                     assert np.isinf(got[~inside]).all() and (got[~inside] > 0).all()
                     assert np.array_equal(got[inside], full[inside])
+
+    @pytest.mark.parametrize("step,M", [(5.0, 100), (7.0, 77), (10.0, 60), (25.0, 25)])
+    def test_candidate_rows_count_the_load_cap_window(self, cell, radio, irs, monkeypatch,
+                                                       step, M):
+        # the closed-form count is the load-cap window summed over every key,
+        # so it bounds the rows a search fills
+        import irsplan.planner
+        table = _RingCoefficientTable(cell, radio, irs, 0.95, step)
+        rows = sum(int(hi - table.lo_min(hi, m))
+                   for hi in range(len(table.radii)) for m in range(1, M + 1))
+        assert table.candidate_rows(M) == rows
+        monkeypatch.setattr(irsplan.planner, "_coefficient_table", lambda *args: table)
+        line_search(cell, radio, irs, M, 3, grid=SearchGrid(radius_step=step))
+        filled = sum(np.isfinite(v).sum() for k, v in table._cache.items() if not k[2])
+        assert 0 < filled <= rows
 
 
 class TestBatchedFill:

@@ -332,8 +332,10 @@ def unpruned_mean_cipc(radio, cell, irs, plan, gamma_bar):
 
 
 def unpruned_synthetic(nops, n):
+    """Oracle (eta0, nop) of ``_maxmin_over_rate``."""
     every = np.arange(n)
-    return unpruned_scan(lambda e: float(np.min(nops(e, every), initial=1.0)))
+    eta0, _, nop = unpruned_scan(lambda e: float(np.min(nops(e, every), initial=1.0)))
+    return eta0, nop
 
 
 def gamma_nops(alpha, beta):
@@ -442,7 +444,7 @@ class TestPrunedRateScan:
         nops = step_nops(lambda e: np.where(e < top, 0.5 * (1.0 - 2e-12), 0.5))
         got = _maxmin_over_rate(nops, 1, np.array([0]))
         assert got == unpruned_synthetic(nops, 1)
-        assert got[2] == 0.5 * (1.0 - 2e-12)
+        assert got[1] == 0.5 * (1.0 - 2e-12)
 
     def test_rates_outside_the_bracket_see_every_position(self, monkeypatch):
         # an exp that errs 1e-12 high pushes the section's last rates past

@@ -22,8 +22,7 @@ def ap_only_result(radio, cell, p_no=0.95):
     plan = RingPlan(R_in=(cell.R_ex,), M=(), L=())
     alloc = equalize_power([ap_region_coefficient(radio, cell, p_no, cell.R_ex)],
                            radio, p_no)
-    return PlanResult(plan=plan, allocation=alloc, nu_bar=alloc.nu_bar,
-                      method="ap-cipc")
+    return PlanResult(plan=plan, allocation=alloc, method="ap-cipc")
 
 
 def per_ue_successes(cfg, irs, topo, eta0, mc, topo_idx):
