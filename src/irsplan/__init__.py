@@ -39,8 +39,7 @@ from .numerics import (Refused, Tolerance, get_tail_quantile,
 from .planner import (CoverageResult, PlanCheckError, PlanInfeasibleError,
                       PlanResult, SearchGrid, algorithm1, coverage_range,
                       line_search, line_search_budgets)
-from .powerctl import (PowerAllocation, RegionEnergyCoefficient,
-                       ThroughputReport, benchmark_cipc,
+from .powerctl import (PowerAllocation, ThroughputReport, benchmark_cipc,
                        benchmark_equal_power, benchmark_irs_equal_power,
                        benchmark_irs_mean_cipc, cipc_power, equalize_power,
                        irs_region_coefficient)
@@ -61,7 +60,7 @@ __all__ = [
     "CoverageResult", "PlanCheckError", "PlanInfeasibleError", "PlanResult",
     "SearchGrid",
     "algorithm1", "coverage_range", "line_search", "line_search_budgets",
-    "PowerAllocation", "RegionEnergyCoefficient", "ThroughputReport",
+    "PowerAllocation", "ThroughputReport",
     "benchmark_cipc", "benchmark_equal_power", "benchmark_irs_equal_power",
     "benchmark_irs_mean_cipc", "cipc_power", "equalize_power",
     "irs_region_coefficient",

@@ -28,8 +28,8 @@ from . import __version__
 from .config import ExperimentConfig, load_config
 from .geometry import RingPlan, mean_ues_per_sector, validate_plan
 from .numerics import Refused
-from .planner import (RING_TABLE_STATS, PlanInfeasibleError, PlanResult, algorithm1,
-                      coverage_range, line_search, line_search_budgets)
+from .planner import (RING_TABLE_STATS, PlanResult, algorithm1, coverage_range,
+                      line_search, line_search_budgets)
 from .powerctl import (PowerAllocation, benchmark_cipc, benchmark_equal_power,
                        benchmark_irs_equal_power, benchmark_irs_mean_cipc)
 from .simulation import validate_plan_mc
@@ -150,9 +150,8 @@ def _ring_table_rows(cfg: ExperimentConfig, result: PlanResult):
     return rows
 
 
-def cmd_plan(cfg: ExperimentConfig, out_dir: Path, method=None) -> int:
-    method = method or cfg.plan.method
-    result = _run_planner(cfg, method, cfg.plan.M)
+def cmd_plan(cfg: ExperimentConfig, out_dir: Path) -> int:
+    result = _run_planner(cfg, cfg.plan.method, cfg.plan.M)
     write_json(out_dir / "plan.json", _plan_payload(result), cfg, _ring_table_meta())
     write_csv(out_dir / "plan_rings.csv",
               ("region", "i", "R_out_m", "R_in_m", "M_i", "L_i_m",
@@ -175,24 +174,18 @@ def cmd_sweep(cfg: ExperimentConfig, out_dir: Path) -> int:
     if budgets and set(cfg.sweep.methods) - {"algorithm1"}:  # the rest need placements
         plans = line_search_budgets(cfg.cell, cfg.radio, cfg.irs, budgets, cfg.plan.I,
                                     grid=cfg.grid, p_no=p_no)
-
-    def placement(M):
-        if isinstance(plans[M], PlanInfeasibleError):
-            raise plans[M]
-        return plans[M]
-
     for M in budgets:
         for method in cfg.sweep.methods:
             if method == "line-search":
-                nu = placement(M).nu_bar
+                nu = plans[M].nu_bar
             elif method == "algorithm1":
                 nu = _run_planner(cfg, "algorithm1", M).nu_bar
             elif method == "irs-equal-power":
                 nu = benchmark_irs_equal_power(cfg.radio, cfg.cell, cfg.irs,
-                                               placement(M).plan).nu_bar
+                                               plans[M].plan).nu_bar
             else:  # irs-mean-cipc
                 nu = benchmark_irs_mean_cipc(cfg.radio, cfg.cell, cfg.irs,
-                                             placement(M).plan).nu_bar
+                                             plans[M].plan).nu_bar
             rows.append((M, method, nu))
     write_csv(out_dir / "sweep.csv", ("M", "method", "nu_bar_bps_hz"),
               rows, cfg, _ring_table_meta())
@@ -338,13 +331,14 @@ def _build_parser():
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        cfg = load_config(args.config, args.overrides, seed=args.seed)
+        cfg = load_config(args.config, args.overrides, seed=args.seed,
+                          method=getattr(args, "method", None))
         out_dir = args.out
         out_dir.mkdir(parents=True, exist_ok=True)
         if args.command == "coverage":
             return cmd_coverage(cfg, out_dir)
         if args.command == "plan":
-            return cmd_plan(cfg, out_dir, method=args.method)
+            return cmd_plan(cfg, out_dir)
         if args.command == "sweep":
             return cmd_sweep(cfg, out_dir)
         return cmd_validate(cfg, args.plan_file, out_dir)

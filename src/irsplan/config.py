@@ -205,10 +205,11 @@ def _parse_override(text):
     return section, field, _apply_units(value)
 
 
-def load_config(path=None, overrides=(), seed=None) -> ExperimentConfig:
+def load_config(path=None, overrides=(), seed=None, method=None) -> ExperimentConfig:
     """Resolve a config file plus --set overrides into an ExperimentConfig.
 
-    ``seed`` (from --seed) lands in mc.seed.
+    ``seed`` (from --seed) lands in mc.seed and ``method`` (from --method)
+    in plan.method.
     """
     data = {}
     if path is not None:
@@ -241,6 +242,8 @@ def load_config(path=None, overrides=(), seed=None) -> ExperimentConfig:
         data.setdefault(section, {})[field] = value
     if seed is not None:
         data.setdefault("mc", {})["seed"] = seed
+    if method is not None:
+        data.setdefault("plan", {})["method"] = method
 
     sections = {}
     for name, cls in _SECTIONS.items():

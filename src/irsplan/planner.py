@@ -44,9 +44,8 @@ import numpy as np
 from .channel import IrsSpec, RadioConfig, composite_stats_arrays, irs_power_factor
 from .geometry import CellConfig, RingPlan, irs_distance2, make_ring_plan, validate_plan
 from .numerics import Refused, _gl_panels, bisect
-from .powerctl import (RING_TABLE_STATS, PowerAllocation, RegionEnergyCoefficient,
-                       _ap_spans, ap_region_coefficient, equalize_power,
-                       irs_region_coefficient)
+from .powerctl import (RING_TABLE_STATS, PowerAllocation, _ap_spans,
+                       ap_region_coefficient, equalize_power, irs_region_coefficient)
 
 
 class PlanInfeasibleError(Refused):
@@ -181,7 +180,7 @@ class _RingCoefficientTable:
         # strictly increasing and ending at R_ex whatever the remainder
         self.radii = np.append(np.arange(0.0, cell.R_ex - 1e-9, step), cell.R_ex)
         self._r2 = self.radii ** 2
-        self.c0_grid = np.array([ap_region_coefficient(cfg, cell, p_no, R).C
+        self.c0_grid = np.array([ap_region_coefficient(cfg, cell, p_no, R)
                                  for R in self.radii])
         self._cache = {}
 
@@ -267,17 +266,16 @@ def _coefficient_table(cell, cfg, irs, p_no, step) -> _RingCoefficientTable:
 def _finalize(cell, cfg, irs, p_no, R_in, M, method, diagnostics=None) -> PlanResult:
     """Price a candidate's rings with the graded rule and package it."""
     plan = make_ring_plan(cell, R_in, M)
-    C0 = sum(ap_region_coefficient(cfg, cell, p_no, hi).C
-             - ap_region_coefficient(cfg, cell, p_no, lo).C for lo, hi in _ap_spans(cell, plan))
-    coeffs = [RegionEnergyCoefficient(region="ap", C=C0)]
-    for i in range(1, plan.I + 1):
-        coeffs.append(irs_region_coefficient(cfg, cell, irs, plan, i, p_no))
+    C0 = sum(ap_region_coefficient(cfg, cell, p_no, hi)
+             - ap_region_coefficient(cfg, cell, p_no, lo) for lo, hi in _ap_spans(cell, plan))
+    coeffs = [C0] + [irs_region_coefficient(cfg, cell, irs, plan, i, p_no)
+                     for i in range(1, plan.I + 1)]
     alloc = equalize_power(coeffs, cfg, p_no)
     violations = validate_plan(cell, plan, total_irs=sum(M), rho=alloc.rho)
     if violations:
         raise PlanCheckError(method, [f"{v.code}: {v.detail}" for v in violations])
     diag = dict(diagnostics or {})
-    diag["region_coefficients_J"] = {c.region: c.C for c in coeffs}
+    diag["region_coefficients_J"] = {f"ring{i}" if i else "ap": C for i, C in enumerate(coeffs)}
     return PlanResult(plan=plan, allocation=alloc, method=method, diagnostics=diag)
 
 
@@ -289,16 +287,18 @@ def _ring_program(table, lo_min, tops, I, m1_max):
     feeds a state some budget reaches is reached too, so one V over the union
     of the budgets' reachable states holds, at each budget's states, the
     values that budget's own program would compute (+inf at states no
-    budget reaches).  Each layer first collects its moves, then fills their
-    coefficients in one batch, then takes the minima.  Returns (V, found)
-    with found[M] = (best, choice): best[lo] the cheapest total whose ring 1
-    ends at R_in[1] = radii[lo], choice[lo] its (deeper ring count, R_in[0]
-    index, M_1).
+    budget reaches).  V and reach hold min(I, M, n - 1) ring depths: ring 1
+    above k deeper rings needs k <= lo < R_in[0] index <= n - 1, so no plan
+    on n radii uses a deeper layer.  Each layer first collects its moves,
+    then fills their coefficients in one batch, then takes the minima.
+    Returns (V, found) with found[M] = (best, choice): best[lo] the cheapest
+    total whose ring 1 ends at R_in[1] = radii[lo], choice[lo] its (deeper
+    ring count, R_in[0] index, M_1).
     """
     c0 = table.c0_grid
     n = len(c0)
     top_M = max(tops)
-    depth = min(I, top_M)
+    depth = min(I, top_M, n - 1)  # ring depths a plan on n radii can use
 
     def top_moves(M, k):
         """(R_in[0] index, M_1, first lo) for ring 1 above k deeper rings."""
@@ -312,7 +312,7 @@ def _ring_program(table, lo_min, tops, I, m1_max):
                 if lo < r0:
                     yield r0, m1, lo
 
-    ring1 = [(M, k, move) for M in sorted(tops) for k in range(min(I, M))
+    ring1 = [(M, k, move) for M in sorted(tops) for k in range(min(I, M, n - 1))
              for move in top_moves(M, k)]
     # forward pass: reach[k, hi, j] marks the states some split can reach
     reach = np.zeros((depth, n, top_M + 1), dtype=bool)
@@ -390,32 +390,39 @@ def _recover_path(table, lo_min, V, M, best, choice):
     return R_idx, Ms
 
 
+# cells of V, min(I, M, radii - 1) x radii x (M + 1).  A state costs 13 us at
+# M=300, 22 us at M=1000 and about 65 us at M=3000 (5 m grid, 2-core Xeon), so
+# the limit is 13-65 s of DP
+MAX_DP_STATES = 1_000_000
+
+
 def line_search_budgets(cell: CellConfig, cfg: RadioConfig, irs: IrsSpec, budgets, I,
                         grid: SearchGrid = SearchGrid(), p_no=0.95) -> dict:
     """``line_search`` for every budget in `budgets`, over one dynamic program.
 
-    Returns {M: PlanResult} with, for a budget no split serves, the
-    PlanInfeasibleError that line_search would raise in place of the result.
-    Every budget's plan is the one line_search finds for it alone.
+    Returns {M: PlanResult}, each budget's plan the one line_search finds for
+    it alone, or raises the PlanInfeasibleError of the smallest budget no
+    split serves.
     """
     budgets = sorted({int(M) for M in budgets})
     I = int(I)
     if not budgets or budgets[0] < 1 or I < 1:
         raise ValueError("line_search: M >= 1 and I >= 1 required")
     if cell.M1_max < 1:
-        return {M: PlanInfeasibleError(["no near-AP slots available (M1_max = 0)"])
-                for M in budgets}
+        raise PlanInfeasibleError(["no near-AP slots available (M1_max = 0)"])
 
     start, fill_s = time.perf_counter(), RING_TABLE_STATS.fill_s
     table = _coefficient_table(cell, cfg, irs, p_no, grid.radius_step)
-    rows = table.candidate_rows(budgets[-1])
-    if rows > table.MAX_ROWS:
-        raise Refused("too-expensive", f"a line search up to M={budgets[-1]} on the "
-                      f"{grid.radius_step:g} m grid admits {rows} ring-table rows; "
-                      f"at most {table.MAX_ROWS} are allowed")
     radii, c0 = table.radii, table.c0_grid
-    n = len(radii)
-    lo_min = np.array([table.lo_min(hi, np.arange(budgets[-1] + 1)) for hi in range(n)])
+    n, top = len(radii), budgets[-1]
+    rows = table.candidate_rows(top)
+    states = min(I, top, n - 1) * n * (top + 1)  # the cells of V
+    if rows > table.MAX_ROWS or states > MAX_DP_STATES:
+        raise Refused("too-expensive", f"a line search up to M={top} with I={I} on the "
+                      f"{grid.radius_step:g} m grid admits {rows} ring-table rows and "
+                      f"{states} DP states; at most {table.MAX_ROWS} rows and "
+                      f"{MAX_DP_STATES} states are allowed")
+    lo_min = np.array([table.lo_min(hi, np.arange(top + 1)) for hi in range(n)])
     V, found = _ring_program(table, lo_min, {M: [n - 1] for M in budgets}, I, cell.M1_max)
     if grid.R_in0_search:
         # every term of a plan's cost is nonnegative, so a plan whose open
@@ -425,19 +432,16 @@ def line_search_budgets(cell: CellConfig, cfg: RadioConfig, irs: IrsSpec, budget
                 for M, (best, _) in found.items()}
         if any(len(t) > 1 for t in tops.values()):
             V, found = _ring_program(table, lo_min, tops, I, cell.M1_max)
-    paths = {}
-    for M, (best, choice) in found.items():
-        if math.isfinite(best.min()):
-            paths[M] = _recover_path(table, lo_min, V, M, best, choice)
-        else:
-            paths[M] = PlanInfeasibleError([
+    for M in budgets:
+        if not math.isfinite(found[M][0].min()):
+            raise PlanInfeasibleError([
                 "per-sector load cap and near-AP slot limit exclude every split "
                 f"of M={M} over ring counts 1..{I} on the {grid.radius_step:g} m grid"])
+    paths = {M: _recover_path(table, lo_min, V, M, *found[M]) for M in budgets}
     RING_TABLE_STATS.dp_s += (time.perf_counter() - start) - (RING_TABLE_STATS.fill_s - fill_s)
     diag = {"grid_step_m": grid.radius_step, "searched_R_in0": grid.R_in0_search}
-    return {M: path if isinstance(path, PlanInfeasibleError) else _finalize(
-                cell, cfg, irs, p_no, [radii[i] for i in path[0]], path[1], "line-search", diag)
-            for M, path in paths.items()}
+    return {M: _finalize(cell, cfg, irs, p_no, [radii[i] for i in R_idx], Ms, "line-search", diag)
+            for M, (R_idx, Ms) in paths.items()}
 
 
 def line_search(cell: CellConfig, cfg: RadioConfig, irs: IrsSpec, M, I,
@@ -472,10 +476,7 @@ def line_search(cell: CellConfig, cfg: RadioConfig, irs: IrsSpec, M, I,
     limit and per-sector load cap.  This is the one-budget case of
     ``line_search_budgets``.
     """
-    got = line_search_budgets(cell, cfg, irs, [M], I, grid, p_no)[int(M)]
-    if isinstance(got, PlanInfeasibleError):
-        raise got
-    return got
+    return line_search_budgets(cell, cfg, irs, [M], I, grid, p_no)[int(M)]
 
 
 # ---------------------------------------------------------------------------

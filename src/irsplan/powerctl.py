@@ -80,14 +80,8 @@ RING_TABLE_STATS = RingTableStats()
 
 
 @dataclass(frozen=True)
-class RegionEnergyCoefficient:
-    region: str   # "ap" or "ring<i>"
-    C: float      # energy per unit eta0 [J]
-
-
-@dataclass(frozen=True)
 class PowerAllocation:
-    rho: tuple          # power split, same order as the coefficient list
+    rho: tuple          # power split, same order as the coefficients (AP first)
     eta0_star: float    # common SNR threshold
     p_no: float         # non-outage target the split was built for
 
@@ -137,18 +131,17 @@ def f0_integral(cfg: RadioConfig, R):
     return ((R ** 2 + cfg.H_A ** 2) ** e - cfg.H_A ** (cfg.n0 + 2.0)) / (cfg.n0 + 2.0)
 
 
-def ap_region_coefficient(cfg: RadioConfig, cell: CellConfig, p_no, R_inner) -> RegionEnergyCoefficient:
-    """Energy-per-eta0 coefficient of the AP-only disc of radius R_inner."""
+def ap_region_coefficient(cfg: RadioConfig, cell: CellConfig, p_no, R_inner) -> float:
+    """Energy-per-eta0 coefficient [J] of the AP-only disc of radius R_inner."""
     if not (0.0 < p_no < 1.0):
         raise ValueError("ap_region_coefficient: p_no must lie in (0, 1)")
-    C = (2.0 * math.pi * cell.ue_density * cfg.W * cfg.t0 * f0_integral(cfg, R_inner)
-         / (cfg.alpha0 * math.log(1.0 / p_no)))
-    return RegionEnergyCoefficient(region="ap", C=C)
+    return (2.0 * math.pi * cell.ue_density * cfg.W * cfg.t0 * f0_integral(cfg, R_inner)
+            / (cfg.alpha0 * math.log(1.0 / p_no)))
 
 
 def irs_region_coefficient(cfg: RadioConfig, cell: CellConfig, irs: IrsSpec,
-                           plan: RingPlan, i, p_no) -> RegionEnergyCoefficient:
-    """Energy-per-eta0 coefficient of ring i (1-based).
+                           plan: RingPlan, i, p_no) -> float:
+    """Energy-per-eta0 coefficient [J] of ring i (1-based).
 
     F_i integrates beta / q_alpha(p_no) over one sector (the graded rule of
     ``_sector_integral`` over the half sector, doubled by mirror symmetry
@@ -158,16 +151,15 @@ def irs_region_coefficient(cfg: RadioConfig, cell: CellConfig, irs: IrsSpec,
     if not (0.0 < p_no < 1.0):
         raise ValueError("irs_region_coefficient: p_no must lie in (0, 1)")
     lo, hi = plan.ring_bounds(i)
-    name = f"ring{i}"
     if hi - lo <= 0.0:
-        return RegionEnergyCoefficient(region=name, C=0.0)
+        return 0.0
     L, m = plan.L[i - 1], plan.M[i - 1]
 
     def factor(r, az):
         return irs_power_factor(cfg, irs, r * r, L * L, irs_distance2(r, L, az), p_no)
 
     F = 2.0 * _sector_integral(factor, lo, hi, L, math.pi / m)
-    return RegionEnergyCoefficient(region=name, C=m * cell.ue_density * cfg.W * cfg.t0 * F)
+    return m * cell.ue_density * cfg.W * cfg.t0 * F
 
 
 def _sector_integral(f, lo, hi, L, half):
@@ -188,10 +180,11 @@ def _sector_integral(f, lo, hi, L, half):
 def equalize_power(coeffs, cfg: RadioConfig, p_no) -> PowerAllocation:
     """Closed-form max-min power split across regions.
 
-    With every region's frame energy equal to eta0 * C_region and all regions
-    sharing the common threshold, the budget gives eta0* = E_total / sum(C).
+    coeffs holds each region's energy-per-eta0 coefficient C [J].  With every
+    region's frame energy equal to eta0 * C and all regions sharing the
+    common threshold, the budget gives eta0* = E_total / sum(C).
     """
-    C = np.asarray([c.C for c in coeffs], dtype=float)
+    C = np.asarray(coeffs, dtype=float)
     if (C < 0).any():
         raise ValueError("equalize_power: coefficients must be nonnegative")
     total = float(C.sum())

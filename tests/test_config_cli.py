@@ -252,12 +252,28 @@ class TestPlanCommand:
         assert str(rows) in err["detail"] and "4000000" in err["detail"]
         assert not list(tmp_path.glob("*.csv")) + list(tmp_path.glob("*.json"))
 
+    @pytest.mark.parametrize("command,setting", [("plan", "plan.M=1000"),
+                                                 ("sweep", "sweep.M_values=[10,1000]")])
+    def test_oversized_ring_program_is_refused(self, tmp_path, capsys, command, setting):
+        # M=1000 passes the row limit (1,253,560 rows), but I=1000 asks the
+        # program for 50 x 51 x 1001 states: over a minute of DP
+        start = time.perf_counter()
+        rc = main([command, "--out", str(tmp_path), "--set", "plan.method=line-search",
+                   "--set", "plan.I=1000", "--set", setting])
+        assert time.perf_counter() - start < 2.0
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["kind"] == "too-expensive"
+        assert "2552550" in err["detail"] and "1000000" in err["detail"]
+        assert not list(tmp_path.glob("*.csv")) + list(tmp_path.glob("*.json"))
+
     def test_method_flag_overrides_config(self, tmp_path):
         rc = main(["plan", "--out", str(tmp_path), "--method", "algorithm1",
                    "--set", "plan.M=15", "--set", "plan.method=line-search"])
         assert rc == 0
         doc = json.loads((tmp_path / "plan.json").read_text(encoding="utf-8"))
         assert doc["method"] == "algorithm1"
+        assert doc["config"]["plan"]["method"] == "algorithm1"
 
     def test_infeasible_request_is_structured(self, tmp_path, capsys):
         rc = main(["plan", "--out", str(tmp_path), "--set", "cell.M1_max=0"]

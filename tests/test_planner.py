@@ -194,6 +194,26 @@ class TestExactSearch:
                 res = line_search(cell, radio, irs, M, I, grid=grid)
                 assert res.plan == want, (M, I, search_r0)
 
+    def test_program_depth_is_capped_by_the_grid(self, cell, radio, irs, monkeypatch):
+        # no plan on n radii closes more than n - 1 rings, so an I far above
+        # the grid sizes V by the grid and finds the plan of a grid-sized I
+        import irsplan.planner
+        n = len(_coefficient_table(cell, radio, irs, 0.95, self.STEP).radii)
+        program, depths = irsplan.planner._ring_program, []
+
+        def spy(*args):
+            V, found = program(*args)
+            depths.append(V.shape[0])
+            return V, found
+
+        monkeypatch.setattr(irsplan.planner, "_ring_program", spy)
+        grid = SearchGrid(radius_step=self.STEP)
+        got = line_search(cell, radio, irs, 60, 1000, grid=grid)
+        assert depths and max(depths) <= n - 1
+        want = line_search(cell, radio, irs, 60, n - 2, grid=grid)
+        assert got.plan == want.plan
+        assert got.allocation == want.allocation
+
     def test_exact_ties_prefer_the_smallest_r1(self, cell, radio, irs, monkeypatch):
         # every ring costs the same and the AP disc is free, so all one-ring
         # plans tie: the innermost R_in[1] the load cap allows must win
@@ -211,7 +231,7 @@ class TestExactSearch:
     @pytest.mark.parametrize("step", [5.0, 10.0, 12.5, 25.0])
     def test_c0_grid_is_the_ap_closed_form(self, cell, radio, irs, step):
         table = _coefficient_table(cell, radio, irs, 0.95, step)
-        want = [ap_region_coefficient(radio, cell, 0.95, R).C for R in table.radii]
+        want = [ap_region_coefficient(radio, cell, 0.95, R) for R in table.radii]
         assert np.array_equal(table.c0_grid, want)
 
     def test_ring_rows_outside_load_cap_are_inf(self, cell, radio, irs):
@@ -289,23 +309,29 @@ class TestMultiBudget:
     def test_every_budget_matches_its_own_run(self, cell, radio, irs, I, search_r0,
                                               n_infeasible):
         grid = SearchGrid(radius_step=10.0, R_in0_search=search_r0)
-        plans = line_search_budgets(cell, radio, irs, range(1, 61), I, grid=grid)
-        assert sorted(plans) == list(range(1, 61))
-        infeasible = 0
-        for M, got in plans.items():
+        own, infeasible = {}, {}
+        for M in range(1, 61):
             try:
-                want = line_search(cell, radio, irs, M, I, grid=grid)
+                own[M] = line_search(cell, radio, irs, M, I, grid=grid)
             except PlanInfeasibleError as exc:
-                assert isinstance(got, PlanInfeasibleError), M
-                assert str(got) == str(exc)
-                infeasible += 1
-                continue
+                infeasible[M] = str(exc)
+        assert len(infeasible) == n_infeasible
+        plans = line_search_budgets(cell, radio, irs, own, I, grid=grid)
+        assert sorted(plans) == sorted(own)
+        for M, got in plans.items():
+            want = own[M]
             assert got.plan.R_in == want.plan.R_in, M
             assert got.plan.M == want.plan.M, M
             assert got.nu_bar == want.nu_bar, M
             assert (got.diagnostics["region_coefficients_J"]
                     == want.diagnostics["region_coefficients_J"]), M
-        assert infeasible == n_infeasible
+        # a range with infeasible budgets raises its smallest one's refusal
+        for first in (1, min(own)):
+            bad = [M for M in infeasible if M >= first]
+            if bad:
+                with pytest.raises(PlanInfeasibleError) as exc:
+                    line_search_budgets(cell, radio, irs, range(first, 61), I, grid=grid)
+                assert str(exc.value) == infeasible[bad[0]], first
 
     def test_rejects_bad_budgets(self, cell, radio, irs):
         for budgets in ([], [0, 5], [5, -1]):
