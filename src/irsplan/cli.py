@@ -26,7 +26,7 @@ from pathlib import Path
 
 from . import __version__
 from .config import ExperimentConfig, load_config
-from .geometry import RingPlan, mean_ues_per_sector, validate_plan
+from .geometry import RingPlan, ap_spans, mean_ues_per_sector, validate_plan
 from .numerics import Refused
 from .planner import (RING_TABLE_STATS, PlanResult, algorithm1, coverage_range,
                       line_search, line_search_budgets)
@@ -144,7 +144,7 @@ def _ring_table_rows(cfg: ExperimentConfig, result: PlanResult):
                      plan.M[i - 1], plan.L[i - 1], alloc.rho[i],
                      mean_ues_per_sector(cfg.cell, plan, i),
                      coeff.get(f"ring{i}"), alloc.nu_bar))
-    if plan.R_in[0] < cfg.cell.R_ex - 1e-9:
+    if (plan.R_in[0], cfg.cell.R_ex) in ap_spans(cfg.cell, plan):  # the exterior annulus
         rows.append(("ap-exterior", None, cfg.cell.R_ex, plan.R_in[0],
                      0, None, None, None, None, alloc.nu_bar))
     return rows

@@ -9,10 +9,11 @@ edge); every deeper ring's circle is the mid-radius of its annulus.  UEs
 inside R_in[I] (and, if the exterior range is open, beyond R_in[0]) are
 served by the AP alone.
 
-One routine, ``locate_ue_arrays``, maps UE position arrays to their ring,
-sector and link distances.  The IRS-UE distance has one law of cosines,
-``irs_distance2``, which gives its square: the power-factor integrands read
-d^2 straight from it, and ``irs_distance`` is its square root.
+``surface_circle`` is the one circle rule and ``ap_spans`` the one list of
+AP-served spans.  One routine, ``locate_ue_arrays``, maps UE position arrays
+to their ring, sector and link distances.  The IRS-UE distance has one law
+of cosines, ``irs_distance2``, which gives its square: the power-factor
+integrands read d^2 straight from it, and ``irs_distance`` is its square root.
 """
 
 from __future__ import annotations
@@ -67,19 +68,33 @@ class RingPlan:
 
 
 def make_ring_plan(cell: CellConfig, R_in, M) -> RingPlan:
-    """Construct a RingPlan with the standard IRS circle radii.
-
-    Ring 1 uses the near-AP circle L_min; ring i >= 2 uses the mid-radius
-    (R_in[i] + R_in[i-1]) / 2 of its annulus.
-    """
+    """Construct a RingPlan with the standard IRS circle radii
+    (``surface_circle``)."""
     R_in = tuple(float(v) for v in R_in)
     M = tuple(int(m) for m in M)
     if len(R_in) != len(M) + 1:
         raise ValueError("make_ring_plan: need len(R_in) == len(M) + 1")
-    L = []
-    for i in range(1, len(M) + 1):
-        L.append(cell.L_min if i == 1 else 0.5 * (R_in[i] + R_in[i - 1]))
-    return RingPlan(R_in=R_in, M=M, L=tuple(L))
+    L = tuple(float(surface_circle(cell, i == 1, R_in[i], R_in[i - 1]))
+              for i in range(1, len(M) + 1))
+    return RingPlan(R_in=R_in, M=M, L=L)
+
+
+def surface_circle(cell: CellConfig, near_ap, lo, hi):
+    """Radius of the circle a ring's surfaces sit on: the near-AP circle
+    L_min for ring 1 (near_ap), the annulus mid-radius (lo + hi) / 2 for a
+    deeper ring [lo, hi].  Broadcasts over arrays."""
+    return np.where(near_ap, cell.L_min, 0.5 * (lo + hi))
+
+
+def ap_spans(cell: CellConfig, plan: RingPlan):
+    """Nonempty radial spans (lo, hi) served by the AP alone, inner disc first.
+
+    The inner disc ends at the last ring boundary R_in[I], which is R_in[0]
+    for a plan without rings; the exterior annulus (R_in[0], R_ex] is
+    AP-served whenever the outermost boundary sits inside the cell edge.
+    """
+    spans = ((0.0, plan.R_in[-1]), (plan.R_in[0], cell.R_ex))
+    return [(lo, hi) for lo, hi in spans if hi > lo]
 
 
 @dataclass(frozen=True)
@@ -124,7 +139,7 @@ def validate_plan(cell: CellConfig, plan: RingPlan, total_irs=None, rho=None):
     for i in range(1, plan.I + 1):
         if plan.M[i - 1] < 1:
             continue  # ring-count violation already recorded; area/M undefined
-        want = cell.L_min if i == 1 else 0.5 * (R[i] + R[i - 1])
+        want = float(surface_circle(cell, i == 1, R[i], R[i - 1]))
         if abs(plan.L[i - 1] - want) > 1e-9 * max(1.0, want):
             v.append(PlanViolation("irs-circle",
                                    f"ring {i} L={plan.L[i - 1]:.6g}, expected {want:.6g}"))

@@ -24,11 +24,10 @@ half sector, over the candidate inner radii the load cap allows; each DP
 layer fills all the rings it needs in one batch, evaluated in chunks of a
 constant number of rings) and prices the winning configuration with
 ``powerctl``'s graded rule (``irs_region_coefficient``) before returning it.
-Both rules are the same panel arithmetic, ``numerics._gl_panels``, over
-``channel.irs_power_factor``, which reads one shared table per (N, p_no).
-``line_search_budgets`` runs the dynamic program once for many budgets
-(``line_search`` is its one-budget case), and ``RING_TABLE_STATS`` counts
-the table and pricing work of the process.
+Both are ``powerctl.ring_coefficients``, the one ring coefficient, on
+different breakpoints.  ``line_search_budgets`` runs the dynamic program
+once for many budgets (``line_search`` is its one-budget case), and
+``RING_TABLE_STATS`` counts the table and pricing work of the process.
 """
 
 from __future__ import annotations
@@ -41,11 +40,12 @@ from typing import Optional
 
 import numpy as np
 
-from .channel import IrsSpec, RadioConfig, composite_stats_arrays, irs_power_factor
-from .geometry import CellConfig, RingPlan, irs_distance2, make_ring_plan, validate_plan
-from .numerics import Refused, _gl_panels, bisect
-from .powerctl import (RING_TABLE_STATS, PowerAllocation, _ap_spans,
-                       ap_region_coefficient, equalize_power, irs_region_coefficient)
+from .channel import IrsSpec, RadioConfig, composite_stats_arrays
+from .geometry import (CellConfig, RingPlan, ap_spans, make_ring_plan, surface_circle,
+                       validate_plan)
+from .numerics import Refused, bisect
+from .powerctl import (RING_TABLE_STATS, PowerAllocation, ap_region_coefficient,
+                       equalize_power, irs_region_coefficient, ring_coefficients)
 
 
 class PlanInfeasibleError(Refused):
@@ -146,21 +146,20 @@ class _RingCoefficientTable:
     """Cached per-ring energy coefficients on a fixed radius grid.
 
     ``ring_vec(hi_idx, m, near_ap)`` returns, indexed by lo < hi, the
-    coefficient of a ring [radii[lo], radii[hi]] with m surfaces, using a
-    16-point tensor Gauss-Legendre rule over the half sector (doubled by
-    mirror symmetry).  Only the rows inside the load-cap window
-    [lo_min(hi, m), hi) are filled; rows below it, which no feasible plan
-    uses, hold +inf.  near_ap selects the L = L_min circle of ring 1; other
-    rings take the annulus mid-radius.  The integrand is ``irs_power_factor``
-    at ``irs_distance2``; ``c0_grid`` is ``ap_region_coefficient`` per radius.
+    coefficient of a ring [radii[lo], radii[hi]] with m surfaces: the
+    one-panel, NODES-point case of ``powerctl.ring_coefficients``.  Only the
+    rows inside the load-cap window [lo_min(hi, m), hi) are filled; rows
+    below it, which no feasible plan uses, hold +inf.  near_ap marks ring 1
+    for ``geometry.surface_circle``.  ``c0_grid`` is ``ap_region_coefficient``
+    per radius.
 
     ``fill(keys)`` computes many keys in one batch: their rows (one per
     candidate inner radius) are evaluated CHUNK_ROWS at a time, so the
     working set stays bounded, and every row's coefficient is a function of
     that row alone, the same bits whichever batch or chunk it falls in.  A
     grid of more than MAX_RADII radii is refused before any of this work,
-    and ``line_search_budgets`` refuses a search whose ``candidate_rows``
-    exceed MAX_ROWS.
+    and ``line_search_budgets`` refuses a search whose ``candidate_work``
+    exceeds MAX_ROWS rows or MAX_DP_OPERATIONS operations.
     """
 
     NODES = 16
@@ -188,12 +187,15 @@ class _RingCoefficientTable:
         """Largest hi^2 - lo^2 a ring of m surfaces may cover under the load cap."""
         return self.cell.K_irs_max * m / (self.cell.ue_density * math.pi)
 
-    def candidate_rows(self, M):
-        """Rows (lo < hi, m <= M) the load cap admits: the most that the
-        searches up to budget M can fill with the near_ap=False keys."""
+    def candidate_work(self, M):
+        """(rows, pair operations) up to budget M.  A pair lo < hi admits the
+        T = M + 1 - m_min surface counts m the load cap allows: T rows of the
+        near_ap=False keys, and T (T + 1) / 2 (m, j <= M - m) element
+        operations in each DP layer."""
         span2 = (self._r2[:, None] - self._r2)[np.tril_indices(len(self._r2), -1)]
         m_min = np.maximum(np.ceil(span2 / (self.max_span2(1) * (1 + 1e-12))), 1.0)
-        return int(np.maximum(M + 1.0 - m_min, 0.0).sum())
+        T = np.maximum(M + 1.0 - m_min, 0.0)
+        return int(T.sum()), int((T * (T + 1.0)).sum()) // 2
 
     def lo_min(self, hi_idx, m):
         """Lowest inner index lo a ring ending at radii[hi_idx] with m surfaces
@@ -219,35 +221,23 @@ class _RingCoefficientTable:
         # one row per (key, candidate inner radius)
         row_hi = np.repeat(self.radii[[hi for hi, _, _ in todo]], counts)
         row_lo = np.concatenate([self.radii[first:hi] for (hi, _, _), first in zip(todo, firsts)])
-        row_half = np.repeat([math.pi / m for _, m, _ in todo], counts)  # half sector angle
-        row_near = np.repeat([near_ap for _, _, near_ap in todo], counts)
-        F = np.empty(row_lo.size)
-        for at in range(0, F.size, self.CHUNK_ROWS):
+        row_m = np.repeat([m for _, m, _ in todo], counts)
+        row_L = surface_circle(self.cell, np.repeat([a for *_, a in todo], counts), row_lo, row_hi)
+        r_edges = np.stack([row_lo, row_hi], axis=-1)  # one panel over the ring's width
+        az_edges = np.stack([np.zeros(row_m.size), math.pi / row_m], axis=-1)  # and half sector
+        C = np.empty(row_m.size)
+        for at in range(0, C.size, self.CHUNK_ROWS):
             rows = slice(at, at + self.CHUNK_ROWS)
-            F[rows] = self._half_sector_integrals(row_hi[rows], row_lo[rows], row_half[rows],
-                                                  row_near[rows])
-        cfg, at = self.cfg, 0
+            C[rows] = ring_coefficients(self.cfg, self.cell, self.irs, self.p_no, row_m[rows],
+                                        row_L[rows], r_edges[rows], az_edges[rows], self.NODES)
+        at = 0
         for (hi, m, near_ap), first, count in zip(todo, firsts, counts):
-            C = np.full(hi, math.inf)
-            C[first:] = m * self.cell.ue_density * cfg.W * cfg.t0 * F[at:at + count]
-            self._cache[hi, m, near_ap] = C
+            self._cache[hi, m, near_ap] = np.append(np.full(first, math.inf), C[at:at + count])
             at += count
         RING_TABLE_STATS.fills += len(todo)
-        RING_TABLE_STATS.rows += F.size
-        RING_TABLE_STATS.points += F.size * self.NODES ** 2
+        RING_TABLE_STATS.rows += C.size
+        RING_TABLE_STATS.points += C.size * self.NODES ** 2
         RING_TABLE_STATS.fill_s += time.perf_counter() - start
-
-    def _half_sector_integrals(self, hi, lo, half, near_ap):
-        """Twice the tensor-rule integral over each row's half sector, in one pass:
-        one NODES-point panel per row in each direction."""
-        r, r_weights = _gl_panels(np.stack([lo, hi], axis=-1), self.NODES)
-        az, az_weights = _gl_panels(np.stack([np.zeros_like(half), half], axis=-1), self.NODES)
-        r_weights = r_weights * r
-        L = np.where(near_ap, self.cell.L_min, 0.5 * (hi + lo))[:, None, None]
-        r = r[:, :, None]
-        vals = irs_power_factor(self.cfg, self.irs, r ** 2, L ** 2,
-                                irs_distance2(r, L, az[:, None, :]), self.p_no)
-        return 2.0 * np.einsum("bi,bi->b", np.einsum("bij,bj->bi", vals, az_weights), r_weights)
 
 
 @functools.lru_cache(maxsize=8)
@@ -267,7 +257,7 @@ def _finalize(cell, cfg, irs, p_no, R_in, M, method, diagnostics=None) -> PlanRe
     """Price a candidate's rings with the graded rule and package it."""
     plan = make_ring_plan(cell, R_in, M)
     C0 = sum(ap_region_coefficient(cfg, cell, p_no, hi)
-             - ap_region_coefficient(cfg, cell, p_no, lo) for lo, hi in _ap_spans(cell, plan))
+             - ap_region_coefficient(cfg, cell, p_no, lo) for lo, hi in ap_spans(cell, plan))
     coeffs = [C0] + [irs_region_coefficient(cfg, cell, irs, plan, i, p_no)
                      for i in range(1, plan.I + 1)]
     alloc = equalize_power(coeffs, cfg, p_no)
@@ -390,10 +380,10 @@ def _recover_path(table, lo_min, V, M, best, choice):
     return R_idx, Ms
 
 
-# cells of V, min(I, M, radii - 1) x radii x (M + 1).  A state costs 13 us at
-# M=300, 22 us at M=1000 and about 65 us at M=3000 (5 m grid, 2-core Xeon), so
-# the limit is 13-65 s of DP
-MAX_DP_STATES = 1_000_000
+# DP element operations, depth x the pair operations of candidate_work.  An
+# operation cost 1.2-3.5 ns over the 5 m and 25 m grids at M = 300...30000
+# (2-core Xeon), so the limit is about 25-70 s of DP
+MAX_DP_OPERATIONS = 20_000_000_000
 
 
 def line_search_budgets(cell: CellConfig, cfg: RadioConfig, irs: IrsSpec, budgets, I,
@@ -415,13 +405,13 @@ def line_search_budgets(cell: CellConfig, cfg: RadioConfig, irs: IrsSpec, budget
     table = _coefficient_table(cell, cfg, irs, p_no, grid.radius_step)
     radii, c0 = table.radii, table.c0_grid
     n, top = len(radii), budgets[-1]
-    rows = table.candidate_rows(top)
-    states = min(I, top, n - 1) * n * (top + 1)  # the cells of V
-    if rows > table.MAX_ROWS or states > MAX_DP_STATES:
+    rows, pair_ops = table.candidate_work(top)
+    ops = min(I, top, n - 1) * pair_ops  # the program's depth times its pair operations
+    if rows > table.MAX_ROWS or ops > MAX_DP_OPERATIONS:
         raise Refused("too-expensive", f"a line search up to M={top} with I={I} on the "
                       f"{grid.radius_step:g} m grid admits {rows} ring-table rows and "
-                      f"{states} DP states; at most {table.MAX_ROWS} rows and "
-                      f"{MAX_DP_STATES} states are allowed")
+                      f"{ops} DP operations; at most {table.MAX_ROWS} rows and "
+                      f"{MAX_DP_OPERATIONS} operations are allowed")
     lo_min = np.array([table.lo_min(hi, np.arange(top + 1)) for hi in range(n)])
     V, found = _ring_program(table, lo_min, {M: [n - 1] for M in budgets}, I, cell.M1_max)
     if grid.R_in0_search:
@@ -487,52 +477,39 @@ def algorithm1(cell: CellConfig, cfg: RadioConfig, irs: IrsSpec, M, I_max,
                p_no=0.95) -> PlanResult:
     """Fast ring construction: near-AP circle first, then equal-interval rings.
 
-    For M <= M1_max every surface sits on the near-AP circle and serves an
-    outermost ring sized to the per-sector cap.  Otherwise ring 1 takes all
-    M1_max near-AP slots and, for each candidate ring count, the remaining
-    surfaces fill rings laid inward from equal-interval tentative radii, each
-    ring sized so one sector carries the cap; the best ring count wins.  The
-    integer rounding of ring sizes is repaired against the remaining budget
-    (never starving a deeper ring, last ring absorbs the remainder).
+    Ring 1 takes m1 = min(M, M1_max) near-AP slots and serves an outermost
+    ring sized to the per-sector cap.  Each ring count I (1 when m1 = M)
+    lays the other surfaces in rings 2..I inward from equal-interval
+    tentative radii, each sized so one sector carries the cap; the best I
+    wins.  The integer rounding of ring sizes is repaired against the
+    remaining budget (never starving a deeper ring, last ring absorbs the
+    remainder).
     """
     M = int(M)
-    if M < 1:
-        raise ValueError("algorithm1: M >= 1 required")
+    if M < 1 or I_max < 1:
+        raise ValueError("algorithm1: M >= 1 and I_max >= 1 required")
     if cell.M1_max < 1:
         raise PlanInfeasibleError(["no near-AP slots available (M1_max = 0)"])
     lam = cell.ue_density
     cap_area = cell.K_irs_max / lam  # sector area at the UE cap
+    m1 = min(M, cell.M1_max)
+    rest = M - m1  # surfaces for rings 2..I
+    R1 = math.sqrt(max(cell.R_ex ** 2 - m1 * cap_area / math.pi, 0.0))
+    total_area = M * cap_area
+    if total_area >= math.pi * cell.R_ex ** 2:
+        R_target = 0.0
+        kbar_rest = lam * math.pi * R1 ** 2 / max(rest, 1)  # read only when rest > 0
+    else:
+        R_target = math.sqrt(cell.R_ex ** 2 - total_area / math.pi)
+        kbar_rest = cell.K_irs_max
+    area_rest = kbar_rest / lam
 
-    if M <= cell.M1_max:
-        inner_sq = cell.R_ex ** 2 - M * cap_area / math.pi
-        R1 = math.sqrt(max(inner_sq, 0.0))
-        return _finalize(cell, cfg, irs, p_no, [cell.R_ex, R1], [M], "algorithm1",
-                         {"I_candidates": [1]})
-
-    if I_max < 2:
-        raise PlanInfeasibleError([
-            f"M={M} exceeds the near-AP slots (M1_max={cell.M1_max}) and "
-            f"I_max={I_max} forbids deeper rings"])
-
-    best = None
-    tried = []
-    R1 = math.sqrt(max(cell.R_ex ** 2 - cell.M1_max * cap_area / math.pi, 0.0))
-    for I in range(2, I_max + 1):
-        budget = M - cell.M1_max
-        if budget < I - 1:
-            continue
+    best, tried = None, []
+    for I in range(1, I_max + 1):
+        if rest < I - 1 or (I == 1 and rest):
+            continue  # ring 1 alone takes every surface; each deeper ring needs one
         tried.append(I)
-        total_area = M * cap_area
-        if total_area >= math.pi * cell.R_ex ** 2:
-            R_target = 0.0
-            kbar_rest = lam * math.pi * R1 ** 2 / (M - cell.M1_max)
-        else:
-            R_target = math.sqrt(cell.R_ex ** 2 - total_area / math.pi)
-            kbar_rest = cell.K_irs_max
-        area_rest = kbar_rest / lam
-        Rs = [cell.R_ex, R1]
-        Ms = [cell.M1_max]
-        r_prev = R1
+        Rs, Ms, budget, r_prev = [cell.R_ex, R1], [m1], rest, R1
         for i in range(2, I + 1):
             delta = (r_prev - R_target) / (I - i + 1)
             r_tent = r_prev - delta
@@ -549,9 +526,9 @@ def algorithm1(cell: CellConfig, cfg: RadioConfig, irs: IrsSpec, M, I_max,
         result = _finalize(cell, cfg, irs, p_no, Rs, Ms, "algorithm1", {})
         if best is None or result.nu_bar > best.nu_bar * (1.0 + 1e-9):
             best = result
-    if best is None:
+    if best is None:  # surfaces remain (I = 2 takes any rest >= 1), but I_max < 2
         raise PlanInfeasibleError([
-            f"budget M-M1_max={M - cell.M1_max} cannot populate any ring count "
-            f"2..{I_max} with at least one surface per ring"])
+            f"M={M} exceeds the near-AP slots (M1_max={cell.M1_max}) and "
+            f"I_max={I_max} forbids deeper rings"])
     best.diagnostics["I_candidates"] = tried
     return best

@@ -20,10 +20,12 @@ sum(eta0 * C) = E_total pins the max-min-optimal common threshold in closed
 form: eta0* = E_total / sum(C); the power ratios follow as rho = eta0* C / E.
 
 ``f0_integral`` and ``ap_region_coefficient`` are the one AP-energy closed
-form; the planner and the mean-CIPC benchmark call them.  ``_sector_integral``
-is the one sector-quadrature rule, a fixed graded Gauss-Legendre rule: it
-prices every ring (``irs_region_coefficient``) and the mean-CIPC inverse-gain
-integral.
+form; the planner and the mean-CIPC benchmark call them.  ``_sector_integrals``
+is the one sector quadrature, a batched tensor Gauss-Legendre rule on given
+panel breakpoints, and ``ring_coefficients`` the one ring coefficient built on
+it.  The planner's screen is its one-panel, 16-node case; the graded rule
+(10 nodes a panel on ``_graded_edges``) prices every ring
+(``irs_region_coefficient``) and the mean-CIPC inverse-gain integral.
 
 The fixed-placement policy benchmarks (``benchmark_irs_equal_power``,
 ``benchmark_irs_mean_cipc``) share one position model: Z^2 ~ Gamma(alpha,
@@ -40,7 +42,6 @@ margin for rounding.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -48,7 +49,7 @@ import numpy as np
 
 from .channel import (IrsSpec, RadioConfig, composite_stats_arrays,
                       irs_power_factor, mean_gain_direct)
-from .geometry import CellConfig, RingPlan, irs_distance, irs_distance2
+from .geometry import CellConfig, RingPlan, ap_spans, irs_distance, irs_distance2
 from .numerics import _gl_panels, reg_upper_gamma
 
 SECTOR_NODES = 10                     # Gauss-Legendre nodes per panel of the graded rule
@@ -141,40 +142,56 @@ def ap_region_coefficient(cfg: RadioConfig, cell: CellConfig, p_no, R_inner) -> 
 
 def irs_region_coefficient(cfg: RadioConfig, cell: CellConfig, irs: IrsSpec,
                            plan: RingPlan, i, p_no) -> float:
-    """Energy-per-eta0 coefficient [J] of ring i (1-based).
-
-    F_i integrates beta / q_alpha(p_no) over one sector (the graded rule of
-    ``_sector_integral`` over the half sector, doubled by mirror symmetry
-    about the IRS azimuth); the ring coefficient is
-    C_i = M_i * lambda * W * t_0 * F_i.
-    """
+    """Energy-per-eta0 coefficient [J] of ring i (1-based): the graded
+    rule's ``ring_coefficients`` of its one row."""
     if not (0.0 < p_no < 1.0):
         raise ValueError("irs_region_coefficient: p_no must lie in (0, 1)")
     lo, hi = plan.ring_bounds(i)
     if hi - lo <= 0.0:
         return 0.0
     L, m = plan.L[i - 1], plan.M[i - 1]
+    return float(ring_coefficients(cfg, cell, irs, p_no, m, np.array([L]),
+                                   *_graded_edges(lo, hi, L, math.pi / m), SECTOR_NODES)[0])
+
+
+def ring_coefficients(cfg: RadioConfig, cell: CellConfig, irs: IrsSpec, p_no, m, L,
+                      r_edges, az_edges, nodes):
+    """Energy-per-eta0 coefficients [J] C = m * lambda * W * t_0 * F of rings,
+    one per row: m[b] surfaces (m may be a scalar) on the circle L[b], and F
+    twice (mirror symmetry) the integral of beta / q_alpha(p_no) over the half
+    sector on the breakpoints r_edges[b] x az_edges[b]."""
+    L = L[:, None, None]
 
     def factor(r, az):
-        return irs_power_factor(cfg, irs, r * r, L * L, irs_distance2(r, L, az), p_no)
+        return irs_power_factor(cfg, irs, r ** 2, L ** 2, irs_distance2(r, L, az), p_no)
 
-    F = 2.0 * _sector_integral(factor, lo, hi, L, math.pi / m)
+    F = 2.0 * _sector_integrals(factor, r_edges, az_edges, nodes)
     return m * cell.ue_density * cfg.W * cfg.t0 * F
 
 
-def _sector_integral(f, lo, hi, L, half):
-    """Integral of f(r, az) * r over [lo, hi] x [0, half] by the graded rule:
-    composite GL, SECTOR_NODES a panel, with breakpoints at L +- 3^k m and
-    3^k / L rad (clipped to the box) grading the panels toward (L, 0), where
-    the IRS-UE distance falls to H_I (Davis & Rabinowitz, Methods of
-    Numerical Integration, 1984).  f sees the broadcast grid once."""
+def _sector_integrals(f, r_edges, az_edges, nodes):
+    """Integrals of f(r, az) * r over polar boxes, one per row: composite GL
+    with `nodes` nodes a panel on the breakpoints r_edges[b] (radius) and
+    az_edges[b] (azimuth).  f sees (rows, radii, 1) and (rows, 1, azimuths)
+    arrays once; each row contracts azimuth first, then radius."""
+    r, r_w = _gl_panels(r_edges, nodes)
+    az, az_w = _gl_panels(az_edges, nodes)
+    vals = f(r[:, :, None], az[:, None, :])
+    return np.einsum("bi,bi->b", np.einsum("bij,bj->bi", vals, az_w), r_w * r)
+
+
+def _graded_edges(lo, hi, L, half):
+    """Breakpoints (one row each) of the graded rule on [lo, hi] x [0, half]:
+    L +- 3^k m and 3^k / L rad, clipped to the box, grade the panels toward
+    (L, 0), where the IRS-UE distance falls to H_I (Davis & Rabinowitz,
+    Methods of Numerical Integration, 1984).  Each call counts one priced
+    ring in RING_TABLE_STATS."""
     r_edges = np.concatenate(([lo, hi], L - SECTOR_GRADING, L + SECTOR_GRADING))
     az_edges = np.concatenate(([0.0, half], SECTOR_GRADING / L))
-    r, r_w = _gl_panels(np.unique(np.clip(r_edges, lo, hi)), SECTOR_NODES)
-    az, az_w = _gl_panels(np.unique(np.clip(az_edges, 0.0, half)), SECTOR_NODES)
+    edges = np.unique(np.clip(r_edges, lo, hi))[None], np.unique(np.clip(az_edges, 0, half))[None]
     RING_TABLE_STATS.priced_rings += 1
-    RING_TABLE_STATS.priced_points += r.size * az.size
-    return float((r_w * r) @ f(r[:, None], az[None, :]) @ az_w)
+    RING_TABLE_STATS.priced_points += (edges[0].size - 1) * (edges[1].size - 1) * SECTOR_NODES ** 2
+    return edges
 
 
 def equalize_power(coeffs, cfg: RadioConfig, p_no) -> PowerAllocation:
@@ -214,23 +231,11 @@ def benchmark_cipc(cfg: RadioConfig, cell: CellConfig, p_no) -> ThroughputReport
 # repo-defined IRS power-control benchmarks (placement fixed, policy varied)
 # ---------------------------------------------------------------------------
 
-def _ap_spans(cell, plan):
-    """Nonempty radial spans (lo, hi) served by the AP alone, inner disc first.
-
-    The inner disc ends at the last ring boundary R_in[I], which is R_in[0]
-    for a plan without rings; the exterior annulus (R_in[0], R_ex] is
-    AP-served whenever the outermost boundary sits inside the cell edge.
-    """
-    spans = ((0.0, plan.R_in[-1]), (plan.R_in[0], cell.R_ex))
-    return [(lo, hi) for lo, hi in spans if hi > lo]
-
-
-@functools.lru_cache(maxsize=8)
 def _worst_case_grid(cfg, cell, irs, plan):
-    """(alpha, beta, mean_z2) of Z^2 ~ Gamma(alpha, beta) on a worst-case grid:
-    40 radii x 33 azimuths per ring over its half sector (the statistics are
-    mirror-symmetric about the IRS azimuth) and 40 radii per AP span, where
-    Z^2 = g_d E is exactly Gamma(1, 1/g_d).  Read-only, built once per plan."""
+    """Rows (alpha, beta, mean_z2) of Z^2 ~ Gamma(alpha, beta) on a worst-case
+    grid: 40 radii x 33 azimuths per ring over its half sector (the
+    statistics are mirror-symmetric about the IRS azimuth) and 40 radii per
+    AP span, where Z^2 = g_d E is exactly Gamma(1, 1/g_d)."""
     n_r, n_az = 40, 33
     parts = [np.empty((3, 0))]
     for i in range(1, plan.I + 1):
@@ -242,12 +247,10 @@ def _worst_case_grid(cfg, cell, irs, plan):
         az = np.linspace(0.0, 0.5 * plan.sector_angle(i), n_az)[None, :]
         mean, _, alpha, beta = composite_stats_arrays(cfg, irs, r, L, irs_distance(r, L, az))
         parts.append(np.stack([alpha, beta, mean]).reshape(3, -1))
-    for lo, hi in _ap_spans(cell, plan):
+    for lo, hi in ap_spans(cell, plan):
         g_d = mean_gain_direct(cfg, np.linspace(lo, hi, n_r))
         parts.append(np.stack([np.ones(n_r), 1.0 / g_d, g_d]))
-    grid = np.concatenate(parts, axis=1)
-    grid.flags.writeable = False
-    return tuple(grid)
+    return np.concatenate(parts, axis=1)
 
 
 def _maxmin_over_rate(nops, n, seed):
@@ -380,9 +383,10 @@ def benchmark_irs_mean_cipc(cfg, cell, irs, plan) -> ThroughputReport:
             mean, _, _, _ = composite_stats_arrays(cfg, irs, r, L, irs_distance(r, L, az))
             return 1.0 / mean
 
-        half = 0.5 * plan.sector_angle(i)
-        inv_gain_integral += plan.M[i - 1] * 2.0 * _sector_integral(inv_mean, lo, hi, L, half)
-    for lo, hi in _ap_spans(cell, plan):  # 1/g_d = (r^2 + H_A^2)^(n0/2) / alpha0
+        edges = _graded_edges(lo, hi, L, 0.5 * plan.sector_angle(i))
+        inv_gain_integral += (plan.M[i - 1] * 2.0
+                              * float(_sector_integrals(inv_mean, *edges, SECTOR_NODES)[0]))
+    for lo, hi in ap_spans(cell, plan):  # 1/g_d = (r^2 + H_A^2)^(n0/2) / alpha0
         inv_gain_integral += (2.0 * math.pi * (f0_integral(cfg, hi) - f0_integral(cfg, lo))
                               / cfg.alpha0)
     gamma_bar = cfg.E_total / (cell.ue_density * cfg.W * cfg.t0 * inv_gain_integral)

@@ -256,7 +256,7 @@ class TestPlanCommand:
                                                  ("sweep", "sweep.M_values=[10,1000]")])
     def test_oversized_ring_program_is_refused(self, tmp_path, capsys, command, setting):
         # M=1000 passes the row limit (1,253,560 rows), but I=1000 asks the
-        # program for 50 x 51 x 1001 states: over a minute of DP
+        # program for 3.08e10 element operations: about a minute of DP
         start = time.perf_counter()
         rc = main([command, "--out", str(tmp_path), "--set", "plan.method=line-search",
                    "--set", "plan.I=1000", "--set", setting])
@@ -264,8 +264,41 @@ class TestPlanCommand:
         assert rc == 2
         err = json.loads(capsys.readouterr().err)["error"]
         assert err["kind"] == "too-expensive"
-        assert "2552550" in err["detail"] and "1000000" in err["detail"]
+        assert "30848838600" in err["detail"] and "20000000000" in err["detail"]
         assert not list(tmp_path.glob("*.csv")) + list(tmp_path.glob("*.json"))
+
+    @pytest.mark.parametrize("settings,ops", [
+        (["grid.radius_step=25", "plan.M=30000"], 74157119898),  # 93 s of DP once
+        (["plan.M=3000", "plan.I=5"], 28376858860)])             # 49 s of DP once
+    def test_dp_operations_are_refused_before_the_program(self, tmp_path, capsys, monkeypatch,
+                                                          settings, ops):
+        # both pass the row limit; the operation count refuses them unrun
+        import irsplan.planner
+
+        def program(*args):
+            raise AssertionError("the dynamic program ran")
+
+        monkeypatch.setattr(irsplan.planner, "_ring_program", program)
+        rc = main(["plan", "--out", str(tmp_path), "--set", "plan.method=line-search"]
+                  + [arg for setting in settings for arg in ("--set", setting)])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["kind"] == "too-expensive"
+        assert str(ops) in err["detail"] and "20000000000" in err["detail"]
+
+    def test_exterior_row_follows_the_ap_spans(self, tmp_path):
+        # an exterior annulus 1e-10 m wide is AP-served energy, so it gets its row
+        from irsplan.cli import _ring_table_rows
+        from irsplan.geometry import ap_spans
+        from irsplan.planner import _finalize
+        cfg = load_config(None, [])
+        cell = cfg.cell
+        for R0 in (cell.R_ex - 1e-10, cell.R_ex):
+            res = _finalize(cell, cfg.radio, cfg.irs, 0.95, [R0, 230.0], [10], "t")
+            exterior = [r for r in _ring_table_rows(cfg, res) if r[0] == "ap-exterior"]
+            spans = ap_spans(cell, res.plan)
+            assert [(r[3], r[2]) for r in exterior] == spans[1:]
+            assert len(spans) == (2 if R0 < cell.R_ex else 1)
 
     def test_method_flag_overrides_config(self, tmp_path):
         rc = main(["plan", "--out", str(tmp_path), "--method", "algorithm1",
@@ -340,15 +373,6 @@ class TestSweepCommand:
         assert rc == 0
         meta = json.loads((tmp_path / "sweep.csv.meta.json").read_text(encoding="utf-8"))
         assert meta["ring_table"]["points"] == 256 * meta["ring_table"]["rows"]
-
-    def test_one_policy_grid_per_placement(self, tmp_path):
-        # both IRS policy benchmarks of a budget read one cached grid
-        from irsplan.powerctl import _worst_case_grid
-        _worst_case_grid.cache_clear()
-        assert main(["sweep", "--out", str(tmp_path)]) == 0  # M = 10..100, every method
-        _, _, rows = read_csv(tmp_path / "sweep.csv")
-        assert sum(r["method"] == "irs-mean-cipc" for r in rows) == 10
-        assert _worst_case_grid.cache_info().misses == 10
 
     @pytest.mark.parametrize("budgets", ["[true]", "[true, 1]", "[10, false]"])
     def test_boolean_budgets_are_rejected(self, tmp_path, capsys, budgets):

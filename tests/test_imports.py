@@ -3,7 +3,9 @@ every private module-level name in src/ is referenced somewhere in src/; every
 exception class in src/ derives from ``numerics.Refused``, so ``cli.main``
 needs one refusal handler (exit code 2) beside its crash handler; the
 policy benchmarks of ``powerctl`` reach ``reg_upper_gamma`` from one function;
-and no module but ``numerics`` calls its adaptive integrators.
+no module but ``numerics`` calls its adaptive integrators; ``irs_power_factor``
+is called from the one ring coefficient and the required power alone; and no
+module imports another's private names beyond a pinned set.
 
 A cold ``plan`` and ``validate`` also must not import ``scipy.interpolate``:
 it would add about a third of a second to every such process.  A cold
@@ -240,6 +242,62 @@ def test_scan_flags_a_quadrature_call():
                      "z = integrate_polar_sector\n")
     assert list(calls_to({"integrate_polar_sector", "integrate_radial"}, tree)) == [
         (3, "integrate_radial"), (4, "integrate_polar_sector")]
+
+
+def test_one_ring_coefficient_integrand():
+    # the planner's screen and the graded price are one ring coefficient in
+    # powerctl; the Monte Carlo sampler reaches the factor through the power
+    sites = {}
+    for f in sorted((ROOT / "src").rglob("*.py")):
+        tree = ast.parse(f.read_text(encoding="utf-8"))
+        calls = list(calls_to({"irs_power_factor"}, tree))
+        if calls:
+            sites[f.name] = (callers("irs_power_factor", tree), len(calls))
+    assert sites == {"channel.py": (["required_power_irs"], 1),
+                     "powerctl.py": (["ring_coefficients"], 1)}
+
+
+def _private(name):
+    return name.startswith("_") and not name.startswith("__")
+
+
+def private_imports(label, tree):
+    """'label: module.name' for every private name (or name of a private
+    module) that `tree` imports from another module."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = (node.module or "").split(".")[-1]
+            for alias in node.names:
+                if _private(module) or _private(alias.name):
+                    yield f"{label}: {module + '.' if module else ''}{alias.name}"
+        elif isinstance(node, ast.Import):
+            yield from (f"{label}: {alias.name}" for alias in node.names
+                        if any(_private(part) for part in alias.name.split(".")))
+
+
+# the private names one module may take from another: the panel arithmetic
+# of the one sector quadrature, the CLT moments and link gains the Monte
+# Carlo surrogate shares with channel, and the fading kernel module
+PINNED_PRIVATE_IMPORTS = {"powerctl.py: numerics._gl_panels",
+                          "simulation.py: channel._cascade_moments",
+                          "simulation.py: channel._gain_irs_links",
+                          "simulation.py: _kernels.exact_unit_draws",
+                          "__init__.py: _kernels.BACKEND"}
+
+
+def test_no_private_imports_across_modules():
+    found = {line for f in sorted((ROOT / "src").rglob("*.py"))
+             for line in private_imports(f.name, ast.parse(f.read_text(encoding="utf-8")))}
+    assert found <= PINNED_PRIVATE_IMPORTS, "private names imported across modules:\n" + \
+        "\n".join(sorted(found - PINNED_PRIVATE_IMPORTS))
+
+
+def test_scan_flags_a_private_import():
+    tree = ast.parse("from __future__ import annotations\nimport os._x\n"
+                     "from .numerics import Refused, _gl_panels\nfrom . import _kernels\n"
+                     "from ._kernels import draw\nfrom .geometry import ap_spans\n")
+    assert list(private_imports("m", tree)) == [
+        "m: os._x", "m: numerics._gl_panels", "m: _kernels", "m: _kernels.draw"]
 
 
 COLD_RUN = """

@@ -253,16 +253,38 @@ class TestExactSearch:
     def test_candidate_rows_count_the_load_cap_window(self, cell, radio, irs, monkeypatch,
                                                        step, M):
         # the closed-form count is the load-cap window summed over every key,
-        # so it bounds the rows a search fills
+        # so it bounds the rows a search fills; a DP layer meets each row of
+        # key (hi, m) at the M + 1 - m surface counts j <= M - m below it
         import irsplan.planner
         table = _RingCoefficientTable(cell, radio, irs, 0.95, step)
-        rows = sum(int(hi - table.lo_min(hi, m))
-                   for hi in range(len(table.radii)) for m in range(1, M + 1))
-        assert table.candidate_rows(M) == rows
+        windows = [(int(hi - table.lo_min(hi, m)), m)
+                   for hi in range(len(table.radii)) for m in range(1, M + 1)]
+        rows = sum(w for w, _ in windows)
+        assert table.candidate_work(M) == (rows, sum(w * (M + 1 - m) for w, m in windows))
         monkeypatch.setattr(irsplan.planner, "_coefficient_table", lambda *args: table)
         line_search(cell, radio, irs, M, 3, grid=SearchGrid(radius_step=step))
         filled = sum(np.isfinite(v).sum() for k, v in table._cache.items() if not k[2])
         assert 0 < filled <= rows
+
+    @pytest.mark.parametrize("step,M,I,ops,refused", [
+        (5.0, 100, 3, 13722066, False),            # the default sweep
+        (5.0, 300, 300, 2570676100, False),        # 8.9 s of DP
+        (5.0, 3000, 3, 17026115316, False),        # 20 s
+        (5.0, 3000, 5, 28376858860, True),         # 49 s
+        (5.0, 1000, 1000, 30848838600, True),      # 55 s
+        (25.0, 30000, 3, 74157119898, True)])      # 93.5 s
+    def test_operation_bound_covers_the_program(self, cell, radio, irs, step, M, I, ops,
+                                                refused):
+        # the bound counts the element operations of the program's moves,
+        # and it is at least the cells of V, so it bounds memory too
+        import irsplan.planner
+        table = _RingCoefficientTable(cell, radio, irs, 0.95, step)
+        n = len(table.radii)
+        depth = min(I, M, n - 1)
+        got = depth * table.candidate_work(M)[1]
+        assert got == ops
+        assert got >= depth * n * (M + 1)
+        assert (got > irsplan.planner.MAX_DP_OPERATIONS) == refused
 
 
 class TestBatchedFill:
@@ -366,8 +388,12 @@ class TestAlgorithm1:
             assert sum(res.plan.M) == M
 
     def test_depth_limit_enforced(self, cell, radio, irs):
-        with pytest.raises(PlanInfeasibleError):
+        with pytest.raises(PlanInfeasibleError, match="I_max=1 forbids deeper rings"):
             algorithm1(cell, radio, irs, 15, I_max=1)
+        # ring 1 alone needs no deeper ring
+        assert algorithm1(cell, radio, irs, 10, I_max=1).diagnostics["I_candidates"] == [1]
+        with pytest.raises(ValueError):
+            algorithm1(cell, radio, irs, 10, I_max=0)
 
     def test_close_to_exhaustive_at_small_budgets(self, cell, radio, irs,
                                                   plan_m15_a1):

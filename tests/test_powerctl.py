@@ -396,13 +396,6 @@ class TestPrunedRateScan:
         got = reg_upper_gamma(alpha, beta * radio.W / p * eta0)
         assert got == pytest.approx(nop_direct(radio, p, r, eta0), rel=1e-13)
 
-    def test_grid_is_shared_and_read_only(self, radio, cell, irs):
-        plan = _plans(cell)["two-rings"]
-        grid = _worst_case_grid(radio, cell, irs, plan)
-        assert _worst_case_grid(radio, cell, irs, plan) is grid
-        with pytest.raises(ValueError):
-            grid[0][0] = 2.0
-
     def test_pareto_seed_dominates_every_position(self, radio, cell, irs):
         alpha, beta, _ = _worst_case_grid(radio, cell, irs, _plans(cell)["two-rings"])
         seed = _pareto_seed(alpha, beta)
