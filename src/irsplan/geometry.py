@@ -9,11 +9,12 @@ edge); every deeper ring's circle is the mid-radius of its annulus.  UEs
 inside R_in[I] (and, if the exterior range is open, beyond R_in[0]) are
 served by the AP alone.
 
-``surface_circle`` is the one circle rule and ``ap_spans`` the one list of
-AP-served spans.  One routine, ``locate_ue_arrays``, maps UE position arrays
-to their ring, sector and link distances.  The IRS-UE distance has one law
-of cosines, ``irs_distance2``, which gives its square: the power-factor
-integrands read d^2 straight from it, and ``irs_distance`` is its square root.
+``surface_circle`` is the one circle rule, ``min_surfaces`` the one load-cap
+rule and ``ap_spans`` the one list of AP-served spans.  One routine,
+``locate_ue_arrays``, maps UE position arrays to their ring, sector and link
+distances.  The IRS-UE distance has one law of cosines, ``irs_distance2``,
+which gives its square: the power-factor integrands read d^2 straight from
+it, and ``irs_distance`` is its square root.
 """
 
 from __future__ import annotations
@@ -86,6 +87,14 @@ def surface_circle(cell: CellConfig, near_ap, lo, hi):
     return np.where(near_ap, cell.L_min, 0.5 * (lo + hi))
 
 
+def min_surfaces(cell: CellConfig, lo, hi):
+    """Fewest surfaces (at least 1) a ring [lo, hi] needs to keep its mean
+    UEs per sector within the cap K_irs_max, with 1e-12 relative slack on
+    the cap.  Broadcasts over arrays."""
+    cap = cell.K_irs_max / (cell.ue_density * math.pi) * (1 + 1e-12)  # hi^2 - lo^2 per sector
+    return np.maximum(np.ceil((hi ** 2 - lo ** 2) / cap), 1.0)
+
+
 def ap_spans(cell: CellConfig, plan: RingPlan):
     """Nonempty radial spans (lo, hi) served by the AP alone, inner disc first.
 
@@ -143,9 +152,9 @@ def validate_plan(cell: CellConfig, plan: RingPlan, total_irs=None, rho=None):
         if abs(plan.L[i - 1] - want) > 1e-9 * max(1.0, want):
             v.append(PlanViolation("irs-circle",
                                    f"ring {i} L={plan.L[i - 1]:.6g}, expected {want:.6g}"))
-        kbar = mean_ues_per_sector(cell, plan, i)
-        if kbar > cell.K_irs_max * (1 + 1e-12):
-            v.append(PlanViolation("sector-load", f"ring {i} mean UEs/sector {kbar:.4g} "
+        if plan.M[i - 1] < min_surfaces(cell, R[i], R[i - 1]):
+            v.append(PlanViolation("sector-load", f"ring {i} mean UEs/sector "
+                                   f"{mean_ues_per_sector(cell, plan, i):.4g} "
                                    f"exceeds cap {cell.K_irs_max:.4g}"))
     if rho is not None:
         rho = np.asarray(rho, dtype=float)

@@ -18,11 +18,11 @@ Three entry points:
   first, then lay rings inward with equal-interval tentative radii, sizing
   each ring so one sector carries the per-IRS UE cap.
 
-The search screens sector energy integrals through a per-configuration
-coefficient table (one 16-point Gauss-Legendre panel per direction over the
-half sector, over the candidate inner radii the load cap allows; each DP
-layer fills all the rings it needs in one batch, evaluated in chunks of a
-constant number of rings) and prices the winning configuration with
+The search screens sector energy integrals through a coefficient table of
+its own (one 16-point Gauss-Legendre panel per direction over the half
+sector, over the candidate inner radii the load cap allows; each DP layer
+fills the rings it needs in one batch, built a bounded number of rows at a
+time) and prices the winning configuration with
 ``powerctl``'s graded rule (``irs_region_coefficient``) before returning it.
 Both are ``powerctl.ring_coefficients``, the one ring coefficient, on
 different breakpoints.  ``line_search_budgets`` runs the dynamic program
@@ -32,7 +32,6 @@ once for many budgets (``line_search`` is its one-budget case), and
 
 from __future__ import annotations
 
-import functools
 import math
 import time
 from dataclasses import dataclass, field
@@ -41,8 +40,8 @@ from typing import Optional
 import numpy as np
 
 from .channel import IrsSpec, RadioConfig, composite_stats_arrays
-from .geometry import (CellConfig, RingPlan, ap_spans, make_ring_plan, surface_circle,
-                       validate_plan)
+from .geometry import (CellConfig, RingPlan, ap_spans, make_ring_plan, min_surfaces,
+                       surface_circle, validate_plan)
 from .numerics import Refused, bisect
 from .powerctl import (RING_TABLE_STATS, PowerAllocation, ap_region_coefficient,
                        equalize_power, irs_region_coefficient, ring_coefficients)
@@ -142,66 +141,69 @@ def coverage_range(cfg: RadioConfig, irs: IrsSpec, p, gamma_thresh,
 # ring-coefficient table for the line search
 # ---------------------------------------------------------------------------
 
+# DP element operations, depth x the pair operations of candidate_work.  An
+# operation cost 1.2-3.5 ns over the 5 m and 25 m grids at M = 300...30000
+# (2-core Xeon), so the limit is about 25-70 s of DP
+MAX_DP_OPERATIONS = 20_000_000_000
+
+
 class _RingCoefficientTable:
-    """Cached per-ring energy coefficients on a fixed radius grid.
+    """One line search's per-ring energy coefficients on a fixed radius grid.
+
+    Built for the search's largest budget M and ring count I.  The load cap
+    (``geometry.min_surfaces``) is worked out once: m_min[hi, lo] is the
+    fewest surfaces of a ring [radii[lo], radii[hi]] (+inf unless lo < hi),
+    and lo_min[hi, m] the lowest lo a ring ending at radii[hi] with m <= M
+    surfaces may reach (hi when none may).  A grid of more than MAX_RADII
+    radii, then a search whose ``candidate_work`` exceeds MAX_ROWS rows or
+    MAX_DP_OPERATIONS operations, is refused before lo_min is built.
 
     ``ring_vec(hi_idx, m, near_ap)`` returns, indexed by lo < hi, the
     coefficient of a ring [radii[lo], radii[hi]] with m surfaces: the
-    one-panel, NODES-point case of ``powerctl.ring_coefficients``.  Only the
-    rows inside the load-cap window [lo_min(hi, m), hi) are filled; rows
-    below it, which no feasible plan uses, hold +inf.  near_ap marks ring 1
-    for ``geometry.surface_circle``.  ``c0_grid`` is ``ap_region_coefficient``
-    per radius.
-
-    ``fill(keys)`` computes many keys in one batch: their rows (one per
-    candidate inner radius) are evaluated CHUNK_ROWS at a time, so the
-    working set stays bounded, and every row's coefficient is a function of
-    that row alone, the same bits whichever batch or chunk it falls in.  A
-    grid of more than MAX_RADII radii is refused before any of this work,
-    and ``line_search_budgets`` refuses a search whose ``candidate_work``
-    exceeds MAX_ROWS rows or MAX_DP_OPERATIONS operations.
+    one-panel, NODES-point case of ``powerctl.ring_coefficients``, filled
+    for lo >= lo_min[hi, m] and +inf below.  near_ap marks ring 1 for
+    ``geometry.surface_circle``.  ``c0_grid`` is ``ap_region_coefficient``
+    per radius.  ``fill(keys)`` computes many keys at once, halving its
+    batch until it holds at most FILL_ROWS rows (or one key), CHUNK_ROWS
+    rows per integrand pass; every row's coefficient is a function of that
+    row alone, the same bits whichever batch or chunk it falls in.
     """
 
     NODES = 16
     CHUNK_ROWS = 60   # rows per integrand pass: 15,360 points, 120 KB per array
+    FILL_ROWS = 61_440  # rows built at once, about 89 B each: 5.5 MB
     MAX_RADII = 1001  # rows grow as radii^2: the default sweep fills 70,849 at 51 radii
     MAX_ROWS = 4_000_000  # ~70k rows/s cold on a 2-core Xeon: about a minute at the limit
 
-    def __init__(self, cell, cfg, irs, p_no, step):
-        self.cell = cell
-        self.cfg = cfg
-        self.irs = irs
-        self.p_no = p_no
+    def __init__(self, cell, cfg, irs, p_no, step, M, I):
+        self.cell, self.cfg, self.irs, self.p_no = cell, cfg, irs, p_no
         n = math.ceil((cell.R_ex - 1e-9) / step) + 1  # the grid below, counted first
         if n > self.MAX_RADII:
             raise Refused("too-expensive", f"a {step:g} m radius grid has {n} radii; "
                           f"the ring table allows at most {self.MAX_RADII}")
         # strictly increasing and ending at R_ex whatever the remainder
         self.radii = np.append(np.arange(0.0, cell.R_ex - 1e-9, step), cell.R_ex)
-        self._r2 = self.radii ** 2
-        self.c0_grid = np.array([ap_region_coefficient(cfg, cell, p_no, R)
-                                 for R in self.radii])
+        self.m_min = np.where(np.tri(n, k=-1, dtype=bool),
+                              min_surfaces(cell, self.radii, self.radii[:, None]), math.inf)
+        rows, pair_ops = self.candidate_work(M)
+        ops = min(I, M, n - 1) * pair_ops  # the program's depth times its pair operations
+        if rows > self.MAX_ROWS or ops > MAX_DP_OPERATIONS:
+            raise Refused("too-expensive", f"a line search up to M={M} with I={I} on the "
+                          f"{step:g} m grid admits {rows} ring-table rows and "
+                          f"{ops} DP operations; at most {self.MAX_ROWS} rows and "
+                          f"{MAX_DP_OPERATIONS} operations are allowed")
+        self.lo_min = np.array([np.searchsorted(-self.m_min[hi, :hi], -np.arange(M + 1.0))
+                                for hi in range(n)])  # m_min[hi, :hi] falls as lo rises
+        self.c0_grid = np.array([ap_region_coefficient(cfg, cell, p_no, R) for R in self.radii])
         self._cache = {}
-
-    def max_span2(self, m):
-        """Largest hi^2 - lo^2 a ring of m surfaces may cover under the load cap."""
-        return self.cell.K_irs_max * m / (self.cell.ue_density * math.pi)
 
     def candidate_work(self, M):
         """(rows, pair operations) up to budget M.  A pair lo < hi admits the
         T = M + 1 - m_min surface counts m the load cap allows: T rows of the
         near_ap=False keys, and T (T + 1) / 2 (m, j <= M - m) element
         operations in each DP layer."""
-        span2 = (self._r2[:, None] - self._r2)[np.tril_indices(len(self._r2), -1)]
-        m_min = np.maximum(np.ceil(span2 / (self.max_span2(1) * (1 + 1e-12))), 1.0)
-        T = np.maximum(M + 1.0 - m_min, 0.0)
+        T = np.maximum(M + 1.0 - self.m_min, 0.0)
         return int(T.sum()), int((T * (T + 1.0)).sum()) // 2
-
-    def lo_min(self, hi_idx, m):
-        """Lowest inner index lo a ring ending at radii[hi_idx] with m surfaces
-        may reach under the load cap (hi_idx when none may); m may be an array."""
-        span2 = self._r2[hi_idx] - self._r2[:hi_idx]  # falls as lo rises
-        return np.searchsorted(-span2, -self.max_span2(m) * (1 + 1e-12))
 
     def ring_vec(self, hi_idx, m, near_ap):
         key = (int(hi_idx), int(m), bool(near_ap))
@@ -215,8 +217,12 @@ class _RingCoefficientTable:
                 if k not in self._cache]
         if not todo:
             return
+        if len(todo) > 1 and sum(hi - self.lo_min[hi, m] for hi, m, _ in todo) > self.FILL_ROWS:
+            for half in (todo[:len(todo) // 2], todo[len(todo) // 2:]):  # bounds the rows built
+                self.fill(half)
+            return
         start = time.perf_counter()
-        firsts = [int(self.lo_min(hi, m)) for hi, m, _ in todo]
+        firsts = [int(self.lo_min[hi, m]) for hi, m, _ in todo]
         counts = [hi - first for (hi, _, _), first in zip(todo, firsts)]
         # one row per (key, candidate inner radius)
         row_hi = np.repeat(self.radii[[hi for hi, _, _ in todo]], counts)
@@ -240,15 +246,6 @@ class _RingCoefficientTable:
         RING_TABLE_STATS.fill_s += time.perf_counter() - start
 
 
-@functools.lru_cache(maxsize=8)
-def _coefficient_table(cell, cfg, irs, p_no, step) -> _RingCoefficientTable:
-    """Per-process table for the eight most recently used settings.
-
-    IrsSpec compares by N alone, so the cache key is (cell, cfg, N, p_no, step).
-    """
-    return _RingCoefficientTable(cell, cfg, irs, p_no, step)
-
-
 # ---------------------------------------------------------------------------
 # exact line search over ring counts up to I
 # ---------------------------------------------------------------------------
@@ -269,7 +266,14 @@ def _finalize(cell, cfg, irs, p_no, R_in, M, method, diagnostics=None) -> PlanRe
     return PlanResult(plan=plan, allocation=alloc, method=method, diagnostics=diag)
 
 
-def _ring_program(table, lo_min, tops, I, m1_max):
+def _ring_moves(lo_min, k, hi, j):
+    """(m, first lo) of every ring at depth k ending at radii[hi] with j
+    surfaces at and below it: the k - 1 rings below keep one surface each,
+    and lo stays at or above k - 1 so that they fit under it."""
+    return ((m, max(lo_min[hi, m], k - 1)) for m in range(1, j - k + 2))
+
+
+def _ring_program(table, tops, I, m1_max):
     """The dynamic program behind line_search, for every budget in `tops` at once.
 
     tops maps each budget M to its candidate R_in[0] indices.  V[k, hi, j]
@@ -285,21 +289,18 @@ def _ring_program(table, lo_min, tops, I, m1_max):
     total whose ring 1 ends at R_in[1] = radii[lo], choice[lo] its (deeper
     ring count, R_in[0] index, M_1).
     """
-    c0 = table.c0_grid
+    c0, lo_min = table.c0_grid, table.lo_min
     n = len(c0)
     top_M = max(tops)
     depth = min(I, top_M, n - 1)  # ring depths a plan on n radii can use
 
     def top_moves(M, k):
         """(R_in[0] index, M_1, first lo) for ring 1 above k deeper rings."""
-        if k:
-            m1s = range(1, min(m1_max, M - k) + 1)
-        else:  # ring 1 alone takes every surface
-            m1s = [M] if M <= m1_max else []
         for r0 in tops[M]:
-            for m1 in m1s:
-                lo = max(lo_min[r0, m1], k)
-                if lo < r0:
+            for m1, lo in _ring_moves(lo_min, k + 1, r0, M):
+                if m1 > m1_max:
+                    break
+                if lo < r0 and (k or m1 == M):  # ring 1 alone takes every surface
                     yield r0, m1, lo
 
     ring1 = [(M, k, move) for M in sorted(tops) for k in range(min(I, M, n - 1))
@@ -310,8 +311,7 @@ def _ring_program(table, lo_min, tops, I, m1_max):
         reach[k, lo:r0, M - m1] = True
     for k in range(depth - 1, 1, -1):
         for hi in np.flatnonzero(reach[k].any(axis=1)):
-            for m in range(1, np.flatnonzero(reach[k, hi])[-1] - k + 2):
-                lo = max(lo_min[hi, m], k - 1)
+            for m, lo in _ring_moves(lo_min, k, hi, np.flatnonzero(reach[k, hi])[-1]):
                 reach[k - 1, lo:hi, k - 1:top_M + 1 - m] |= reach[k, hi, k - 1 + m:]
 
     V = np.full((depth, n, top_M + 1), math.inf)
@@ -320,8 +320,7 @@ def _ring_program(table, lo_min, tops, I, m1_max):
         moves = []
         for hi in np.flatnonzero(reach[k].any(axis=1)):
             want = reach[k, hi]
-            for m in range(1, np.flatnonzero(want)[-1] - k + 2):
-                lo = max(lo_min[hi, m], k - 1)
+            for m, lo in _ring_moves(lo_min, k, hi, np.flatnonzero(want)[-1]):
                 if np.isfinite(V[k - 1, lo:hi, k - 1:top_M + 1 - m][:, want[k - 1 + m:]]).any():
                     moves.append((hi, m, lo))
         table.fill((hi, m, False) for hi, m, _ in moves)
@@ -347,7 +346,7 @@ def _ring_program(table, lo_min, tops, I, m1_max):
     return V, found
 
 
-def _recover_path(table, lo_min, V, M, best, choice):
+def _recover_path(table, V, M, best, choice):
     """Boundary indices and split of the winning plan of budget M.
 
     Ties: the minimum summed coefficient wins; candidates within 1e-9
@@ -360,8 +359,7 @@ def _recover_path(table, lo_min, V, M, best, choice):
     hi, j = lo1, M - m1
     for k in range(deeper, 0, -1):
         step = (math.inf, 0, 0)  # (cost, m, lo) of the cheapest ring at hi
-        for m in range(1, j - k + 2):
-            lo = max(lo_min[hi, m], k - 1)
+        for m, lo in _ring_moves(table.lo_min, k, hi, j):
             below = V[k - 1, lo:hi, j - m]
             if not np.isfinite(below).any():
                 continue
@@ -380,12 +378,6 @@ def _recover_path(table, lo_min, V, M, best, choice):
     return R_idx, Ms
 
 
-# DP element operations, depth x the pair operations of candidate_work.  An
-# operation cost 1.2-3.5 ns over the 5 m and 25 m grids at M = 300...30000
-# (2-core Xeon), so the limit is about 25-70 s of DP
-MAX_DP_OPERATIONS = 20_000_000_000
-
-
 def line_search_budgets(cell: CellConfig, cfg: RadioConfig, irs: IrsSpec, budgets, I,
                         grid: SearchGrid = SearchGrid(), p_no=0.95) -> dict:
     """``line_search`` for every budget in `budgets`, over one dynamic program.
@@ -402,18 +394,9 @@ def line_search_budgets(cell: CellConfig, cfg: RadioConfig, irs: IrsSpec, budget
         raise PlanInfeasibleError(["no near-AP slots available (M1_max = 0)"])
 
     start, fill_s = time.perf_counter(), RING_TABLE_STATS.fill_s
-    table = _coefficient_table(cell, cfg, irs, p_no, grid.radius_step)
-    radii, c0 = table.radii, table.c0_grid
-    n, top = len(radii), budgets[-1]
-    rows, pair_ops = table.candidate_work(top)
-    ops = min(I, top, n - 1) * pair_ops  # the program's depth times its pair operations
-    if rows > table.MAX_ROWS or ops > MAX_DP_OPERATIONS:
-        raise Refused("too-expensive", f"a line search up to M={top} with I={I} on the "
-                      f"{grid.radius_step:g} m grid admits {rows} ring-table rows and "
-                      f"{ops} DP operations; at most {table.MAX_ROWS} rows and "
-                      f"{MAX_DP_OPERATIONS} operations are allowed")
-    lo_min = np.array([table.lo_min(hi, np.arange(top + 1)) for hi in range(n)])
-    V, found = _ring_program(table, lo_min, {M: [n - 1] for M in budgets}, I, cell.M1_max)
+    table = _RingCoefficientTable(cell, cfg, irs, p_no, grid.radius_step, budgets[-1], I)
+    radii, c0, n = table.radii, table.c0_grid, len(table.radii)
+    V, found = _ring_program(table, {M: [n - 1] for M in budgets}, I, cell.M1_max)
     if grid.R_in0_search:
         # every term of a plan's cost is nonnegative, so a plan whose open
         # exterior annulus alone costs more than the best closed plan (with a
@@ -421,13 +404,13 @@ def line_search_budgets(cell: CellConfig, cfg: RadioConfig, irs: IrsSpec, budget
         tops = {M: [r0 for r0 in range(1, n) if c0[n - 1] - c0[r0] <= best.min() * (1.0 + 1e-6)]
                 for M, (best, _) in found.items()}
         if any(len(t) > 1 for t in tops.values()):
-            V, found = _ring_program(table, lo_min, tops, I, cell.M1_max)
+            V, found = _ring_program(table, tops, I, cell.M1_max)
     for M in budgets:
         if not math.isfinite(found[M][0].min()):
             raise PlanInfeasibleError([
                 "per-sector load cap and near-AP slot limit exclude every split "
                 f"of M={M} over ring counts 1..{I} on the {grid.radius_step:g} m grid"])
-    paths = {M: _recover_path(table, lo_min, V, M, *found[M]) for M in budgets}
+    paths = {M: _recover_path(table, V, M, *found[M]) for M in budgets}
     RING_TABLE_STATS.dp_s += (time.perf_counter() - start) - (RING_TABLE_STATS.fill_s - fill_s)
     diag = {"grid_step_m": grid.radius_step, "searched_R_in0": grid.R_in0_search}
     return {M: _finalize(cell, cfg, irs, p_no, [radii[i] for i in R_idx], Ms, "line-search", diag)

@@ -11,9 +11,10 @@ Randomness is counter-based: each (seed, topology) owns two Philox streams,
 one for positions and one for a fading bank, so results are bit-identical
 for any worker count and the workload can be sharded freely.  The bank holds
 n_fading geometry-free unit draws (X, E): the composite amplitude is
-Z = sqrt(g_i g_r) X + sqrt(g_d E), so every UE of the topology reads its
-success count off the same bank (common random numbers).  Draws come in two
-flavours:
+Z = sqrt(g_i g_r) X + sqrt(g_d E), so every surface-served UE of the
+topology reads its success count off the same bank (common random numbers);
+AP-served and overflow UEs draw independent binomial counts from the bank's
+stream after it.  Draws come in two flavours:
 
 * ``exact``        -- element-level Rayleigh products through the kernel's
                       one draw routine (2N+1 exponentials per realization,
@@ -26,12 +27,12 @@ Each topology is tallied as arrays over one stratum axis: the service
 regions 0..I (0 = AP service, including overflow UEs; i = ring i's surfaces)
 followed by the ten equal-probability radial deciles.  ``validate_plan_mc``
 stacks these into (topology x stratum) success and UE-count matrices and
-reads every estimate off their columns.  UEs of one topology share their
-draws, so the NOP half-widths are cluster intervals over topologies: the
-ratio estimator's spread across the T rows, floored by an Agresti-Coull
-binomial interval at n_fading draws per topology present.  The common
-throughput and the frame energy are means of T per-topology values, so
-their half-widths are Student-t intervals on T - 1 degrees of freedom.
+reads every estimate off their columns.  UEs of one topology share its
+layout and fading stream, so the NOP half-widths are cluster intervals over
+topologies: the ratio estimator's spread across the T rows, floored by an
+Agresti-Coull binomial interval at n_fading draws per topology present.  The
+common throughput and the frame energy are means of T per-topology values,
+so their half-widths are Student-t intervals on T - 1 degrees of freedom.
 
 The energy audit reports both the allocation-model mean (overflow UEs booked
 at their ring's required power -- the quantity the closed-form budget pins)
@@ -149,14 +150,14 @@ def _position_stream(seed, topo_idx):
 
 
 def _fading_bank(mc: McConfig, n_elems, topo_idx):
-    """One topology's n_fading unit draws (X, E) in the configured flavour."""
-    bit_generator = _philox(mc.seed, topo_idx, _BANK_SLOT)
+    """One topology's n_fading unit draws (X, E) in the configured flavour,
+    and the bank's stream, left where the bank ends."""
+    rng = np.random.Generator(_philox(mc.seed, topo_idx, _BANK_SLOT))
     if mc.element_draws == "exact":
-        return exact_unit_draws(bit_generator, mc.n_fading, n_elems)
-    rng = np.random.Generator(bit_generator)
+        return (*exact_unit_draws(rng.bit_generator, mc.n_fading, n_elems), rng)
     mu, s2 = _cascade_moments(n_elems, 1.0, 1.0)
     x = mu + math.sqrt(s2) * rng.standard_normal(mc.n_fading)
-    return x, rng.standard_exponential(mc.n_fading)
+    return x, rng.standard_exponential(mc.n_fading), rng
 
 
 def sample_topology(cell: CellConfig, cfg: RadioConfig, irs: IrsSpec,
@@ -196,14 +197,15 @@ def sample_topology(cell: CellConfig, cfg: RadioConfig, irs: IrsSpec,
 def simulate_ue_successes(cfg: RadioConfig, irs: IrsSpec, topo: Topology,
                           eta0, mc: McConfig, topo_idx):
     """Per-UE non-outage success counts out of the topology's mc.n_fading draws."""
-    x, e = _fading_bank(mc, irs.N, topo_idx)
+    x, e, rng = _fading_bank(mc, irs.N, topo_idx)
     counts = np.empty(topo.K, dtype=np.int64)
     g_d = mean_gain_direct(cfg, topo.r)
     z2_min = cfg.W * eta0 / topo.power
 
-    # AP service (and overflow): Z^2 = g_d E, so count E >= z2_min / g_d
+    # AP service (and overflow): Z^2 = g_d E, so a UE's count of E >= z2_min / g_d
+    # over n_fading unit exponentials of its own is Binomial(n_fading, exp(-z2_min / g_d))
     ap = ~topo.served_by_irs
-    counts[ap] = mc.n_fading - np.searchsorted(np.sort(e), z2_min[ap] / g_d[ap])
+    counts[ap] = rng.binomial(mc.n_fading, np.exp(-z2_min[ap] / g_d[ap]))
 
     # IRS service: Z / sqrt(g_d) = c X + sqrt(E) against t = sqrt(z2_min / g_d)
     irs_ue = np.flatnonzero(topo.served_by_irs)

@@ -4,8 +4,9 @@ exception class in src/ derives from ``numerics.Refused``, so ``cli.main``
 needs one refusal handler (exit code 2) beside its crash handler; the
 policy benchmarks of ``powerctl`` reach ``reg_upper_gamma`` from one function;
 no module but ``numerics`` calls its adaptive integrators; ``irs_power_factor``
-is called from the one ring coefficient and the required power alone; and no
-module imports another's private names beyond a pinned set.
+is called from the one ring coefficient and the required power alone; no
+module imports another's private names beyond a pinned set; and the only
+process-wide caches (``lru_cache`` decorators) in src/ are a pinned pair.
 
 A cold ``plan`` and ``validate`` also must not import ``scipy.interpolate``:
 it would add about a third of a second to every such process.  A cold
@@ -255,6 +256,35 @@ def test_one_ring_coefficient_integrand():
             sites[f.name] = (callers("irs_power_factor", tree), len(calls))
     assert sites == {"channel.py": (["required_power_irs"], 1),
                      "powerctl.py": (["ring_coefficients"], 1)}
+
+
+def cached_functions(label, tree):
+    """'label.name' for every function `tree` decorates with ``lru_cache`` or
+    ``cache``, called or not, bound by import or reached through ``functools``."""
+    for fn in ast.walk(tree):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for dec in fn.decorator_list:
+                target = dec.func if isinstance(dec, ast.Call) else dec
+                if ast.unparse(target).split(".")[-1] in ("lru_cache", "cache"):
+                    yield f"{label}.{fn.name}"
+
+
+def test_process_wide_caches_are_pinned():
+    # a cache outlives the call that fills it: only the quadrature nodes and
+    # the power-factor tables are kept per process; a line search's ring
+    # table lives as long as the search
+    found = {name for f in sorted((ROOT / "src").rglob("*.py"))
+             for name in cached_functions(f.stem, ast.parse(f.read_text(encoding="utf-8")))}
+    assert found == {"numerics._gl_nodes", "channel._power_factor_table"}
+
+
+def test_scan_flags_a_cached_function():
+    tree = ast.parse("import functools\nfrom functools import cache, lru_cache\n"
+                     "@functools.lru_cache(maxsize=8)\ndef a(x):\n    return x\n"
+                     "@lru_cache\ndef b(x):\n    return x\n"
+                     "class K:\n    @cache\n    def c(self):\n        return 1\n"
+                     "@staticmethod\ndef d():\n    return 2\n")
+    assert list(cached_functions("m", tree)) == ["m.a", "m.b", "m.c"]
 
 
 def _private(name):

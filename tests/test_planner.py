@@ -1,8 +1,10 @@
 """Placement search: coverage study, exact line search, fast heuristic."""
 
+import gc
 import itertools
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -10,11 +12,10 @@ import pytest
 from irsplan.channel import IrsSpec, LinkGeometry, _power_factor_table, composite_stats
 from irsplan.geometry import (CellConfig, coverage_area_accounting,
                               make_ring_plan, validate_plan)
-from irsplan.planner import (PlanInfeasibleError, SearchGrid,
-                             _coefficient_table, _RingCoefficientTable,
+from irsplan.planner import (PlanInfeasibleError, SearchGrid, _RingCoefficientTable,
                              algorithm1, coverage_range, line_search,
                              line_search_budgets)
-from irsplan.powerctl import ap_region_coefficient
+from irsplan.powerctl import RING_TABLE_STATS, ap_region_coefficient
 
 ETA_MIN = 10.0  # linear mean-SNR threshold for the coverage study
 P_TX = 0.01    # [W]
@@ -123,17 +124,19 @@ class TestLineSearch:
         with pytest.raises(ValueError):
             line_search(cell, radio, irs, 10, 0)
 
-    def test_evicted_coefficient_table_is_rebuilt(self, cell, radio, irs):
-        first = _coefficient_table(cell, radio, irs, 0.95, 10.0)
-        hi = len(first.radii) - 1
-        ref = first.ring_vec(hi, 7, False).copy()
-        # the cache is bounded: this many other grid pitches push 10 m out
-        for k in range(_coefficient_table.cache_info().maxsize):
-            _coefficient_table(cell, radio, irs, 0.95, 11.0 + k)
-        again = _coefficient_table(cell, radio, irs, 0.95, 10.0)
-        assert again is not first
-        assert np.array_equal(again.ring_vec(hi, 7, False), ref)
-        assert _coefficient_table(cell, radio, IrsSpec(irs.N), 0.95, 10) is again
+    def test_search_keeps_no_table(self, cell, radio, irs, monkeypatch):
+        # each search builds its own table and drops it when it returns
+        import irsplan.planner
+        program, tables = irsplan.planner._ring_program, []
+
+        def spy(table, *args):
+            tables.append(weakref.ref(table))
+            return program(table, *args)
+
+        monkeypatch.setattr(irsplan.planner, "_ring_program", spy)
+        line_search(cell, radio, irs, 20, 2, grid=SearchGrid(radius_step=10.0))
+        gc.collect()
+        assert tables and all(ref() is None for ref in tables)
 
 
 def brute_force_plan(cell, table, M, I, search_r0):
@@ -158,7 +161,8 @@ def brute_force_plan(cell, table, M, I, search_r0):
                     cost = c0[n - 1] - c0[r0]
                     for ring, m in enumerate(split):
                         hi, lo = idx[ring], idx[ring + 1]
-                        if radii[hi] ** 2 - radii[lo] ** 2 > table.max_span2(m) * (1 + 1e-12):
+                        span2 = radii[hi] ** 2 - radii[lo] ** 2
+                        if span2 > cell.K_irs_max * m / (cell.ue_density * math.pi) * (1 + 1e-12):
                             break
                         cost += table.ring_vec(hi, m, ring == 0)[lo]
                     else:
@@ -183,7 +187,7 @@ class TestExactSearch:
     @pytest.mark.parametrize("I", [1, 2, 3])
     def test_matches_brute_force(self, radio, irs, cell_args, I, search_r0):
         cell = CellConfig(**cell_args)
-        table = _coefficient_table(cell, radio, irs, 0.95, self.STEP)
+        table = _RingCoefficientTable(cell, radio, irs, 0.95, self.STEP, 25, I)
         grid = SearchGrid(radius_step=self.STEP, R_in0_search=search_r0)
         for M in (1, 4, 5, 9, 10, 11, 13, 18, 25):
             want = brute_force_plan(cell, table, M, I, search_r0)
@@ -198,7 +202,7 @@ class TestExactSearch:
         # no plan on n radii closes more than n - 1 rings, so an I far above
         # the grid sizes V by the grid and finds the plan of a grid-sized I
         import irsplan.planner
-        n = len(_coefficient_table(cell, radio, irs, 0.95, self.STEP).radii)
+        n = len(_RingCoefficientTable(cell, radio, irs, 0.95, self.STEP, 1, 1).radii)
         program, depths = irsplan.planner._ring_program, []
 
         def spy(*args):
@@ -218,33 +222,48 @@ class TestExactSearch:
         # every ring costs the same and the AP disc is free, so all one-ring
         # plans tie: the innermost R_in[1] the load cap allows must win
         import irsplan.planner
-        table = _RingCoefficientTable(cell, radio, irs, 0.95, 5.0)
+        table = _RingCoefficientTable(cell, radio, irs, 0.95, 5.0, 10, 1)
         table.c0_grid = np.zeros_like(table.c0_grid)
         table.ring_vec = lambda hi_idx, m, near_ap: np.where(
-            np.arange(hi_idx) >= table.lo_min(hi_idx, m), 1.0, np.inf)
-        monkeypatch.setattr(irsplan.planner, "_coefficient_table", lambda *args: table)
+            np.arange(hi_idx) >= table.lo_min[hi_idx, m], 1.0, np.inf)
+        monkeypatch.setattr(irsplan.planner, "_RingCoefficientTable", lambda *args: table)
         res = line_search(cell, radio, irs, 10, 1)
         top = len(table.radii) - 1
-        assert table.lo_min(top, 10) < top - 1  # several candidates tie
-        assert res.plan.R_in == (250.0, table.radii[table.lo_min(top, 10)])
+        assert table.lo_min[top, 10] < top - 1  # several candidates tie
+        assert res.plan.R_in == (250.0, table.radii[table.lo_min[top, 10]])
+
+    @pytest.mark.parametrize("cell_args", [{}, {"K_irs_max": 40.0, "M1_max": 4}])
+    def test_search_and_checker_admit_the_same_rings(self, radio, irs, cell_args):
+        # one load-cap rule: a ring [radii[lo], radii[hi]] with m surfaces lies
+        # in the table's window exactly when validate_plan finds it within the cap
+        cell = CellConfig(**cell_args)
+        for step in (5.0, 7.0, 10.0, 25.0):
+            table = _RingCoefficientTable(cell, radio, irs, 0.95, step, 60, 1)
+            radii = table.radii
+            for lo, hi in itertools.combinations(range(len(radii)), 2):
+                for m in range(1, 61):
+                    plan = make_ring_plan(cell, [radii[hi], radii[lo]], [m])
+                    within = all(v.code != "sector-load" for v in validate_plan(cell, plan))
+                    assert (lo >= table.lo_min[hi, m]) == within, (step, lo, hi, m)
 
     @pytest.mark.parametrize("step", [5.0, 10.0, 12.5, 25.0])
     def test_c0_grid_is_the_ap_closed_form(self, cell, radio, irs, step):
-        table = _coefficient_table(cell, radio, irs, 0.95, step)
+        table = _RingCoefficientTable(cell, radio, irs, 0.95, step, 1, 1)
         want = [ap_region_coefficient(radio, cell, 0.95, R) for R in table.radii]
         assert np.array_equal(table.c0_grid, want)
 
     def test_ring_rows_outside_load_cap_are_inf(self, cell, radio, irs):
-        table = _coefficient_table(cell, radio, irs, 0.95, 10.0)
-        every_lo = _RingCoefficientTable(cell, radio, irs, 0.95, 10.0)
-        every_lo.lo_min = lambda hi_idx, m: 0
+        table = _RingCoefficientTable(cell, radio, irs, 0.95, 10.0, 40, 1)
+        every_lo = _RingCoefficientTable(cell, radio, irs, 0.95, 10.0, 40, 1)
+        every_lo.lo_min = np.zeros_like(every_lo.lo_min)
         r2 = table.radii ** 2
         for hi in (1, 7, 18, 25):
             for m in (1, 3, 10, 40):
                 for near_ap in (False, True):
                     got = table.ring_vec(hi, m, near_ap)
                     full = every_lo.ring_vec(hi, m, near_ap)
-                    inside = r2[hi] - r2[:hi] <= table.max_span2(m) * (1 + 1e-12)
+                    cap = cell.K_irs_max * m / (cell.ue_density * math.pi) * (1 + 1e-12)
+                    inside = r2[hi] - r2[:hi] <= cap
                     assert np.isfinite(full).all()
                     assert np.isinf(got[~inside]).all() and (got[~inside] > 0).all()
                     assert np.array_equal(got[inside], full[inside])
@@ -256,12 +275,12 @@ class TestExactSearch:
         # so it bounds the rows a search fills; a DP layer meets each row of
         # key (hi, m) at the M + 1 - m surface counts j <= M - m below it
         import irsplan.planner
-        table = _RingCoefficientTable(cell, radio, irs, 0.95, step)
-        windows = [(int(hi - table.lo_min(hi, m)), m)
+        table = _RingCoefficientTable(cell, radio, irs, 0.95, step, M, 3)
+        windows = [(int(hi - table.lo_min[hi, m]), m)
                    for hi in range(len(table.radii)) for m in range(1, M + 1)]
         rows = sum(w for w, _ in windows)
         assert table.candidate_work(M) == (rows, sum(w * (M + 1 - m) for w, m in windows))
-        monkeypatch.setattr(irsplan.planner, "_coefficient_table", lambda *args: table)
+        monkeypatch.setattr(irsplan.planner, "_RingCoefficientTable", lambda *args: table)
         line_search(cell, radio, irs, M, 3, grid=SearchGrid(radius_step=step))
         filled = sum(np.isfinite(v).sum() for k, v in table._cache.items() if not k[2])
         assert 0 < filled <= rows
@@ -278,7 +297,7 @@ class TestExactSearch:
         # the bound counts the element operations of the program's moves,
         # and it is at least the cells of V, so it bounds memory too
         import irsplan.planner
-        table = _RingCoefficientTable(cell, radio, irs, 0.95, step)
+        table = _RingCoefficientTable(cell, radio, irs, 0.95, step, 1, 1)
         n = len(table.radii)
         depth = min(I, M, n - 1)
         got = depth * table.candidate_work(M)[1]
@@ -293,32 +312,49 @@ class TestBatchedFill:
     def test_batch_independence(self, cell, radio, irs):
         keys = [(hi, m, False) for hi in range(20, 51) for m in (3, 9, 27, 81)]
         keys += [(50, m, True) for m in range(1, 11)] + [(44, 3, True)]
-        one = _RingCoefficientTable(cell, radio, irs, 0.95, 5.0)
+        one = _RingCoefficientTable(cell, radio, irs, 0.95, 5.0, 81, 1)
         for key in keys:
             one.fill([key])
-        batch = _RingCoefficientTable(cell, radio, irs, 0.95, 5.0)
+        batch = _RingCoefficientTable(cell, radio, irs, 0.95, 5.0, 81, 1)
         batch.fill(keys)
-        shuffled = _RingCoefficientTable(cell, radio, irs, 0.95, 5.0)
+        shuffled = _RingCoefficientTable(cell, radio, irs, 0.95, 5.0, 81, 1)
         shuffled.fill(keys[::-7] + keys)
-        rows = sum(hi - int(one.lo_min(hi, m)) for hi, m, _ in keys)
+        rows = sum(hi - int(one.lo_min[hi, m]) for hi, m, _ in keys)
         # several chunks, with keys straddling their edges
         assert rows > 2 * one.CHUNK_ROWS and rows % one.CHUNK_ROWS
         for key in keys:
             assert np.array_equal(batch.ring_vec(*key), one.ring_vec(*key)), key
             assert np.array_equal(shuffled.ring_vec(*key), one.ring_vec(*key)), key
 
+    def test_halved_batches_give_the_same_bits(self, cell, radio, irs):
+        # a batch over FILL_ROWS rows is halved until each part fits; the
+        # parts fill the same rows, with the same bits and counters
+        keys = [(hi, m, near_ap) for hi in range(30, 51) for m in (4, 12, 36)
+                for near_ap in (False, True)]
+        whole = _RingCoefficientTable(cell, radio, irs, 0.95, 5.0, 36, 1)
+        whole.fill(keys)
+        halved = _RingCoefficientTable(cell, radio, irs, 0.95, 5.0, 36, 1)
+        halved.FILL_ROWS = 150
+        rows = RING_TABLE_STATS.rows
+        halved.fill(keys)
+        assert RING_TABLE_STATS.rows - rows == sum(hi - halved.lo_min[hi, m] for hi, m, _ in keys)
+        assert RING_TABLE_STATS.rows - rows > 8 * halved.FILL_ROWS
+        for key in keys:
+            assert np.array_equal(halved.ring_vec(*key), whole.ring_vec(*key)), key
+
     def test_line_search_memory_is_bounded(self, cell, radio, irs):
-        # the fill's working set is one chunk, not one DP layer (the one-off
-        # power-factor table is built first: it is not the fill's)
+        # the fill's working set is one run of FILL_ROWS rows (about 5.5 MB),
+        # not one DP layer: layer 1 here fills 185,633 rows, about 16 MB of
+        # row arrays at once (the one-off power-factor table is built first:
+        # it is not the fill's)
         _power_factor_table(irs.N, 0.95)
-        _coefficient_table.cache_clear()
         tracemalloc.start()
         try:
-            line_search(cell, radio, irs, 100, 3, grid=SearchGrid(radius_step=5.0))
+            line_search(cell, radio, irs, 200, 3, grid=SearchGrid(radius_step=5.0))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 16 * 2 ** 20
+        assert peak <= 12 * 2 ** 20
 
 
 class TestMultiBudget:
@@ -423,7 +459,7 @@ class TestSearchGrid:
     @pytest.mark.parametrize("step", [3.0, 5.0, 6.0, 7.0, 40.0, 300.0])
     def test_radius_grid_rises_to_the_cell_edge(self, cell, radio, irs, step):
         # a remainder above half a step once put a point past R_ex before it
-        # (..., 252, 250 at step 6), and lo_min needs the grid increasing
-        radii = _RingCoefficientTable(cell, radio, irs, 0.95, step).radii
+        # (..., 252, 250 at step 6), and m_min needs the grid increasing
+        radii = _RingCoefficientTable(cell, radio, irs, 0.95, step, 1, 1).radii
         assert radii[0] == 0.0 and radii[-1] == cell.R_ex
         assert np.all(np.diff(radii) > 0.0)

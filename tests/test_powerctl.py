@@ -12,7 +12,7 @@ from irsplan.channel import (composite_stats_arrays, irs_power_factor,
                              mean_gain_direct, nop_direct)
 from irsplan.geometry import irs_distance, irs_distance2, make_ring_plan
 from irsplan.numerics import integrate_radial, reg_upper_gamma
-from irsplan.planner import _coefficient_table, _finalize, line_search
+from irsplan.planner import _finalize, _RingCoefficientTable, line_search
 from irsplan.powerctl import (RING_TABLE_STATS, _maxmin_over_rate,
                               _pareto_seed, _worst_case_grid,
                               ap_region_coefficient, benchmark_cipc,
@@ -96,7 +96,7 @@ class TestIrsCoefficient:
     def test_screen_vs_graded_price(self, radio, cell, irs):
         # the planner's 16-point screen against the graded rule that prices plans
         plan = make_ring_plan(cell, (250.0, 230.0, 190.0), (10, 17))
-        table = _coefficient_table(cell, radio, irs, 0.95, 10.0)
+        table = _RingCoefficientTable(cell, radio, irs, 0.95, 10.0, 17, 2)
         index = {float(r): k for k, r in enumerate(table.radii)}
         for i in (1, 2):
             graded = irs_region_coefficient(radio, cell, irs, plan, i, 0.95)

@@ -332,23 +332,38 @@ class TestFadingBank:
     @pytest.mark.parametrize("draws", ["exact", "gaussian-surrogate"])
     def test_counts_are_the_composite_tail(self, radio, irs, plan_m15_a1, topo, draws):
         # the scaled comparison in the bank equals Z^2 >= z2_min on its draws
+        # for every surface-served UE
         mc = McConfig(n_fading=300, seed=3, element_draws=draws)
         eta0 = plan_m15_a1.allocation.eta0_star
-        x, e = simulation._fading_bank(mc, irs.N, 2)
+        x, e, _ = simulation._fading_bank(mc, irs.N, 2)
         g_d = mean_gain_direct(radio, topo.r)[:, None]
         g_i, g_r = _gain_irs_links(radio, topo.l, topo.d)
         a = np.where(topo.served_by_irs, np.sqrt(g_i * g_r), 0.0)[:, None]
         z = np.maximum(a * x + np.sqrt(g_d * e), 0.0)
         want = np.count_nonzero(z * z >= (radio.W * eta0 / topo.power)[:, None], axis=1)
         got = simulate_ue_successes(radio, irs, topo, eta0, mc, 2)
-        assert np.array_equal(got, want)
+        assert np.array_equal(got[topo.served_by_irs], want[topo.served_by_irs])
+
+    @pytest.mark.parametrize("draws", ["exact", "gaussian-surrogate"])
+    def test_ap_counts_are_independent(self, radio, irs, plan_m15_a1, topo, draws):
+        # AP-served and overflow UEs each succeed with probability p_no, on
+        # draws of their own: their counts differ, pool to p_no, and rerun
+        mc = McConfig(n_fading=2000, seed=3, element_draws=draws)
+        alloc = plan_m15_a1.allocation
+        got = simulate_ue_successes(radio, irs, topo, alloc.eta0_star, mc, 2)
+        ap = got[~topo.served_by_irs]
+        n = ap.size * mc.n_fading
+        assert len(np.unique(ap)) > 1
+        assert abs(ap.sum() / n - alloc.p_no) <= 4 * math.sqrt(alloc.p_no * (1 - alloc.p_no) / n)
+        again = simulate_ue_successes(radio, irs, topo, alloc.eta0_star, mc, 2)
+        assert np.array_equal(again, got)
 
     @pytest.mark.parametrize("draws", ["exact", "gaussian-surrogate"])
     def test_counts_match_the_plain_expression(self, radio, irs, plan_m15_a1, topo, draws):
         # the in-place counting loop against one full-size c x + s >= t
         mc = McConfig(n_fading=700, seed=5, element_draws=draws)
         eta0 = plan_m15_a1.allocation.eta0_star
-        x, e = simulation._fading_bank(mc, irs.N, 2)
+        x, e, _ = simulation._fading_bank(mc, irs.N, 2)
         irs_ue = np.flatnonzero(topo.served_by_irs)
         g_d = mean_gain_direct(radio, topo.r[irs_ue])
         g_i, g_r = _gain_irs_links(radio, topo.l[irs_ue], topo.d[irs_ue])
