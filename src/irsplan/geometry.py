@@ -202,28 +202,21 @@ def locate_ue_arrays(cell: CellConfig, plan: RingPlan, r, azimuth):
     az = np.asarray(azimuth, dtype=float) % TWO_PI
     if np.any(r > cell.R_ex * (1 + 1e-12)):
         raise ValueError(f"locate_ue_arrays: positions outside the cell (R_ex={cell.R_ex:.6g})")
-    ring = np.zeros(r.shape, dtype=np.int64)
+    R = plan.R_in
+    # ring i is the outermost whose inner radius R_in[i] <= r; below counts those radii
+    below = np.searchsorted(R[:0:-1], r, side="right")
+    ring = np.where((below > 0) & (r <= R[0]), plan.I + 1 - below, 0).astype(np.int64)
     sector = np.full(r.shape, -1, dtype=np.int64)
     l = np.full(r.shape, np.nan)
     d = np.full(r.shape, np.nan)
-    R = plan.R_in
-    for i in range(1, plan.I + 1):
-        if i == 1:
-            members = (r >= R[1]) & (r <= R[0])
-        else:
-            members = (r >= R[i]) & (r < R[i - 1])
-        if not members.any():
-            continue
-        m = plan.M[i - 1]
-        phi = TWO_PI / m
-        s = np.minimum((az[members] // phi).astype(np.int64), m - 1)
-        dphi = _wrap_to_half(az[members] - (s + 0.5) * phi)
-        L = plan.L[i - 1]
-        rm = r[members]
-        ring[members] = i
-        sector[members] = s
-        l[members] = L
-        d[members] = irs_distance(rm, L, dphi)
+    at = ring > 0
+    idx = ring[at] - 1
+    m = np.array(plan.M, dtype=np.int64)[idx]
+    phi = TWO_PI / m
+    s = np.minimum((az[at] // phi).astype(np.int64), m - 1)
+    sector[at] = s
+    l[at] = np.array(plan.L, dtype=float)[idx]
+    d[at] = irs_distance(r[at], l[at], _wrap_to_half(az[at] - (s + 0.5) * phi))
     return ring, sector, l, d
 
 

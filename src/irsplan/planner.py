@@ -250,19 +250,19 @@ class _RingCoefficientTable:
 # exact line search over ring counts up to I
 # ---------------------------------------------------------------------------
 
-def _finalize(cell, cfg, irs, p_no, R_in, M, method, diagnostics=None) -> PlanResult:
-    """Price a candidate's rings with the graded rule and package it."""
+def _finalize(cell, cfg, irs, p_no, R_in, M, total_irs, method) -> PlanResult:
+    """Price a candidate's rings with the graded rule, check it against the
+    budget of total_irs surfaces, and package it."""
     plan = make_ring_plan(cell, R_in, M)
     C0 = sum(ap_region_coefficient(cfg, cell, p_no, hi)
              - ap_region_coefficient(cfg, cell, p_no, lo) for lo, hi in ap_spans(cell, plan))
     coeffs = [C0] + [irs_region_coefficient(cfg, cell, irs, plan, i, p_no)
                      for i in range(1, plan.I + 1)]
     alloc = equalize_power(coeffs, cfg, p_no)
-    violations = validate_plan(cell, plan, total_irs=sum(M), rho=alloc.rho)
+    violations = validate_plan(cell, plan, total_irs=total_irs, rho=alloc.rho)
     if violations:
         raise PlanCheckError(method, [f"{v.code}: {v.detail}" for v in violations])
-    diag = dict(diagnostics or {})
-    diag["region_coefficients_J"] = {f"ring{i}" if i else "ap": C for i, C in enumerate(coeffs)}
+    diag = {"region_coefficients_J": {f"ring{i}" if i else "ap": C for i, C in enumerate(coeffs)}}
     return PlanResult(plan=plan, allocation=alloc, method=method, diagnostics=diag)
 
 
@@ -412,8 +412,7 @@ def line_search_budgets(cell: CellConfig, cfg: RadioConfig, irs: IrsSpec, budget
                 f"of M={M} over ring counts 1..{I} on the {grid.radius_step:g} m grid"])
     paths = {M: _recover_path(table, V, M, *found[M]) for M in budgets}
     RING_TABLE_STATS.dp_s += (time.perf_counter() - start) - (RING_TABLE_STATS.fill_s - fill_s)
-    diag = {"grid_step_m": grid.radius_step, "searched_R_in0": grid.R_in0_search}
-    return {M: _finalize(cell, cfg, irs, p_no, [radii[i] for i in R_idx], Ms, "line-search", diag)
+    return {M: _finalize(cell, cfg, irs, p_no, [radii[i] for i in R_idx], Ms, M, "line-search")
             for M, (R_idx, Ms) in paths.items()}
 
 
@@ -506,7 +505,7 @@ def algorithm1(cell: CellConfig, cfg: RadioConfig, irs: IrsSpec, M, I_max,
             Ms.append(m_i)
             budget -= m_i
             r_prev = r_i
-        result = _finalize(cell, cfg, irs, p_no, Rs, Ms, "algorithm1", {})
+        result = _finalize(cell, cfg, irs, p_no, Rs, Ms, M, "algorithm1")
         if best is None or result.nu_bar > best.nu_bar * (1.0 + 1e-9):
             best = result
     if best is None:  # surfaces remain (I = 2 takes any rest >= 1), but I_max < 2

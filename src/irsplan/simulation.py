@@ -44,11 +44,11 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import exact_unit_draws
+from ._kernels import _CHUNK_TARGET, exact_unit_draws
 from .channel import (IrsSpec, RadioConfig, _cascade_moments, _gain_irs_links,
                       mean_gain_direct, required_power_irs)
 from .geometry import CellConfig, RingPlan, locate_ue_arrays
@@ -104,19 +104,15 @@ class Topology:
 
 @dataclass
 class McEstimate:
-    """Aggregated Monte Carlo certification report."""
+    """Aggregated Monte Carlo certification report; the run's settings are
+    the McConfig it was given."""
 
-    n_topologies: int
-    n_fading: int
-    seed: int
-    element_draws: str
     analytical_nu_bar: float
     # throughput: R_bar * min over service regions of pooled per-region NOP,
     # averaged over topologies, with a Student-t interval over the topology
     # values (as energy_rel_half_width)
     common_throughput: float
     common_half_width: float
-    min_ue_throughput: float           # mean of R_bar * worst per-UE NOP
     nop_by_region: dict
     nop_half_width_by_region: dict
     nop_by_decile: list
@@ -126,7 +122,6 @@ class McEstimate:
     energy_rel_half_width: float
     overflow_ue_share: float
     max_sector_load: int
-    notes: dict = field(default_factory=dict)
 
 
 # Low 20 bits of a topology's key word: positions take slot 0, the fading bank
@@ -137,16 +132,15 @@ _BANK_SLOT = (1 << 20) - 1
 # raised peak memory.
 _BLOCK_ELEMS = 250_000
 
+# Bytes the workers' fading banks may hold at once, checked before any draw.
+MAX_BANK_BYTES = 2 << 30
+
 _Z95 = 1.96
 
 
 def _philox(seed, topo_idx, slot):
     return np.random.Philox(
         key=np.array([seed, (topo_idx << 20) | slot], dtype=np.uint64))
-
-
-def _position_stream(seed, topo_idx):
-    return np.random.Generator(_philox(seed, topo_idx, 0))
 
 
 def _fading_bank(mc: McConfig, n_elems, topo_idx):
@@ -164,7 +158,7 @@ def sample_topology(cell: CellConfig, cfg: RadioConfig, irs: IrsSpec,
                     plan: RingPlan, eta0_star, p_no, topo_idx,
                     mc: McConfig) -> Topology:
     """Drop cell.K uniform UEs, assign service, and apply the power policies."""
-    rng = _position_stream(mc.seed, topo_idx)
+    rng = np.random.Generator(_philox(mc.seed, topo_idx, 0))
     u = rng.random((cell.K, 2))
     r = cell.R_ex * np.sqrt(u[:, 0])
     ring, sector, l, d = locate_ue_arrays(cell, plan, r, 2.0 * math.pi * u[:, 1])
@@ -246,8 +240,7 @@ def _run_topology(args):
     load = int(np.bincount(served).max()) if served.size else 0
     energy_model = float(topo.power_model.sum()) * cfg.t0
     energy_actual = float(topo.power.sum()) * cfg.t0
-    return (successes, n_ue, int(counts.min()), load, energy_model, energy_actual,
-            int(topo.overflow.sum()))
+    return successes, n_ue, load, energy_model, energy_actual, int(topo.overflow.sum())
 
 
 def _cpus_available():
@@ -265,9 +258,16 @@ def validate_plan_mc(cell: CellConfig, cfg: RadioConfig, irs: IrsSpec,
     p_no = alloc.p_no
     tasks = [(cell, cfg, irs, plan, eta0, p_no, mc, t) for t in range(mc.n_topologies)]
     workers = min(mc.n_workers, mc.n_topologies, _cpus_available())
+    # each worker holds x, e and sqrt(E), one comparison block and its mask, and
+    # for exact banks the kernel's chunk and the two half-chunk temporaries of its sum
+    need = workers * (24 * mc.n_fading + 9 * max(mc.n_fading, _BLOCK_ELEMS)
+                      + (16 * _CHUNK_TARGET if mc.element_draws == "exact" else 0))
+    if need > MAX_BANK_BYTES:
+        raise Refused("too-expensive", f"{workers} worker(s) drawing {mc.n_fading}-draw fading "
+                      f"banks need about {need} bytes; at most {MAX_BANK_BYTES} are allowed")
     with ThreadPoolExecutor(max_workers=workers) as pool:
         rows = list(pool.map(_run_topology, tasks))
-    successes, n_ue, min_count, load, e_model, e_actual, n_over = map(np.array, zip(*rows))
+    successes, n_ue, load, e_model, e_actual, n_over = map(np.array, zip(*rows))
     max_load = int(load.max())
     if max_load > cfg.n_t:
         raise SlotLimitError(max_load, cfg.n_t)
@@ -299,14 +299,10 @@ def validate_plan_mc(cell: CellConfig, cfg: RadioConfig, irs: IrsSpec,
     t95 = float(stdtrit(T - 1, 0.975))
     common_hw = t95 * float(v.std(ddof=1)) / math.sqrt(T)
     e_rel_hw = t95 * float(e_model.std(ddof=1)) / math.sqrt(T) / float(e_model.mean())
-    irs_bias = {k: float(hat[i]) - p_no for k, i in regions.items() if k != "ap"}
     return McEstimate(
-        n_topologies=T, n_fading=mc.n_fading, seed=mc.seed,
-        element_draws=mc.element_draws,
         analytical_nu_bar=alloc.nu_bar,
         common_throughput=float(v.mean()),
         common_half_width=common_hw,
-        min_ue_throughput=float(np.mean(alloc.R_bar * min_count / mc.n_fading)),
         nop_by_region={k: float(hat[i]) for k, i in regions.items()},
         nop_half_width_by_region={k: float(hw[i]) for k, i in regions.items()},
         nop_by_decile=hat[deciles].tolist(),
@@ -315,11 +311,4 @@ def validate_plan_mc(cell: CellConfig, cfg: RadioConfig, irs: IrsSpec,
         energy_mean_with_overflow=float(np.mean(e_actual)),
         energy_rel_half_width=e_rel_hw,
         overflow_ue_share=int(n_over.sum()) / (T * cell.K),
-        max_sector_load=max_load,
-        notes={
-            "overflow_policy": "AP service at the AP region's inversion SNR",
-            "nop_half_width": ("cluster interval over topologies (one fading "
-                               "bank each), floored by Agresti-Coull at "
-                               "n_fading draws per topology present"),
-            "irs_region_nop_minus_target": irs_bias,
-        })
+        max_sector_load=max_load)

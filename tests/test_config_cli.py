@@ -294,7 +294,7 @@ class TestPlanCommand:
         cfg = load_config(None, [])
         cell = cfg.cell
         for R0 in (cell.R_ex - 1e-10, cell.R_ex):
-            res = _finalize(cell, cfg.radio, cfg.irs, 0.95, [R0, 230.0], [10], "t")
+            res = _finalize(cell, cfg.radio, cfg.irs, 0.95, [R0, 230.0], [10], 10, "t")
             exterior = [r for r in _ring_table_rows(cfg, res) if r[0] == "ap-exterior"]
             spans = ap_spans(cell, res.plan)
             assert [(r[3], r[2]) for r in exterior] == spans[1:]
@@ -405,8 +405,11 @@ class TestValidateCommand:
         assert "validate:" in capsys.readouterr().out
         doc = json.loads((out / "mc_report.json").read_text(encoding="utf-8"))
         assert doc["config"]["mc"]["seed"] == 11
+        assert doc["config"]["mc"]["n_topologies"] == 2 and doc["config"]["mc"]["n_fading"] == 400
         mc = doc["mc"]
-        assert mc["n_topologies"] == 2 and mc["n_fading"] == 400
+        # the run's settings live in config.mc alone
+        assert not {"n_topologies", "n_fading", "seed", "element_draws", "notes",
+                    "min_ue_throughput"} & set(mc)
         assert set(mc["nop_by_region"]) == {"ap", "ring1", "ring2"}
         assert len(mc["nop_by_decile"]) == 10
         assert mc["max_sector_load"] <= 20
@@ -500,7 +503,7 @@ class TestValidateCommand:
 
     def test_violated_run_claims_no_conservative_fit(self, tmp_path):
         # at p_no = 0.6 the Gamma fit is optimistic: every IRS region falls
-        # short of the target, and no note may say the fit is conservative
+        # short of the target, and the report carries no fixed note about the fit
         low = ["--set", "outage.p_no_min=0.6"]
         assert main(["plan", "--out", str(tmp_path)] + low) == 0
         out = tmp_path / "mc"
@@ -509,9 +512,20 @@ class TestValidateCommand:
                      "--set", "mc.n_topologies=20", "--set", "mc.n_fading=2000"] + low) == 0
         doc = json.loads((out / "mc_report.json").read_text(encoding="utf-8"))
         assert doc["deltas"]["verdict"] == "violated"
-        notes = doc["mc"]["notes"]
-        assert "tail_fit_note" not in notes
-        assert all(v < 0.0 for v in notes["irs_region_nop_minus_target"].values())
+        assert "notes" not in doc["mc"]
+        assert all(v < 0.6 for k, v in doc["mc"]["nop_by_region"].items() if k != "ap")
+
+    def test_oversized_fading_bank_is_refused(self, tmp_path, plan_file, capsys):
+        out = tmp_path / "mc"
+        rc = main(["validate", str(plan_file), "--out", str(out),
+                   "--set", "mc.n_topologies=2", "--set", "mc.n_fading=100000000000"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        err = json.loads(captured.err)["error"]
+        assert err["kind"] == "too-expensive"
+        assert "3300064000000" in err["detail"] and "2147483648" in err["detail"]
+        assert not (out / "mc_report.json").exists()
 
     def test_rerun_is_byte_identical(self, tmp_path, plan_file):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -527,8 +541,8 @@ class TestValidateCommand:
         run = irsplan.simulation._run_topology
 
         def overloaded(task):
-            successes, n_ue, min_count, load, *rest = run(task)
-            return (successes, n_ue, min_count, 21, *rest)
+            successes, n_ue, load, *rest = run(task)
+            return (successes, n_ue, 21, *rest)
 
         monkeypatch.setattr(irsplan.simulation, "_run_topology", overloaded)
         rc = main(["validate", str(plan_file), "--out", str(tmp_path / "mc")]

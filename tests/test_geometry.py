@@ -139,6 +139,50 @@ class TestMembership:
         dphi = _wrap_to_half(az[at] - (sector[at] + 0.5) * phi)
         assert np.array_equal(irs_distance(r[at], l[at], dphi), d[at])
 
+    @staticmethod
+    def _per_ring_reference(cell, plan, r, azimuth):
+        """Membership ring by ring: one mask per ring, ring 1 closed at R_in[0]."""
+        r = np.asarray(r, dtype=float)
+        az = np.asarray(azimuth, dtype=float) % TWO_PI
+        ring = np.zeros(r.shape, dtype=np.int64)
+        sector = np.full(r.shape, -1, dtype=np.int64)
+        l = np.full(r.shape, np.nan)
+        d = np.full(r.shape, np.nan)
+        R = plan.R_in
+        for i in range(1, plan.I + 1):
+            outer = (r <= R[0]) if i == 1 else (r < R[i - 1])
+            members = (r >= R[i]) & outer
+            m, L = plan.M[i - 1], plan.L[i - 1]
+            phi = TWO_PI / m
+            s = np.minimum((az[members] // phi).astype(np.int64), m - 1)
+            ring[members] = i
+            sector[members] = s
+            l[members] = L
+            d[members] = irs_distance(r[members], L, _wrap_to_half(az[members] - (s + 0.5) * phi))
+        return ring, sector, l, d
+
+    @pytest.mark.parametrize("R_in, M", [
+        ((250.0, 225.0, 185.0, 120.0), (10, 57, 33)),
+        ((250.0, 250.0, 200.0, 200.0, 120.0), (10, 8, 3, 14)),  # empty rings 1 and 3
+        ((220.0, 150.0), (6,)),                                 # open exterior annulus
+        ((250.0,), ()),                                         # no rings
+    ])
+    def test_one_pass_matches_per_ring_reference(self, cell, rng, R_in, M):
+        plan = make_ring_plan(cell, R_in, M)
+        edges = np.array([0.0, cell.R_ex, *R_in])
+        edges = np.concatenate((edges, np.nextafter(edges, -1.0), np.nextafter(edges, 1e9)))
+        r = np.concatenate((cell.R_ex * np.sqrt(rng.uniform(size=50_000)),
+                            edges[(edges >= 0.0) & (edges <= cell.R_ex)]))
+        az = rng.uniform(-TWO_PI, 2.0 * TWO_PI, size=r.size)
+        az[:4] = (0.0, TWO_PI, -1e-12, TWO_PI - 1e-12)
+        got = locate_ue_arrays(cell, plan, r, az)
+        want = self._per_ring_reference(cell, plan, r, az)
+        assert (got[0] > 0).any() == bool(plan.I)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype
+            assert np.array_equal(g, w, equal_nan=True)
+            assert np.array_equal(np.isnan(g), np.isnan(w))
+
     def test_zero_ring_plan_is_all_ap(self, cell):
         plan = RingPlan(R_in=(250.0,), M=(), L=())
         ring, _, _, _ = locate_ue_arrays(cell, plan, np.array([5.0, 100.0, 249.0]),

@@ -12,7 +12,7 @@ from irsplan.channel import (composite_stats_arrays, irs_power_factor,
                              mean_gain_direct, nop_direct)
 from irsplan.geometry import irs_distance, irs_distance2, make_ring_plan
 from irsplan.numerics import integrate_radial, reg_upper_gamma
-from irsplan.planner import _finalize, _RingCoefficientTable, line_search
+from irsplan.planner import PlanCheckError, _finalize, _RingCoefficientTable, line_search
 from irsplan.powerctl import (RING_TABLE_STATS, _maxmin_over_rate,
                               _pareto_seed, _worst_case_grid,
                               ap_region_coefficient, benchmark_cipc,
@@ -76,16 +76,25 @@ class TestApCoefficient:
         def ap(R):
             return ap_region_coefficient(radio, cell, 0.95, R)
 
-        res = _finalize(cell, radio, irs, 0.95, [230.0, 210.0], [10], "t")
+        res = _finalize(cell, radio, irs, 0.95, [230.0, 210.0], [10], 10, "t")
         assert list(res.diagnostics["region_coefficients_J"]) == ["ap", "ring1"]
         assert res.diagnostics["region_coefficients_J"]["ap"] == \
             ap(210.0) + (ap(250.0) - ap(230.0))
         # without rings the two spans cover the whole cell
-        closed = _finalize(cell, radio, irs, 0.95, [250.0], [], "t")
+        closed = _finalize(cell, radio, irs, 0.95, [250.0], [], 0, "t")
         assert closed.diagnostics["region_coefficients_J"]["ap"] == ap(250.0)
-        opened = _finalize(cell, radio, irs, 0.95, [200.0], [], "t")
+        opened = _finalize(cell, radio, irs, 0.95, [200.0], [], 0, "t")
         assert opened.diagnostics["region_coefficients_J"]["ap"] == \
             pytest.approx(ap(250.0), rel=1e-14)
+
+    def test_finalize_checks_the_budget_it_was_given(self, radio, cell, irs):
+        # a split one surface short of the budget is the planner's fault
+        with pytest.raises(PlanCheckError) as err:
+            _finalize(cell, radio, irs, 0.95, [250.0, 230.0, 190.0], [10, 16], 27, "t")
+        assert err.value.violations == ["irs-budget: sum(M_i)=26 != M=27"]
+        assert err.value.payload["kind"] == "invalid-plan"
+        assert _finalize(cell, radio, irs, 0.95, [250.0, 230.0, 190.0], [10, 17], 27,
+                         "t").plan.M == (10, 17)
 
     def test_target_validation(self, radio, cell):
         with pytest.raises(ValueError):

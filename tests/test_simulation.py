@@ -8,9 +8,10 @@ import pytest
 from scipy.special import stdtrit
 
 from irsplan import simulation
-from irsplan._kernels import exact_tail_stats
+from irsplan._kernels import _CHUNK_TARGET, exact_tail_stats
 from irsplan.channel import _cascade_moments, _gain_irs_links, mean_gain_direct
 from irsplan.geometry import CellConfig, RingPlan, sector_area
+from irsplan.numerics import Refused
 from irsplan.planner import PlanResult, algorithm1
 from irsplan.powerctl import ap_region_coefficient, equalize_power
 from irsplan.simulation import (McConfig, sample_topology, simulate_ue_successes,
@@ -216,13 +217,14 @@ class TestRingPlanCertification:
         est = validate_plan_mc(cell, radio, irs, plan_m15_a1, mc)
         assert set(est.nop_by_region) == {"ap", "ring1", "ring2"}
         assert est.max_sector_load <= radio.n_t
-        assert est.min_ue_throughput <= est.common_throughput + 1e-12
+        # a topology's throughput is R_bar times a success share, so at most R_bar
+        assert 0.0 < est.common_throughput <= est.analytical_nu_bar / 0.95
         # AP stratum is exact CIPC; IRS strata may only err on the safe side
         assert est.nop_by_region["ap"] == pytest.approx(
             0.95, abs=3 * est.nop_half_width_by_region["ap"] + 1e-3)
         for k in ("ring1", "ring2"):
             assert est.nop_by_region[k] > 0.94
-        assert est.notes["irs_region_nop_minus_target"].keys() == {"ring1", "ring2"}
+        assert est.nop_half_width_by_region.keys() == {"ap", "ring1", "ring2"}
 
     def test_exact_draws_agree_with_surrogate(self, cell, radio, irs,
                                               plan_m15_a1):
@@ -231,7 +233,7 @@ class TestRingPlanCertification:
                                  McConfig(element_draws="exact", **kw))
         surr = validate_plan_mc(cell, radio, irs, plan_m15_a1,
                                 McConfig(element_draws="gaussian-surrogate", **kw))
-        assert exact.element_draws == "exact"
+        assert exact.nop_by_region != surr.nop_by_region  # the two flavours draw apart
         for k in ("ap", "ring1", "ring2"):
             assert exact.nop_by_region[k] == pytest.approx(
                 surr.nop_by_region[k], abs=0.02)
@@ -248,6 +250,30 @@ class TestRingPlanCertification:
                                  McConfig(n_workers=3, **kw))
         for f in dataclasses.fields(one):
             assert getattr(one, f.name) == getattr(three, f.name), f.name
+
+    @pytest.mark.parametrize("draws, chunk", [("gaussian-surrogate", 0),
+                                              ("exact", 16 * _CHUNK_TARGET)])
+    def test_bank_bytes_are_refused_before_any_draw(self, cell, radio, irs, plan_m15_a1,
+                                                    monkeypatch, draws, chunk):
+        class Drawn(Exception):
+            pass
+
+        def no_draw(*args):
+            raise Drawn
+
+        monkeypatch.setattr(simulation, "_cpus_available", lambda: 3)
+        monkeypatch.setattr(simulation, "_fading_bank", no_draw)
+        n = 2 * simulation._BLOCK_ELEMS   # past one block: 33 B a draw
+        need = 3 * (33 * n + chunk)       # every worker holds its own bank
+        mc = McConfig(n_topologies=4, n_fading=n, n_workers=3, element_draws=draws)
+        monkeypatch.setattr(simulation, "MAX_BANK_BYTES", need - 1)
+        with pytest.raises(Refused) as err:
+            validate_plan_mc(cell, radio, irs, plan_m15_a1, mc)
+        assert err.value.payload["kind"] == "too-expensive"
+        assert f"{need} bytes" in err.value.payload["detail"]
+        monkeypatch.setattr(simulation, "MAX_BANK_BYTES", need)
+        with pytest.raises(Drawn):
+            validate_plan_mc(cell, radio, irs, plan_m15_a1, mc)
 
     @pytest.mark.parametrize("n_workers,T,cpus,want", [(10 ** 6, 5, 2, 2), (64, 3, 64, 3),
                                                        (1, 4, 8, 1), (4, 10, 3, 3)])
@@ -413,7 +439,7 @@ class TestFadingBank:
             return tuple(gen.state["state"]["key"])
 
         for seed in (0, 1, 2 ** 32 - 1):
-            positions = {key(simulation._position_stream(seed, t).bit_generator)
+            positions = {key(simulation._philox(seed, t, 0))
                          for t in range(64)}
             banks = {key(simulation._philox(seed, t, simulation._BANK_SLOT))
                      for t in range(64)}
