@@ -18,22 +18,36 @@ BACKEND = "numpy"
 _CHUNK_TARGET = 4_000_000  # exponential draws per chunk (~32 MB)
 
 
+def _chunk_rows(n_draws, n_elems):
+    """Realizations per chunk: about _CHUNK_TARGET exponentials, at least one."""
+    return max(1, min(_CHUNK_TARGET // (2 * n_elems + 1), n_draws))
+
+
+def unit_draw_bytes(n_draws, n_elems):
+    """Bytes ``exact_unit_draws`` holds besides x and e: its chunk and product
+    buffers, and numpy's buffers for the strided multiply (bufsize doubles an operand)."""
+    return 8 * (_chunk_rows(n_draws, n_elems) * (3 * n_elems + 1) + 3 * np.getbufsize())
+
+
 def exact_unit_draws(bit_generator, n_draws, n_elems):
     """(x, e) of n_draws realizations in stream order.
 
     x is the unit cascade sum_j sqrt(e1 e2) and e the direct-path exponential;
-    the draws are made a chunk at a time into one reused buffer.
+    the draws are made a chunk at a time into one reused buffer and reduced
+    in place into another.
     """
     rng = np.random.Generator(bit_generator)
-    width = 2 * n_elems + 1
-    buf = np.empty((max(1, min(_CHUNK_TARGET // width, n_draws)), width))
+    rows = _chunk_rows(n_draws, n_elems)
+    buf = np.empty((rows, 2 * n_elems + 1))
+    prod = np.empty((rows, n_elems))
     x = np.empty(n_draws)
     e = np.empty(n_draws)
-    for lo in range(0, n_draws, len(buf)):
+    for lo in range(0, n_draws, rows):
         chunk = buf[:n_draws - lo]
         rng.standard_exponential(out=chunk)
         hi = lo + len(chunk)
-        x[lo:hi] = np.sqrt(chunk[:, 0:2 * n_elems:2] * chunk[:, 1:2 * n_elems:2]).sum(axis=1)
+        p = np.multiply(chunk[:, 0:2 * n_elems:2], chunk[:, 1:2 * n_elems:2], out=prod[:hi - lo])
+        np.sqrt(p, out=p).sum(axis=1, out=x[lo:hi])
         e[lo:hi] = chunk[:, 2 * n_elems]
     return x, e
 

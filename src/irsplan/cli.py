@@ -180,12 +180,10 @@ def cmd_sweep(cfg: ExperimentConfig, out_dir: Path) -> int:
                 nu = plans[M].nu_bar
             elif method == "algorithm1":
                 nu = _run_planner(cfg, "algorithm1", M).nu_bar
-            elif method == "irs-equal-power":
-                nu = benchmark_irs_equal_power(cfg.radio, cfg.cell, cfg.irs,
-                                               plans[M].plan).nu_bar
-            else:  # irs-mean-cipc
-                nu = benchmark_irs_mean_cipc(cfg.radio, cfg.cell, cfg.irs,
-                                             plans[M].plan).nu_bar
+            else:  # a fixed-placement policy benchmark
+                policy = (benchmark_irs_equal_power if method == "irs-equal-power"
+                          else benchmark_irs_mean_cipc)
+                nu = policy(cfg.radio, cfg.cell, cfg.irs, plans[M].plan).nu_bar
             rows.append((M, method, nu))
     write_csv(out_dir / "sweep.csv", ("M", "method", "nu_bar_bps_hz"),
               rows, cfg, _ring_table_meta())
@@ -210,9 +208,6 @@ def _load_plan_file(path: Path, cfg: ExperimentConfig) -> PlanResult:
         allocation = PowerAllocation(rho=tuple(float(x) for x in body["rho"]),
                                      eta0_star=float(alloc["eta0_star"]),
                                      p_no=float(alloc["p_no"]))
-        R_bar = float(alloc["R_bar_bps_hz"])
-        nu_bar = float(alloc["nu_bar_bps_hz"])
-        top_nu_bar = float(doc["nu_bar_bps_hz"])
     except (KeyError, TypeError, ValueError) as exc:
         raise Refused("plan-file-error", f"{path} is missing fields: {exc}")
     if not isinstance(embedded, dict):
@@ -220,8 +215,6 @@ def _load_plan_file(path: Path, cfg: ExperimentConfig) -> PlanResult:
     if not (math.isfinite(allocation.eta0_star) and allocation.eta0_star > 0.0):
         raise Refused("plan-file-error",
                       f"{path}: eta0_star={allocation.eta0_star} is not a positive number")
-    if not (0.0 < allocation.p_no < 1.0):
-        raise Refused("plan-file-error", f"{path}: p_no={allocation.p_no} lies outside (0, 1)")
     current = cfg.to_dict()
     mismatched = [s for s in ("radio", "cell", "irs", "outage")
                   if embedded.get(s) != current[s]]
@@ -229,14 +222,12 @@ def _load_plan_file(path: Path, cfg: ExperimentConfig) -> PlanResult:
         raise Refused("plan-config-mismatch",
                       "plan file was produced under a different setup",
                       sections=mismatched)
-    # exact: the writer derives these with the same expressions, and JSON
-    # round-trips every float
-    contradictions = [text for bad, text in (
-        (R_bar != allocation.R_bar, "R_bar_bps_hz != log2(1 + eta0_star)"),
-        (nu_bar != allocation.p_no * R_bar, "nu_bar_bps_hz != p_no * R_bar_bps_hz"),
-        (allocation.p_no != cfg.outage.p_no_min, "p_no != outage.p_no_min"),
-        (top_nu_bar != nu_bar, "nu_bar_bps_hz != allocation.nu_bar_bps_hz"),
-    ) if bad]
+    if allocation.p_no != cfg.outage.p_no_min:  # which the config keeps in (0, 1)
+        raise Refused("plan-file-error", f"{path}: p_no={allocation.p_no} != outage.p_no_min")
+    result = PlanResult(plan=plan, allocation=allocation, method=str(doc.get("method", "unknown")))
+    # exactly what the writer derives from the rebuilt result: JSON round-trips floats
+    rebuilt = _plan_payload(result)
+    contradictions = [k for k in ("allocation", "nu_bar_bps_hz") if doc.get(k) != rebuilt[k]]
     if contradictions:
         raise Refused("plan-file-error", "plan file allocation contradicts itself",
                       contradictions=contradictions)
@@ -244,8 +235,7 @@ def _load_plan_file(path: Path, cfg: ExperimentConfig) -> PlanResult:
     if violations:
         raise Refused("plan-file-error", "plan file violates placement invariants",
                       violations=[v.code for v in violations])
-    return PlanResult(plan=plan, allocation=allocation,
-                      method=str(doc.get("method", "unknown")), diagnostics={})
+    return result
 
 
 def _verdict(est, p_no):
@@ -298,6 +288,15 @@ def cmd_validate(cfg: ExperimentConfig, plan_file: Path, out_dir: Path) -> int:
 # argument parsing and dispatch
 # ---------------------------------------------------------------------------
 
+def _output_dir(path: Path) -> Path:
+    """Create the --out directory; a path that cannot be one is refused."""
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise Refused("output-error", f"cannot create {path}: {exc}", path=str(path))
+    return path
+
+
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="irsplan",
@@ -333,8 +332,7 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config, args.overrides, seed=args.seed,
                           method=getattr(args, "method", None))
-        out_dir = args.out
-        out_dir.mkdir(parents=True, exist_ok=True)
+        out_dir = _output_dir(args.out)
         if args.command == "coverage":
             return cmd_coverage(cfg, out_dir)
         if args.command == "plan":

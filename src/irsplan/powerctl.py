@@ -33,7 +33,8 @@ beta) at every worst-case grid position, exactly Gamma(1, 1/g_d) at the AP
 radii.  A policy picks each position's power p, and ``_policy_report`` tunes
 the common rate max-min on the one forward NOP G_alpha(beta W eta0 / p).
 ``_maxmin_over_rate`` finds the same optimum as evaluating every position at
-every rate, but evaluates few: an upper bound from a small seed subset rules
+every rate, but evaluates few: an upper bound from a small seed subset (the
+positions of extreme shape and scale, which ``_policy_report`` picks) rules
 out most of the 240 coarse rates before any full evaluation (bound and
 verify), and inside the golden-section bracket only positions that
 monotonicity in eta0 allows to be the minimum are kept, with a 1e-9 relative
@@ -330,24 +331,15 @@ def _maxmin_over_rate(nops, n, seed):
     return eta0, nop_of_eta0(eta0)
 
 
-def _pareto_seed(alpha, beta):
-    """Positions no other beats on both low alpha and high beta.
+def _policy_report(method, alpha, scale, details) -> ThroughputReport:
+    """Max-min common rate when position k has NOP G_alpha[k](scale[k] eta0).
 
-    G_alpha(beta x) increases with alpha and decreases with beta, so every
-    other position's NOP is at least one of these at any rate.
-    """
-    order = np.lexsort((-beta, alpha))
-    b = beta[order]
-    prev_max = np.maximum.accumulate(np.concatenate([[-np.inf], b[:-1]]))
-    return order[b > prev_max]
-
-
-def _policy_report(method, alpha, scale, seed, details) -> ThroughputReport:
-    """Max-min common rate when position k has NOP G_alpha[k](scale[k] eta0);
-    seed bounds the rate scan (see ``_maxmin_over_rate``)."""
+    The positions of smallest and largest shape and scale seed the rate
+    scan's bound (``_maxmin_over_rate``), which sets its cost only."""
     def nops(eta0, idx):
         return reg_upper_gamma(alpha[idx], scale[idx] * eta0)
 
+    seed = np.unique([np.argmin(alpha), np.argmax(alpha), np.argmin(scale), np.argmax(scale)])
     eta0, nop = _maxmin_over_rate(nops, alpha.size, seed)
     return ThroughputReport(method=method, eta0=eta0, p_no=nop, details=details)
 
@@ -360,9 +352,7 @@ def benchmark_irs_equal_power(cfg, cell, irs, plan) -> ThroughputReport:
     """
     p = cfg.E_total / (cell.K * cfg.t0)
     alpha, beta, _ = _worst_case_grid(cfg, cell, irs, plan)
-    scale = beta * cfg.W / p
-    return _policy_report("irs-equal-power", alpha, scale, _pareto_seed(alpha, scale),
-                          {"p_ue_W": p})
+    return _policy_report("irs-equal-power", alpha, beta * cfg.W / p, {"p_ue_W": p})
 
 
 def benchmark_irs_mean_cipc(cfg, cell, irs, plan) -> ThroughputReport:
@@ -392,8 +382,6 @@ def benchmark_irs_mean_cipc(cfg, cell, irs, plan) -> ThroughputReport:
     gamma_bar = cfg.E_total / (cell.ue_density * cfg.W * cfg.t0 * inv_gain_integral)
 
     alpha, beta, mean_z2 = _worst_case_grid(cfg, cell, irs, plan)
-    # p = gbar W / E{Z^2}: scale is alpha / gbar up to rounding, so every
-    # position is on the Pareto front and the extreme shapes seed the bound
-    scale = beta * mean_z2 / gamma_bar
-    seed = np.unique([np.argmin(alpha), np.argmax(alpha)])
-    return _policy_report("irs-mean-cipc", alpha, scale, seed, {"gamma_bar": gamma_bar})
+    # p = gbar W / E{Z^2}
+    return _policy_report("irs-mean-cipc", alpha, beta * mean_z2 / gamma_bar,
+                          {"gamma_bar": gamma_bar})

@@ -10,8 +10,8 @@ non-outage probabilities, common throughput, and frame energy.
 Randomness is counter-based: each (seed, topology) owns two Philox streams,
 one for positions and one for a fading bank, so results are bit-identical
 for any worker count and the workload can be sharded freely.  The bank holds
-n_fading geometry-free unit draws (X, E): the composite amplitude is
-Z = sqrt(g_i g_r) X + sqrt(g_d E), so every surface-served UE of the
+n_fading geometry-free unit draws (X, sqrt(E)), the root taken over E in
+place: Z = sqrt(g_i g_r) X + sqrt(g_d E), so every surface-served UE of the
 topology reads its success count off the same bank (common random numbers);
 AP-served and overflow UEs draw independent binomial counts from the bank's
 stream after it.  Draws come in two flavours:
@@ -48,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import _CHUNK_TARGET, exact_unit_draws
+from ._kernels import exact_unit_draws, unit_draw_bytes
 from .channel import (IrsSpec, RadioConfig, _cascade_moments, _gain_irs_links,
                       mean_gain_direct, required_power_irs)
 from .geometry import CellConfig, RingPlan, locate_ue_arrays
@@ -144,14 +144,16 @@ def _philox(seed, topo_idx, slot):
 
 
 def _fading_bank(mc: McConfig, n_elems, topo_idx):
-    """One topology's n_fading unit draws (X, E) in the configured flavour,
-    and the bank's stream, left where the bank ends."""
+    """One topology's n_fading unit draws (X, sqrt(E)) in the configured
+    flavour, and the bank's stream, left where the bank ends."""
     rng = np.random.Generator(_philox(mc.seed, topo_idx, _BANK_SLOT))
     if mc.element_draws == "exact":
-        return (*exact_unit_draws(rng.bit_generator, mc.n_fading, n_elems), rng)
-    mu, s2 = _cascade_moments(n_elems, 1.0, 1.0)
-    x = mu + math.sqrt(s2) * rng.standard_normal(mc.n_fading)
-    return x, rng.standard_exponential(mc.n_fading), rng
+        x, e = exact_unit_draws(rng.bit_generator, mc.n_fading, n_elems)
+    else:
+        mu, s2 = _cascade_moments(n_elems, 1.0, 1.0)
+        x = mu + math.sqrt(s2) * rng.standard_normal(mc.n_fading)
+        e = rng.standard_exponential(mc.n_fading)
+    return x, np.sqrt(e, out=e), rng
 
 
 def sample_topology(cell: CellConfig, cfg: RadioConfig, irs: IrsSpec,
@@ -191,7 +193,7 @@ def sample_topology(cell: CellConfig, cfg: RadioConfig, irs: IrsSpec,
 def simulate_ue_successes(cfg: RadioConfig, irs: IrsSpec, topo: Topology,
                           eta0, mc: McConfig, topo_idx):
     """Per-UE non-outage success counts out of the topology's mc.n_fading draws."""
-    x, e, rng = _fading_bank(mc, irs.N, topo_idx)
+    x, s, rng = _fading_bank(mc, irs.N, topo_idx)
     counts = np.empty(topo.K, dtype=np.int64)
     g_d = mean_gain_direct(cfg, topo.r)
     z2_min = cfg.W * eta0 / topo.power
@@ -206,7 +208,6 @@ def simulate_ue_successes(cfg: RadioConfig, irs: IrsSpec, topo: Topology,
     g_i, g_r = _gain_irs_links(cfg, topo.l[irs_ue], topo.d[irs_ue])
     c = np.sqrt(g_i * g_r / g_d[irs_ue])
     t = np.sqrt(z2_min[irs_ue] / g_d[irs_ue])
-    s = np.sqrt(e)
     block = max(1, _BLOCK_ELEMS // mc.n_fading)
     buf = np.empty((min(block, irs_ue.size), mc.n_fading))
     hit = np.empty(buf.shape, dtype=bool)
@@ -254,14 +255,12 @@ def validate_plan_mc(cell: CellConfig, cfg: RadioConfig, irs: IrsSpec,
     """Monte Carlo certification of a PlanResult's throughput promise."""
     plan = result.plan
     alloc = result.allocation
-    eta0 = alloc.eta0_star
-    p_no = alloc.p_no
-    tasks = [(cell, cfg, irs, plan, eta0, p_no, mc, t) for t in range(mc.n_topologies)]
+    tasks = [(cell, cfg, irs, plan, alloc.eta0_star, alloc.p_no, mc, t)
+             for t in range(mc.n_topologies)]
     workers = min(mc.n_workers, mc.n_topologies, _cpus_available())
-    # each worker holds x, e and sqrt(E), one comparison block and its mask, and
-    # for exact banks the kernel's chunk and the two half-chunk temporaries of its sum
-    need = workers * (24 * mc.n_fading + 9 * max(mc.n_fading, _BLOCK_ELEMS)
-                      + (16 * _CHUNK_TARGET if mc.element_draws == "exact" else 0))
+    # a worker holds X, sqrt(E), a comparison block and its mask, and the kernel's buffers
+    kernel = unit_draw_bytes(mc.n_fading, irs.N) if mc.element_draws == "exact" else 0
+    need = workers * (16 * mc.n_fading + 9 * max(mc.n_fading, _BLOCK_ELEMS) + kernel)
     if need > MAX_BANK_BYTES:
         raise Refused("too-expensive", f"{workers} worker(s) drawing {mc.n_fading}-draw fading "
                       f"banks need about {need} bytes; at most {MAX_BANK_BYTES} are allowed")

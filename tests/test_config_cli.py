@@ -7,7 +7,7 @@ import time
 import pytest
 
 from irsplan.channel import LinkGeometry, composite_stats
-from irsplan.cli import main, write_json
+from irsplan.cli import _load_plan_file, _plan_payload, main, write_json
 from irsplan.config import (ConfigError, ExperimentConfig, load_config,
                             parse_unit_scalar)
 
@@ -183,6 +183,17 @@ class TestCoverageCommand:
         assert err["kind"] == "too-expensive"
         assert "590000001" in err["detail"] and "100000" in err["detail"]
         assert not (tmp_path / "coverage.csv").exists()
+
+    def test_uncreatable_out_is_refused(self, tmp_path, capsys):
+        # no directory can be made under a regular file
+        out = tmp_path / "file" / "sub"
+        out.parent.write_text("", encoding="utf-8")
+        rc = main(["coverage", "--out", str(out)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        err = json.loads(captured.err)["error"]
+        assert err["kind"] == "output-error" and err["path"] == str(out)
 
 
 PLAN_ARGS = ["--set", "plan.method=algorithm1", "--set", "plan.M=15"]
@@ -524,7 +535,7 @@ class TestValidateCommand:
         assert "Traceback" not in captured.err
         err = json.loads(captured.err)["error"]
         assert err["kind"] == "too-expensive"
-        assert "3300064000000" in err["detail"] and "2147483648" in err["detail"]
+        assert "2500048156600" in err["detail"] and "2147483648" in err["detail"]
         assert not (out / "mc_report.json").exists()
 
     def test_rerun_is_byte_identical(self, tmp_path, plan_file):
@@ -571,6 +582,25 @@ class TestValidateCommand:
         assert rc == 2
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["kind"] == "plan-file-error"
+
+    def test_real_plan_file_round_trips(self, plan_file):
+        # the derived fields are what the writer makes of the rebuilt result
+        doc = json.loads(plan_file.read_text(encoding="utf-8"))
+        rebuilt = _plan_payload(_load_plan_file(plan_file, load_config()))
+        for key in ("allocation", "nu_bar_bps_hz", "plan"):
+            assert rebuilt[key] == doc[key]
+
+    def test_contradictions_name_the_keys(self, tmp_path, plan_file, capsys):
+        doc = json.loads(plan_file.read_text(encoding="utf-8"))
+        doc["allocation"]["R_bar_bps_hz"] += 1.0
+        doc["nu_bar_bps_hz"] += 1.0
+        bad = tmp_path / "derived.json"
+        bad.write_text(json.dumps(doc), encoding="utf-8")
+        rc = main(["validate", str(bad), "--out", str(tmp_path / "mc")] + VALIDATE_MC)
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["kind"] == "plan-file-error"
+        assert err["contradictions"] == ["allocation", "nu_bar_bps_hz"]
 
     def test_config_mismatch_detected(self, tmp_path, plan_file, capsys):
         rc = main(["validate", str(plan_file), "--out", str(tmp_path),

@@ -308,12 +308,13 @@ def private_imports(label, tree):
 # the private names one module may take from another: the panel arithmetic
 # of the one sector quadrature, the CLT moments and link gains the Monte
 # Carlo surrogate shares with channel, and the fading kernel module (its draw
-# routine, and its chunk size, which the fading-bank memory limit counts)
+# routine, and its count of the bytes a draw holds, which the fading-bank
+# memory limit reads)
 PINNED_PRIVATE_IMPORTS = {"powerctl.py: numerics._gl_panels",
                           "simulation.py: channel._cascade_moments",
                           "simulation.py: channel._gain_irs_links",
                           "simulation.py: _kernels.exact_unit_draws",
-                          "simulation.py: _kernels._CHUNK_TARGET",
+                          "simulation.py: _kernels.unit_draw_bytes",
                           "__init__.py: _kernels.BACKEND"}
 
 

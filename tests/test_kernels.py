@@ -6,6 +6,7 @@ one-shot numpy reference written here pins the layout contract.
 
 import inspect
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -87,6 +88,21 @@ class TestLayoutContract:
         x, direct = _kernels.exact_unit_draws(_philox(9, 4), n, N)
         assert np.array_equal(x, np.sqrt(e[:, 0:2 * N:2] * e[:, 1:2 * N:2]).sum(axis=1))
         assert np.array_equal(direct, e[:, 2 * N])
+
+    @pytest.mark.parametrize("n_draws, n_elems", [(2000, 2000), (2, 2_500_000)])
+    def test_byte_count_covers_the_draw(self, n_draws, n_elems):
+        # unit_draw_bytes is what the draw holds besides x and e, also when one
+        # realization is wider than a chunk
+        _kernels.exact_unit_draws(_philox(2, 1), n_draws, n_elems)  # one-off allocations
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            x, e = _kernels.exact_unit_draws(_philox(2, 1), n_draws, n_elems)
+            held = tracemalloc.get_traced_memory()[1] - base - x.nbytes - e.nbytes
+        finally:
+            tracemalloc.stop()
+        assert held <= _kernels.unit_draw_bytes(n_draws, n_elems) <= 1.1 * held
 
     def test_benchmark_hooks(self):
         # perfbench reads the backend name and wraps these names, reading

@@ -14,7 +14,7 @@ from irsplan.geometry import irs_distance, irs_distance2, make_ring_plan
 from irsplan.numerics import integrate_radial, reg_upper_gamma
 from irsplan.planner import PlanCheckError, _finalize, _RingCoefficientTable, line_search
 from irsplan.powerctl import (RING_TABLE_STATS, _maxmin_over_rate,
-                              _pareto_seed, _worst_case_grid,
+                              _policy_report, _worst_case_grid,
                               ap_region_coefficient, benchmark_cipc,
                               benchmark_equal_power, benchmark_irs_equal_power,
                               benchmark_irs_mean_cipc, cipc_power,
@@ -405,20 +405,14 @@ class TestPrunedRateScan:
         got = reg_upper_gamma(alpha, beta * radio.W / p * eta0)
         assert got == pytest.approx(nop_direct(radio, p, r, eta0), rel=1e-13)
 
-    def test_pareto_seed_dominates_every_position(self, radio, cell, irs):
-        alpha, beta, _ = _worst_case_grid(radio, cell, irs, _plans(cell)["two-rings"])
-        seed = _pareto_seed(alpha, beta)
-        assert 0 < seed.size < alpha.size / 10
-        dominated = ((alpha[seed][:, None] <= alpha[None, :])
-                     & (beta[seed][:, None] >= beta[None, :]))
-        assert dominated.any(axis=0).all()
-
-    @pytest.mark.parametrize("seed_kind", ["pareto", "empty", "first", "all"])
+    @pytest.mark.parametrize("seed_kind", ["pareto", "empty", "first", "all", "policy"])
     @pytest.mark.parametrize("case", ["duplicated", "all-equal", "underflow",
                                       "all-underflow"])
     def test_synthetic_positions(self, radio, cell, irs, case, seed_kind):
         # the seed sets the cost only: any subset, even none, gives the
-        # brute-force numbers
+        # brute-force numbers; "pareto" is the tightest bound's seed (no other
+        # position has both a lower alpha and a higher beta), "policy" the
+        # policy benchmarks' own
         if case == "duplicated":
             alpha, beta, _ = _worst_case_grid(radio, cell, irs, _plans(cell)["two-rings"])
             thr_per_eta0 = radio.W * cell.K * radio.t0 / radio.E_total
@@ -433,7 +427,14 @@ class TestPrunedRateScan:
         nops, n = gamma_nops(alpha, beta), alpha.size
         if case.endswith("underflow"):
             assert nops(1e6, np.arange(n)).max() == 0.0
-        seed = {"pareto": _pareto_seed(alpha, beta), "empty": np.empty(0, int),
+        if seed_kind == "policy":
+            rep = _policy_report("synthetic", alpha, beta, {})
+            assert (rep.eta0, rep.p_no) == unpruned_synthetic(nops, n)
+            return
+        order = np.lexsort((-beta, alpha))  # by alpha, ties by beta descending
+        b = beta[order]
+        pareto = order[b > np.maximum.accumulate(np.r_[-np.inf, b[:-1]])]
+        seed = {"pareto": pareto, "empty": np.empty(0, int),
                 "first": np.array([0]), "all": np.arange(n)}[seed_kind]
         assert _maxmin_over_rate(nops, n, seed) == unpruned_synthetic(nops, n)
 

@@ -8,8 +8,8 @@ import pytest
 from scipy.special import stdtrit
 
 from irsplan import simulation
-from irsplan._kernels import _CHUNK_TARGET, exact_tail_stats
-from irsplan.channel import _cascade_moments, _gain_irs_links, mean_gain_direct
+from irsplan._kernels import exact_tail_stats, unit_draw_bytes
+from irsplan.channel import IrsSpec, _cascade_moments, _gain_irs_links, mean_gain_direct
 from irsplan.geometry import CellConfig, RingPlan, sector_area
 from irsplan.numerics import Refused
 from irsplan.planner import PlanResult, algorithm1
@@ -48,6 +48,15 @@ def per_ue_successes(cfg, irs, topo, eta0, mc, topo_idx):
             z = np.maximum(z + np.sqrt(g_d * rng.standard_exponential(mc.n_fading)), 0.0)
             counts[k] = np.count_nonzero(z * z >= z2_min)
     return counts
+
+
+class Drawn(Exception):
+    pass
+
+
+def no_draw(*args):
+    """A fading bank that must not be drawn."""
+    raise Drawn
 
 
 class TestMcConfig:
@@ -251,20 +260,14 @@ class TestRingPlanCertification:
         for f in dataclasses.fields(one):
             assert getattr(one, f.name) == getattr(three, f.name), f.name
 
-    @pytest.mark.parametrize("draws, chunk", [("gaussian-surrogate", 0),
-                                              ("exact", 16 * _CHUNK_TARGET)])
+    @pytest.mark.parametrize("draws", ["gaussian-surrogate", "exact"])
     def test_bank_bytes_are_refused_before_any_draw(self, cell, radio, irs, plan_m15_a1,
-                                                    monkeypatch, draws, chunk):
-        class Drawn(Exception):
-            pass
-
-        def no_draw(*args):
-            raise Drawn
-
+                                                    monkeypatch, draws):
         monkeypatch.setattr(simulation, "_cpus_available", lambda: 3)
         monkeypatch.setattr(simulation, "_fading_bank", no_draw)
-        n = 2 * simulation._BLOCK_ELEMS   # past one block: 33 B a draw
-        need = 3 * (33 * n + chunk)       # every worker holds its own bank
+        n = 2 * simulation._BLOCK_ELEMS   # past one block: 25 B a draw
+        kernel = unit_draw_bytes(n, irs.N) if draws == "exact" else 0
+        need = 3 * (25 * n + kernel)      # every worker holds its own bank
         mc = McConfig(n_topologies=4, n_fading=n, n_workers=3, element_draws=draws)
         monkeypatch.setattr(simulation, "MAX_BANK_BYTES", need - 1)
         with pytest.raises(Refused) as err:
@@ -274,6 +277,15 @@ class TestRingPlanCertification:
         monkeypatch.setattr(simulation, "MAX_BANK_BYTES", need)
         with pytest.raises(Drawn):
             validate_plan_mc(cell, radio, irs, plan_m15_a1, mc)
+
+    def test_wide_realizations_are_refused(self, cell, radio, plan_m15_a1, monkeypatch):
+        # one realization of 2N+1 exponentials outgrows the kernel's chunk: at
+        # N = 1e8 its row and product buffer hold 2.4e9 bytes for one draw
+        monkeypatch.setattr(simulation, "_fading_bank", no_draw)
+        mc = McConfig(n_topologies=2, n_fading=1, n_workers=1, element_draws="exact")
+        with pytest.raises(Refused) as err:
+            validate_plan_mc(cell, radio, IrsSpec(N=10 ** 8), plan_m15_a1, mc)
+        assert err.value.payload["kind"] == "too-expensive"
 
     @pytest.mark.parametrize("n_workers,T,cpus,want", [(10 ** 6, 5, 2, 2), (64, 3, 64, 3),
                                                        (1, 4, 8, 1), (4, 10, 3, 3)])
@@ -361,14 +373,29 @@ class TestFadingBank:
         # for every surface-served UE
         mc = McConfig(n_fading=300, seed=3, element_draws=draws)
         eta0 = plan_m15_a1.allocation.eta0_star
-        x, e, _ = simulation._fading_bank(mc, irs.N, 2)
+        x, s, _ = simulation._fading_bank(mc, irs.N, 2)
         g_d = mean_gain_direct(radio, topo.r)[:, None]
         g_i, g_r = _gain_irs_links(radio, topo.l, topo.d)
         a = np.where(topo.served_by_irs, np.sqrt(g_i * g_r), 0.0)[:, None]
-        z = np.maximum(a * x + np.sqrt(g_d * e), 0.0)
+        z = np.maximum(a * x + np.sqrt(g_d) * s, 0.0)
         want = np.count_nonzero(z * z >= (radio.W * eta0 / topo.power)[:, None], axis=1)
         got = simulate_ue_successes(radio, irs, topo, eta0, mc, 2)
         assert np.array_equal(got[topo.served_by_irs], want[topo.served_by_irs])
+
+    @pytest.mark.parametrize("draws", ["exact", "gaussian-surrogate"])
+    def test_bank_holds_the_exact_root(self, irs, draws):
+        # the bank's second array is sqrt(E) of the stream's direct draws, bit
+        # for bit: the root is taken in place over E
+        n = 300
+        _, s, _ = simulation._fading_bank(McConfig(n_fading=n, seed=3, element_draws=draws),
+                                          irs.N, 2)
+        gen = np.random.Generator(simulation._philox(3, 2, simulation._BANK_SLOT))
+        if draws == "exact":
+            e = gen.standard_exponential((n, 2 * irs.N + 1))[:, 2 * irs.N]
+        else:
+            gen.standard_normal(n)
+            e = gen.standard_exponential(n)
+        assert np.array_equal(s, np.sqrt(e))
 
     @pytest.mark.parametrize("draws", ["exact", "gaussian-surrogate"])
     def test_ap_counts_are_independent(self, radio, irs, plan_m15_a1, topo, draws):
@@ -389,13 +416,13 @@ class TestFadingBank:
         # the in-place counting loop against one full-size c x + s >= t
         mc = McConfig(n_fading=700, seed=5, element_draws=draws)
         eta0 = plan_m15_a1.allocation.eta0_star
-        x, e, _ = simulation._fading_bank(mc, irs.N, 2)
+        x, s, _ = simulation._fading_bank(mc, irs.N, 2)
         irs_ue = np.flatnonzero(topo.served_by_irs)
         g_d = mean_gain_direct(radio, topo.r[irs_ue])
         g_i, g_r = _gain_irs_links(radio, topo.l[irs_ue], topo.d[irs_ue])
         c = np.sqrt(g_i * g_r / g_d)
         t = np.sqrt(radio.W * eta0 / topo.power[irs_ue] / g_d)
-        want = np.count_nonzero(c[:, None] * x + np.sqrt(e) >= t[:, None], axis=1)
+        want = np.count_nonzero(c[:, None] * x + s >= t[:, None], axis=1)
         got = simulate_ue_successes(radio, irs, topo, eta0, mc, 2)
         assert np.array_equal(got[irs_ue], want)
 
