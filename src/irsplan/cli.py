@@ -52,11 +52,18 @@ def _cell_text(v):
     return str(v)
 
 
+def _write_text(path: Path, text: str):
+    """Write one output file; a path that cannot take it is refused."""
+    try:
+        path.write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise Refused("output-error", f"cannot write {path}: {exc}", path=str(path))
+
+
 def _write_sidecar(path: Path, extra=None):
     meta = {"written_at": datetime.now(timezone.utc).isoformat(),
             "tool": "irsplan", "version": __version__, **(extra or {})}
-    Path(str(path) + ".meta.json").write_text(
-        json.dumps(meta, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    _write_text(Path(str(path) + ".meta.json"), json.dumps(meta, indent=2, sort_keys=True) + "\n")
 
 
 def write_csv(path: Path, columns, rows, cfg: ExperimentConfig, meta=None):
@@ -68,15 +75,14 @@ def write_csv(path: Path, columns, rows, cfg: ExperimentConfig, meta=None):
     lines.append(",".join(columns))
     for row in rows:
         lines.append(",".join(_cell_text(v) for v in row))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_text(path, "\n".join(lines) + "\n")
     _write_sidecar(path, meta)
 
 
 def write_json(path: Path, payload: dict, cfg: ExperimentConfig, meta=None):
     doc = {"schema_version": SCHEMA_VERSION, "config": cfg.to_dict()}
     doc.update(payload)
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n",
-                    encoding="utf-8")
+    _write_text(path, json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n")
     _write_sidecar(path, meta)
 
 

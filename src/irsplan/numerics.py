@@ -6,8 +6,9 @@ gamma function and its inverse are domain-checked wrappers around
 DiDonato-Morris algorithms, ACM TOMS 12, 1986), imported where first called
 so that importing irsplan does not import scipy; ``get_tail_quantile`` fixes
 the inverse's probability.  Quadrature is composite Gauss-Legendre on given
-panel breakpoints (``_gl_panels``); the public integrators refine dyadic
-panels and serve as references.  Root finding is bisection.
+panel breakpoints (``_gl_panels``; ``concat_ranges`` lays out batches of
+ragged panel sets); the public integrators refine dyadic panels and serve as
+references.  Root finding is bisection.
 """
 
 from __future__ import annotations
@@ -118,9 +119,16 @@ def _gl_panels(edges, nodes):
     x, w = _gl_nodes(nodes)
     mid = 0.5 * (edges[..., :-1] + edges[..., 1:])
     half = 0.5 * (edges[..., 1:] - edges[..., :-1])
-    shape = edges.shape[:-1] + (-1,)
+    shape = edges.shape[:-1] + ((edges.shape[-1] - 1) * nodes,)
     pts = (mid[..., None] + half[..., None] * x).reshape(shape)
     return pts, (half[..., None] * w).reshape(shape)
+
+
+def concat_ranges(starts, counts):
+    """Concatenated integer ranges [starts[i], starts[i] + counts[i])."""
+    out = np.repeat(starts - (np.cumsum(counts) - counts), counts)
+    out += np.arange(out.size)
+    return out
 
 
 def integrate_radial(f, a, b, tol: Tolerance = DEFAULT_TOL, nodes=32, max_levels=12):

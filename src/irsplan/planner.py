@@ -19,15 +19,16 @@ Three entry points:
   each ring so one sector carries the per-IRS UE cap.
 
 The search screens sector energy integrals through a coefficient table of
-its own (one 16-point Gauss-Legendre panel per direction over the half
-sector, over the candidate inner radii the load cap allows; each DP layer
-fills the rings it needs in one batch, built a bounded number of rows at a
-time) and prices the winning configuration with
+its own, over the candidate inner radii the load cap allows: each DP layer
+fills the keys it needs in one call, which integrates every ring they read
+once for all of its surface counts (``powerctl.screen_coefficients``, the
+shared-azimuth screen).  It prices the winning configuration with
 ``powerctl``'s graded rule (``irs_region_coefficient``) before returning it.
 Both are ``powerctl.ring_coefficients``, the one ring coefficient, on
-different breakpoints.  ``line_search_budgets`` runs the dynamic program
-once for many budgets (``line_search`` is its one-budget case), and
-``RING_TABLE_STATS`` counts the table and pricing work of the process.
+different rules.  ``line_search_budgets`` runs the dynamic program once for
+many budgets (``line_search`` is its one-budget case), and
+``RING_TABLE_STATS`` counts the table and pricing work of the process and
+how close the screen came to deciding a pick.
 """
 
 from __future__ import annotations
@@ -42,9 +43,9 @@ import numpy as np
 from .channel import IrsSpec, RadioConfig, composite_stats_arrays
 from .geometry import (CellConfig, RingPlan, ap_spans, make_ring_plan, min_surfaces,
                        surface_circle, validate_plan)
-from .numerics import Refused, bisect
+from .numerics import Refused, bisect, concat_ranges
 from .powerctl import (RING_TABLE_STATS, PowerAllocation, ap_region_coefficient,
-                       equalize_power, irs_region_coefficient, ring_coefficients)
+                       equalize_power, irs_region_coefficient, screen_coefficients)
 
 
 class PlanInfeasibleError(Refused):
@@ -158,22 +159,22 @@ class _RingCoefficientTable:
     radii, then a search whose ``candidate_work`` exceeds MAX_ROWS rows or
     MAX_DP_OPERATIONS operations, is refused before lo_min is built.
 
-    ``ring_vec(hi_idx, m, near_ap)`` returns, indexed by lo < hi, the
-    coefficient of a ring [radii[lo], radii[hi]] with m surfaces: the
-    one-panel, NODES-point case of ``powerctl.ring_coefficients``, filled
-    for lo >= lo_min[hi, m] and +inf below.  near_ap marks ring 1 for
-    ``geometry.surface_circle``.  ``c0_grid`` is ``ap_region_coefficient``
-    per radius.  ``fill(keys)`` computes many keys at once, halving its
-    batch until it holds at most FILL_ROWS rows (or one key), CHUNK_ROWS
-    rows per integrand pass; every row's coefficient is a function of that
-    row alone, the same bits whichever batch or chunk it falls in.
+    ``ring_vec(hi_idx, m, near_ap)`` returns, indexed by lo < hi, the screen
+    coefficient (``powerctl.screen_coefficients``) of a ring [radii[lo],
+    radii[hi]] with m surfaces, filled for lo >= lo_min[hi, m] and +inf
+    below.  near_ap marks ring 1 for ``geometry.surface_circle``.
+    ``c0_grid`` is ``ap_region_coefficient`` per radius.  ``fill(keys)``
+    computes many keys at once: each ring (lo, hi, near_ap) in their windows
+    is integrated once, in batches of at most BATCH_POINTS integrand points,
+    and a row's coefficient is a function of its ring and m alone, the same
+    bits whichever keys, batch or top budget it is filled with.
     """
 
-    NODES = 16
-    CHUNK_ROWS = 60   # rows per integrand pass: 15,360 points, 120 KB per array
-    FILL_ROWS = 61_440  # rows built at once, about 89 B each: 5.5 MB
+    BATCH_POINTS = 262_144  # integrand points a batch of rings: 22k azimuths laid out at once
     MAX_RADII = 1001  # rows grow as radii^2: the default sweep fills 70,849 at 51 radii
-    MAX_ROWS = 4_000_000  # ~70k rows/s cold on a 2-core Xeon: about a minute at the limit
+    # 140k rows/s cold (1 m grid, M=40: 11 rows a ring) to 710k (5 m grid,
+    # M=1000: 917) on a 2-core Xeon: at most about 30 s at the limit
+    MAX_ROWS = 4_000_000
 
     def __init__(self, cell, cfg, irs, p_no, step, M, I):
         self.cell, self.cfg, self.irs, self.p_no = cell, cfg, irs, p_no
@@ -212,37 +213,38 @@ class _RingCoefficientTable:
         return self._cache[key]
 
     def fill(self, keys):
-        """Compute and cache every (hi_idx, m, near_ap) key not cached yet."""
-        todo = [k for k in dict.fromkeys((int(h), int(m), bool(a)) for h, m, a in keys)
-                if k not in self._cache]
+        """Compute and cache every (hi_idx, m, near_ap) key not cached yet.
+
+        Each ring [radii[lo], radii[hi]] (near_ap or not) in some key's
+        window is integrated once, for the m of every key whose window holds
+        it (``powerctl.screen_coefficients``)."""
+        todo = sorted({(bool(a), int(h), int(m)) for h, m, a in keys
+                       if (int(h), int(m), bool(a)) not in self._cache})
         if not todo:
             return
-        if len(todo) > 1 and sum(hi - self.lo_min[hi, m] for hi, m, _ in todo) > self.FILL_ROWS:
-            for half in (todo[:len(todo) // 2], todo[len(todo) // 2:]):  # bounds the rows built
-                self.fill(half)
-            return
         start = time.perf_counter()
-        firsts = [int(self.lo_min[hi, m]) for hi, m, _ in todo]
-        counts = [hi - first for (hi, _, _), first in zip(todo, firsts)]
-        # one row per (key, candidate inner radius)
-        row_hi = np.repeat(self.radii[[hi for hi, _, _ in todo]], counts)
-        row_lo = np.concatenate([self.radii[first:hi] for (hi, _, _), first in zip(todo, firsts)])
-        row_m = np.repeat([m for _, m, _ in todo], counts)
-        row_L = surface_circle(self.cell, np.repeat([a for *_, a in todo], counts), row_lo, row_hi)
-        r_edges = np.stack([row_lo, row_hi], axis=-1)  # one panel over the ring's width
-        az_edges = np.stack([np.zeros(row_m.size), math.pi / row_m], axis=-1)  # and half sector
-        C = np.empty(row_m.size)
-        for at in range(0, C.size, self.CHUNK_ROWS):
-            rows = slice(at, at + self.CHUNK_ROWS)
-            C[rows] = ring_coefficients(self.cfg, self.cell, self.irs, self.p_no, row_m[rows],
-                                        row_L[rows], r_edges[rows], az_edges[rows], self.NODES)
-        at = 0
-        for (hi, m, near_ap), first, count in zip(todo, firsts, counts):
-            self._cache[hi, m, near_ap] = np.append(np.full(first, math.inf), C[at:at + count])
-            at += count
+        near_ap, hi, m = (np.array(v) for v in zip(*todo))
+        n = len(self.radii)
+        family = near_ap * n + hi  # one code per (near_ap, hi), rising along the keys
+        last = np.flatnonzero(np.diff(family, append=-1))  # a family's last key reaches lowest
+        lowest = self.lo_min[hi[last], m[last]]
+        ring = np.repeat(last, hi[last] - lowest)  # each ring's family, as its last key
+        lo = concat_ranges(lowest, hi[last] - lowest)
+        # a ring's keys are its family's from the first whose window holds lo on
+        window = family * (n + 1) + n - self.lo_min[hi, m]  # rises along the keys
+        first = np.searchsorted(window, family[ring] * (n + 1) + n - lo)
+        count = ring + 1 - first
+        at = np.cumsum(hi) - hi  # each key's vector over lo, in one buffer
+        vecs = np.full(int(hi.sum()), math.inf)
+        r_lo, r_hi = self.radii[lo], self.radii[hi[ring]]
+        L = surface_circle(self.cell, near_ap[ring], r_lo, r_hi)
+        for b, t, C in screen_coefficients(self.cfg, self.cell, self.irs, self.p_no, r_lo, r_hi,
+                                           L, m, first, count, self.BATCH_POINTS):
+            vecs[at[t] + np.repeat(lo[b], count[b])] = C
+        for (a, h, mm), s in zip(todo, at.tolist()):
+            self._cache[h, mm, a] = vecs[s:s + h]
         RING_TABLE_STATS.fills += len(todo)
-        RING_TABLE_STATS.rows += C.size
-        RING_TABLE_STATS.points += C.size * self.NODES ** 2
+        RING_TABLE_STATS.rows += int(count.sum())
         RING_TABLE_STATS.fill_s += time.perf_counter() - start
 
 
@@ -412,8 +414,29 @@ def line_search_budgets(cell: CellConfig, cfg: RadioConfig, irs: IrsSpec, budget
                 f"of M={M} over ring counts 1..{I} on the {grid.radius_step:g} m grid"])
     paths = {M: _recover_path(table, V, M, *found[M]) for M in budgets}
     RING_TABLE_STATS.dp_s += (time.perf_counter() - start) - (RING_TABLE_STATS.fill_s - fill_s)
-    return {M: _finalize(cell, cfg, irs, p_no, [radii[i] for i in R_idx], Ms, M, "line-search")
-            for M, (R_idx, Ms) in paths.items()}
+    plans = {M: _finalize(cell, cfg, irs, p_no, [radii[i] for i in R_idx], Ms, M, "line-search")
+             for M, (R_idx, Ms) in paths.items()}
+    _record_screen_margin(table, found, paths, plans)
+    return plans
+
+
+def _record_screen_margin(table, found, paths, plans):
+    """Keep in RING_TABLE_STATS the largest relative error of the screen
+    against the graded price on the plans' rings, and the smallest relative
+    gap between a budget's best and runner-up R_in[1] costs: a gap below the
+    error marks a pick the screen could flip."""
+    errors = [abs(table.ring_vec(R_idx[i], m, i == 0)[R_idx[i + 1]]
+                  / plans[M].diagnostics["region_coefficients_J"][f"ring{i + 1}"] - 1.0)
+              for M, (R_idx, Ms) in paths.items() for i, m in enumerate(Ms)]
+    costs = [np.sort(best[np.isfinite(best)])[:2] for best, _ in found.values()]
+    gaps = [c[1] / c[0] - 1.0 for c in costs if c.size == 2]
+    stats = RING_TABLE_STATS
+    if stats.screen_max_rel_error is not None:
+        errors.append(stats.screen_max_rel_error)
+    if stats.min_runner_up_gap is not None:
+        gaps.append(stats.min_runner_up_gap)
+    stats.screen_max_rel_error = float(max(errors))
+    stats.min_runner_up_gap = float(min(gaps)) if gaps else None
 
 
 def line_search(cell: CellConfig, cfg: RadioConfig, irs: IrsSpec, M, I,

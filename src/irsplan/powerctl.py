@@ -20,12 +20,15 @@ sum(eta0 * C) = E_total pins the max-min-optimal common threshold in closed
 form: eta0* = E_total / sum(C); the power ratios follow as rho = eta0* C / E.
 
 ``f0_integral`` and ``ap_region_coefficient`` are the one AP-energy closed
-form; the planner and the mean-CIPC benchmark call them.  ``_sector_integrals``
-is the one sector quadrature, a batched tensor Gauss-Legendre rule on given
-panel breakpoints, and ``ring_coefficients`` the one ring coefficient built on
-it.  The planner's screen is its one-panel, 16-node case; the graded rule
-(10 nodes a panel on ``_graded_edges``) prices every ring
-(``irs_region_coefficient``) and the mean-CIPC inverse-gain integral.
+form; the planner and the mean-CIPC benchmark call them.
+``ring_coefficients`` is the one ring coefficient: it owns the integrand,
+and one of two rules integrates it.  The graded rule, ``_sector_integrals``
+(a batched tensor Gauss-Legendre rule, 10 nodes a panel on the breakpoints of
+``_graded_edges``), prices every ring (``irs_region_coefficient``) and the
+mean-CIPC inverse-gain integral.  The shared-azimuth screen
+(``screen_coefficients``) fills the planner's ring table: it integrates
+each ring once for all of its surface counts m, reading the azimuth
+integral at every pi/m from one running sum.
 
 The fixed-placement policy benchmarks (``benchmark_irs_equal_power``,
 ``benchmark_irs_mean_cipc``) share one position model: Z^2 ~ Gamma(alpha,
@@ -45,16 +48,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 
 from .channel import (IrsSpec, RadioConfig, composite_stats_arrays,
                       irs_power_factor, mean_gain_direct)
 from .geometry import CellConfig, RingPlan, ap_spans, irs_distance, irs_distance2
-from .numerics import _gl_panels, reg_upper_gamma
+from .numerics import _gl_panels, concat_ranges, reg_upper_gamma
 
 SECTOR_NODES = 10                     # Gauss-Legendre nodes per panel of the graded rule
 SECTOR_GRADING = 3.0 ** np.arange(6)  # breakpoints at L +- 3^k m and 3^k / L rad, k = 0..5
+SCREEN_NODES = (6, 3, 2)  # the screen's GL nodes a radial, base azimuth and [pi/(m+1), pi/m] panel
+SCREEN_CHUNK_POINTS = 16_384  # integrand points a call: its arrays (128 KB) stay in a core's L2
 
 
 @dataclass
@@ -63,19 +69,27 @@ class RingTableStats:
 
     Telemetry only (the CLI writes them to the ``.meta.json`` sidecars):
     ``fills`` (hi, m, near_ap) keys filled in the planner's tables, ``rows``
-    ring coefficients computed in them, ``points`` their integrand points,
-    ``fill_s`` the fills' seconds, ``dp_s`` the line searches' seconds less
-    fills and pricing, ``priced_rings`` / ``priced_points`` the graded rule's
-    sector integrals and integrand points.
+    ring coefficients computed in them, ``rings`` the rings the screen
+    integrated for them, ``points`` its integrand points, ``fill_s`` the
+    fills' seconds, ``dp_s`` the line searches' seconds less fills and
+    pricing, ``priced_rings`` / ``priced_points`` the graded rule's sector
+    integrals and integrand points.  ``screen_max_rel_error`` is the largest
+    |screen / graded - 1| on the rings of the line searches' plans, and
+    ``min_runner_up_gap`` the smallest relative gap between a budget's best
+    and runner-up R_in[1] costs (None before any line search): a gap below
+    the error marks a pick the screen could flip.
     """
 
     fills: int = 0
     rows: int = 0
+    rings: int = 0
     points: int = 0
     fill_s: float = 0.0
     dp_s: float = 0.0
     priced_rings: int = 0
     priced_points: int = 0
+    screen_max_rel_error: Optional[float] = None
+    min_runner_up_gap: Optional[float] = None
 
 
 RING_TABLE_STATS = RingTableStats()
@@ -151,23 +165,151 @@ def irs_region_coefficient(cfg: RadioConfig, cell: CellConfig, irs: IrsSpec,
     if hi - lo <= 0.0:
         return 0.0
     L, m = plan.L[i - 1], plan.M[i - 1]
+    edges = _graded_edges(lo, hi, L, math.pi / m)
     return float(ring_coefficients(cfg, cell, irs, p_no, m, np.array([L]),
-                                   *_graded_edges(lo, hi, L, math.pi / m), SECTOR_NODES)[0])
+                                   lambda f: _sector_integrals(f, *edges, SECTOR_NODES))[0])
 
 
-def ring_coefficients(cfg: RadioConfig, cell: CellConfig, irs: IrsSpec, p_no, m, L,
-                      r_edges, az_edges, nodes):
-    """Energy-per-eta0 coefficients [J] C = m * lambda * W * t_0 * F of rings,
-    one per row: m[b] surfaces (m may be a scalar) on the circle L[b], and F
-    twice (mirror symmetry) the integral of beta / q_alpha(p_no) over the half
-    sector on the breakpoints r_edges[b] x az_edges[b]."""
-    L = L[:, None, None]
+def ring_coefficients(cfg: RadioConfig, cell: CellConfig, irs: IrsSpec, p_no, m, L, integrals):
+    """Energy-per-eta0 coefficients [J] C = m * lambda * W * t_0 * F of rings
+    on the circles L (one per ring), with m surfaces (m broadcasts against
+    the output): F is twice (mirror symmetry) the integral of
+    beta / q_alpha(p_no) over the half sector, as integrals(f) computes it
+    from f(r, az, rows) on (rings, ., .) arrays of the rings L[rows] (rows
+    defaults to all of them)."""
+    def factor(r, az, rows=slice(None)):
+        l = L[rows, None, None]
+        return irs_power_factor(cfg, irs, r ** 2, l ** 2, irs_distance2(r, l, az), p_no)
 
-    def factor(r, az):
-        return irs_power_factor(cfg, irs, r ** 2, L ** 2, irs_distance2(r, L, az), p_no)
-
-    F = 2.0 * _sector_integrals(factor, r_edges, az_edges, nodes)
+    F = 2.0 * integrals(factor)
     return m * cell.ue_density * cfg.W * cfg.t0 * F
+
+
+def screen_coefficients(cfg: RadioConfig, cell: CellConfig, irs: IrsSpec, p_no,
+                        lo, hi, L, m, first, count, max_points):
+    """The line search's screen: ``ring_coefficients`` of the rings [lo[b],
+    hi[b]] on the circles L[b], ring b with each of the surface counts
+    m[first[b]:first[b] + count[b]] (ascending).  Each ring is integrated
+    once for all of its m.
+
+    Radius: two SCREEN_NODES[0]-node GL panels split at L, clipped to the
+    ring.  Azimuth up to pi/m, with k = ceil(log2 m): the base [0, pi/2^k],
+    graded at 3^j/L (SECTOR_GRADING) with SCREEN_NODES[1] nodes a panel, plus
+    the SCREEN_NODES[2]-node panels [pi/(m'+1), pi/m'] for m <= m' < 2^k,
+    added to it in one running sum from m' = 2^k - 1 down.  A read's terms
+    depend on its ring and m alone and are added in a fixed order, so its
+    bits do not depend on the other reads.  The rings are laid out in
+    batches of similar azimuth node counts, of at most max_points integrand
+    points (or one ring) each.  Yields (rings b, reads t into m, ring by
+    ring, and their coefficients) per batch, and counts the rings in
+    RING_TABLE_STATS.
+    """
+    size = _screen_sizes(L, m, first, count)
+    order = np.argsort(size, kind="stable")
+    for batch in _runs(size[order], max_points // (2 * SCREEN_NODES[0])):
+        b = order[batch]
+        t = concat_ranges(first[b], count[b])
+        integrals = _screen_batch(lo[b], hi[b], L[b], np.repeat(np.arange(b.size), count[b]), m[t])
+        yield b, t, ring_coefficients(cfg, cell, irs, p_no, m[t], L[b], integrals)
+        RING_TABLE_STATS.rings += b.size
+
+
+def _base_panels(L, k):
+    """Panels of the screen's base [0, pi/2^k] on the circle L: one more
+    than the breakpoints 3^j/L below pi/2^k (L and k broadcast)."""
+    return 1 + (SECTOR_GRADING / L[..., None] < np.ldexp(math.pi, -k)[..., None]).sum(axis=-1)
+
+
+def _screen_groups(L, ring, m):
+    """The screen's (ring, k) groups of the reads (ring[t], m[t]), sorted by
+    ring, then m: each read's group, and each group's ring, k, base
+    breakpoints (0, the 3^j/L below pi/2^k, then pi/2^k repeated), base
+    panels and [pi/(m'+1), pi/m'] panels (steps) down to its least m."""
+    k = np.frexp(m - 1.0)[1]  # ceil(log2 m)
+    new = np.ones(m.size, dtype=bool)
+    new[1:] = (ring[1:] != ring[:-1]) | (k[1:] != k[:-1])
+    first = np.flatnonzero(new)
+    k, owner, L = k[first], ring[first], L[ring[first]]
+    top = np.ldexp(math.pi, -k)[:, None]
+    edges = np.sort(np.concatenate([np.zeros_like(top), top,
+                                    np.minimum(SECTOR_GRADING / L[:, None], top)], axis=1))
+    return np.cumsum(new) - 1, owner, k, edges, _base_panels(L, k), (1 << k) - m[first]
+
+
+def _screen_sizes(L, m, first, count):
+    """Azimuth nodes of each ring of ``screen_coefficients``: its groups'
+    base panels and steps, counted from prefix sums over m."""
+    k = np.frexp(m - 1.0)[1]
+    new = np.diff(k, prepend=-1) != 0  # a group starts here unless at a ring's first read
+    end, after = first + count, first + 1
+
+    def inside(v):  # sums of v over each ring's reads after its first
+        c = np.concatenate([[0], np.cumsum(v)])
+        return c[end] - c[after]
+
+    steps = (1 << k) - m
+    size = SCREEN_NODES[2] * (steps[first] + inside(new * steps))
+    for kv in range(int(k.max()) + 1):
+        present = (k[first] == kv) | (inside(new & (k == kv)) > 0)
+        size += SCREEN_NODES[1] * present * _base_panels(L, kv)
+    return size
+
+
+def _runs(size, bound):
+    """Slices [a, b) that cover the ascending array `size` in order, each
+    with (b - a) * size[b - 1] <= bound, or of one entry."""
+    a = 0
+    while a < size.size:
+        ahead = np.arange(1, min(size.size - a, max(1, bound // size[a])) + 1)
+        b = a + max(1, int(np.searchsorted(ahead * size[a:a + ahead.size], bound, side="right")))
+        yield slice(a, b)
+        a = b
+
+
+def _screen_batch(lo, hi, L, ring, m):
+    """The screen's integrals(f) for one batch of rings [lo, hi] on the
+    circles L, with reads (ring[t], m[t]) sorted by ring, then m, and rings
+    of ascending azimuth node counts.  f is called on runs of rings of at
+    most SCREEN_CHUNK_POINTS points, each padded to its widest ring with
+    azimuths that no read sums, and contracted over radius first.  Counts
+    the points in RING_TABLE_STATS."""
+    n_r, n_base, n_step = SCREEN_NODES
+    r, r_w = _gl_panels(np.stack([lo, np.clip(L, lo, hi), hi], axis=1), n_r)
+    r_w *= r
+    group, owner, k, edges, n_panels, steps = _screen_groups(L, ring, m)
+    g_size = n_base * n_panels + n_step * steps
+    size = np.bincount(owner, g_size)
+    width = int(size.max())
+    at = np.cumsum(g_size) - g_size  # each group's first azimuth: its base, then its steps
+    at += owner * width - at[np.flatnonzero(np.diff(owner, prepend=-1))][owner]  # padded rows
+    base_of, slot = np.nonzero(np.arange(edges.shape[1] - 1) < n_panels[:, None])
+    base_az, base_w = _gl_panels(np.stack([edges[base_of, slot], edges[base_of, slot + 1]],
+                                          axis=1), n_base)
+    base_at = (at[base_of] + n_base * slot)[:, None] + np.arange(n_base)
+    step_of = np.repeat(np.arange(steps.size), steps)
+    j = concat_ranges(np.zeros_like(steps), steps)
+    mp = ((1 << k[step_of]) - 1 - j).astype(float)  # the panel [pi/(m'+1), pi/m']
+    step_az, step_w = _gl_panels(np.stack([math.pi / (mp + 1.0), math.pi / mp], axis=1), n_step)
+    step_at = (at[step_of] + n_base * n_panels[step_of] + n_step * j)[:, None] + np.arange(n_step)
+    az = np.zeros((lo.size, width))
+    az.reshape(-1)[base_at] = base_az
+    az.reshape(-1)[step_at] = step_az
+
+    def integrals(f):
+        h = np.empty((lo.size, width))
+        for rows in _runs(size, SCREEN_CHUNK_POINTS // (2 * n_r)):
+            w = int(size[rows].max())
+            vals = f(r[rows, None, :], np.ascontiguousarray(az[rows, :w, None]), rows)
+            h[rows, :w] = np.einsum("bar,br->ba", vals, r_w[rows])
+            RING_TABLE_STATS.points += vals.size
+        h = h.reshape(-1)
+        run = np.zeros((steps.size, 1 + int(steps.max())))  # base, then steps m' = 2^k - 1 down
+        run[:, 0] = np.add.reduceat((h[base_at] * base_w).sum(axis=1),
+                                    np.cumsum(n_panels) - n_panels)
+        run[step_of, 1 + j] = (h[step_at] * step_w).sum(axis=1)
+        return np.cumsum(run, axis=1)[group, (1 << k[group]) - m]
+
+    return integrals
 
 
 def _sector_integrals(f, r_edges, az_edges, nodes):

@@ -195,6 +195,19 @@ class TestCoverageCommand:
         err = json.loads(captured.err)["error"]
         assert err["kind"] == "output-error" and err["path"] == str(out)
 
+    @pytest.mark.parametrize("blocked", ["coverage.csv", "coverage.csv.meta.json"])
+    def test_unwritable_artifact_is_refused(self, tmp_path, capsys, blocked):
+        # a directory where the artifact or its sidecar goes cannot be written
+        (tmp_path / blocked).mkdir()
+        rc = main(["coverage", "--out", str(tmp_path), "--set", "coverage.l_start=100",
+                   "--set", "coverage.l_stop=120", "--set", "coverage.l_step=10"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        err = json.loads(captured.err)["error"]
+        assert err["kind"] == "output-error" and err["path"] == str(tmp_path / blocked)
+        assert "Is a directory" in err["detail"]
+
 
 PLAN_ARGS = ["--set", "plan.method=algorithm1", "--set", "plan.M=15"]
 
@@ -228,9 +241,14 @@ class TestPlanCommand:
         assert rc == 0
         meta = json.loads((tmp_path / "plan.json.meta.json").read_text(encoding="utf-8"))
         ring = meta["ring_table"]
-        assert set(ring) == {"fills", "rows", "points", "fill_s", "dp_s",
-                             "priced_rings", "priced_points"}
-        assert ring["fills"] > 0 and ring["points"] == 256 * ring["rows"]
+        assert set(ring) == {"fills", "rows", "rings", "points", "fill_s", "dp_s",
+                             "priced_rings", "priced_points", "screen_max_rel_error",
+                             "min_runner_up_gap"}
+        # a ring's reads share its integral: at least 3 azimuths x 12 radii each
+        assert ring["fills"] > 0 and ring["rows"] >= ring["rings"] > 0
+        assert ring["points"] >= 36 * ring["rings"]
+        assert 0.0 < ring["screen_max_rel_error"] < 5e-4
+        assert ring["min_runner_up_gap"] is None or ring["min_runner_up_gap"] >= 0.0
         # the graded rule prices the winning plan's rings, 10 x 10 nodes a panel at least
         assert ring["priced_points"] >= 100 * ring["priced_rings"] > 0
         assert ring["fill_s"] > 0.0 and ring["dp_s"] > 0.0
@@ -383,7 +401,9 @@ class TestSweepCommand:
                    "--set", "sweep.methods=[line-search]"])
         assert rc == 0
         meta = json.loads((tmp_path / "sweep.csv.meta.json").read_text(encoding="utf-8"))
-        assert meta["ring_table"]["points"] == 256 * meta["ring_table"]["rows"]
+        ring = meta["ring_table"]
+        assert ring["rows"] >= ring["rings"] > 0 and ring["points"] >= 36 * ring["rings"]
+        assert ring["screen_max_rel_error"] < 5e-4
 
     @pytest.mark.parametrize("budgets", ["[true]", "[true, 1]", "[10, false]"])
     def test_boolean_budgets_are_rejected(self, tmp_path, capsys, budgets):

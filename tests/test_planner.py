@@ -11,11 +11,12 @@ import pytest
 
 from irsplan.channel import IrsSpec, LinkGeometry, _power_factor_table, composite_stats
 from irsplan.geometry import (CellConfig, coverage_area_accounting,
-                              make_ring_plan, validate_plan)
+                              make_ring_plan, surface_circle, validate_plan)
 from irsplan.planner import (PlanInfeasibleError, SearchGrid, _RingCoefficientTable,
                              algorithm1, coverage_range, line_search,
                              line_search_budgets)
-from irsplan.powerctl import RING_TABLE_STATS, ap_region_coefficient
+from irsplan.powerctl import (RING_TABLE_STATS, SECTOR_NODES, _graded_edges,
+                              _sector_integrals, ap_region_coefficient, ring_coefficients)
 
 ETA_MIN = 10.0  # linear mean-SNR threshold for the coverage study
 P_TX = 0.01    # [W]
@@ -307,45 +308,46 @@ class TestExactSearch:
 
 
 class TestBatchedFill:
-    """One batched fill gives the bits of key-by-key fills."""
+    """Each ring is integrated once for all of its m, and a key's bits do not
+    depend on the batch it is filled in."""
+
+    KEYS = ([(hi, m, False) for hi in range(20, 51) for m in (3, 9, 27, 64, 65, 81)]
+            + [(50, m, True) for m in range(1, 11)] + [(44, 3, True)])
 
     def test_batch_independence(self, cell, radio, irs):
-        keys = [(hi, m, False) for hi in range(20, 51) for m in (3, 9, 27, 81)]
-        keys += [(50, m, True) for m in range(1, 11)] + [(44, 3, True)]
+        keys = self.KEYS
         one = _RingCoefficientTable(cell, radio, irs, 0.95, 5.0, 81, 1)
         for key in keys:
             one.fill([key])
         batch = _RingCoefficientTable(cell, radio, irs, 0.95, 5.0, 81, 1)
+        rings = RING_TABLE_STATS.rings
         batch.fill(keys)
+        # one integration per ring (lo, hi, near_ap) some key's window holds
+        assert RING_TABLE_STATS.rings - rings == len(
+            {(lo, hi, a) for hi, m, a in keys for lo in range(batch.lo_min[hi, m], hi)})
         shuffled = _RingCoefficientTable(cell, radio, irs, 0.95, 5.0, 81, 1)
         shuffled.fill(keys[::-7] + keys)
-        rows = sum(hi - int(one.lo_min[hi, m]) for hi, m, _ in keys)
-        # several chunks, with keys straddling their edges
-        assert rows > 2 * one.CHUNK_ROWS and rows % one.CHUNK_ROWS
         for key in keys:
             assert np.array_equal(batch.ring_vec(*key), one.ring_vec(*key)), key
             assert np.array_equal(shuffled.ring_vec(*key), one.ring_vec(*key)), key
 
-    def test_halved_batches_give_the_same_bits(self, cell, radio, irs):
-        # a batch over FILL_ROWS rows is halved until each part fits; the
-        # parts fill the same rows, with the same bits and counters
-        keys = [(hi, m, near_ap) for hi in range(30, 51) for m in (4, 12, 36)
-                for near_ap in (False, True)]
-        whole = _RingCoefficientTable(cell, radio, irs, 0.95, 5.0, 36, 1)
-        whole.fill(keys)
-        halved = _RingCoefficientTable(cell, radio, irs, 0.95, 5.0, 36, 1)
-        halved.FILL_ROWS = 150
-        rows = RING_TABLE_STATS.rows
-        halved.fill(keys)
-        assert RING_TABLE_STATS.rows - rows == sum(hi - halved.lo_min[hi, m] for hi, m, _ in keys)
-        assert RING_TABLE_STATS.rows - rows > 8 * halved.FILL_ROWS
-        for key in keys:
-            assert np.array_equal(halved.ring_vec(*key), whole.ring_vec(*key)), key
+    def test_batch_bounds_do_not_move_bits(self, cell, radio, irs, monkeypatch):
+        # one ring a batch and one ring an integrand call give the bits of
+        # the default bounds
+        import irsplan.powerctl
+        whole = _RingCoefficientTable(cell, radio, irs, 0.95, 5.0, 81, 1)
+        whole.fill(self.KEYS)
+        small = _RingCoefficientTable(cell, radio, irs, 0.95, 5.0, 81, 1)
+        small.BATCH_POINTS = 1
+        monkeypatch.setattr(irsplan.powerctl, "SCREEN_CHUNK_POINTS", 1)
+        small.fill(self.KEYS)
+        for key in self.KEYS:
+            assert np.array_equal(small.ring_vec(*key), whole.ring_vec(*key)), key
 
     def test_line_search_memory_is_bounded(self, cell, radio, irs):
-        # the fill's working set is one run of FILL_ROWS rows (about 5.5 MB),
-        # not one DP layer: layer 1 here fills 185,633 rows, about 16 MB of
-        # row arrays at once (the one-off power-factor table is built first:
+        # a fill holds its keys' vectors, a few arrays per ring and one
+        # batch of rings at a time, not one DP layer's reads: layer 1 here
+        # reads 185,633 rows (the one-off power-factor table is built first:
         # it is not the fill's)
         _power_factor_table(irs.N, 0.95)
         tracemalloc.start()
@@ -355,6 +357,162 @@ class TestBatchedFill:
         finally:
             tracemalloc.stop()
         assert peak <= 12 * 2 ** 20
+
+
+def _sweep_table(cell, radio, irs, budgets, monkeypatch, **grid):
+    """The ring table of one line_search_budgets call, kept after it returns."""
+    import irsplan.planner
+    tables = []
+
+    class Kept(_RingCoefficientTable):
+        def __init__(self, *args):
+            super().__init__(*args)
+            tables.append(self)
+
+    monkeypatch.setattr(irsplan.planner, "_RingCoefficientTable", Kept)
+    line_search_budgets(cell, radio, irs, budgets, 3, grid=SearchGrid(**grid))
+    return tables[0]
+
+
+# line-search placements (budget:R_in/M) of the one-panel 16 x 16 screen that the
+# shared-azimuth screen replaced: every pick is unchanged
+PINNED_PLACEMENTS = {
+    "default-sweep": (
+        "10:250,225/10 20:250,230,195/8,12 30:250,225,165/10,20 40:250,225,170,125/10,19,11 "
+        "50:250,225,175,115/10,26,14 60:250,225,180,110/10,33,17 70:250,225,185,115/10,39,21 "
+        "80:250,225,185,115/10,45,25 90:250,225,185,120/10,51,29 100:250,225,185,120/10,57,33"),
+    "r0-10m-I2": (
+        "7:220,200/7 14:250,230,220/8,6 21:250,230,200/8,13 28:250,230,170/8,20 "
+        "35:250,230,150/8,27 42:250,230,150/8,34 49:250,230,160/8,41 56:250,230,160/8,48 "
+        "63:250,230,160/8,55 70:250,230,160/8,62 77:250,230,160/8,69 84:250,230,160/8,76 "
+        "91:250,230,160/8,83 98:250,230,160/8,90 105:250,230,160/8,97 112:250,230,160/8,104 "
+        "119:250,230,160/8,111"),
+    "k40m4-10m-I3": (
+        "10:250,210,120/4,6 20:250,210,130/4,16 30:250,210,150,0/4,21,5 "
+        "40:250,210,160,90/4,26,10 50:250,210,170,100/4,31,15 60:250,210,170,100/4,37,19 "
+        "70:250,210,170,110/4,42,24 80:250,210,170,110/4,49,27 90:250,210,170,110/4,55,31 "
+        "100:250,210,170,110/4,61,35"),
+    "5m-I4": (
+        "8:250,230/8 16:250,225,210/10,6 24:250,225,185/10,14 32:250,225,155/10,22 "
+        "40:250,225,170,125/10,19,11 48:250,225,175,115/10,24,14 56:250,225,180,115/10,30,16 "
+        "64:250,225,185,130,85/10,29,17,8 72:250,225,185,140,85/10,33,19,10 "
+        "80:250,225,190,145,80/10,35,23,12 88:250,225,190,150,85/10,39,26,13 "
+        "96:250,225,190,150,85/10,43,29,14 104:250,225,195,155,90/10,45,33,16 "
+        "112:250,225,195,155,90/10,49,35,18 120:250,225,195,155,95/10,52,38,20"),
+    "r0-25m-I3": (
+        "1:25,0/1 2:50,0/2 3:75,50/3 4:100,75/4 5:125,100/5 6:150,125/6 7:175,150/7 "
+        "8:200,175/8 9:225,200/9 10:250,225/10 11:150,125,100/6,5 12:150,125,100/6,6 "
+        "13:175,150,125/7,6 14:175,150,125/7,7 15:200,175,150/8,7 16:200,175,150/8,8 "
+        "17:225,200,175/9,8 18:225,200,175/9,9 19:250,225,200/10,9 20:250,225,200/10,10 "
+        "21:250,225,200/10,11 22:250,225,200/10,12 23:250,225,200/10,13 24:250,225,200/10,14 "
+        "25:250,225,200/10,15 26:250,225,175/10,16 27:250,225,175/10,17 28:250,225,175/10,18 "
+        "29:250,225,175/10,19 30:250,225,175/10,20 31:250,225,175/10,21 32:250,225,175/10,22 "
+        "33:250,225,150/10,23 34:250,225,150/10,24 35:250,225,150/10,25 36:250,225,150/10,26 "
+        "37:250,225,150/10,27 38:250,225,175,125/10,16,12 39:250,225,175,125/10,17,12 "
+        "40:250,225,175,125/10,18,12 41:250,225,175,125/10,19,12 42:250,225,175,125/10,20,12 "
+        "43:250,225,175,125/10,21,12 44:250,225,175,125/10,22,12 45:250,225,175,125/10,23,12 "
+        "46:250,225,175,125/10,24,12 47:250,225,175,125/10,25,12 48:250,225,175,125/10,26,12 "
+        "49:250,225,175,125/10,27,12 50:250,225,175,125/10,27,13 51:250,225,175,100/10,24,17 "
+        "52:250,225,175,100/10,25,17 53:250,225,175,100/10,26,17 54:250,225,175,100/10,27,17 "
+        "55:250,225,175,100/10,28,17 56:250,225,175,100/10,29,17 57:250,225,175,100/10,30,17 "
+        "58:250,225,175,100/10,31,17 59:250,225,175,100/10,32,17 60:250,225,175,100/10,33,17 "
+        "61:250,225,175,100/10,34,17 62:250,225,175,100/10,35,17 63:250,225,175,100/10,36,17 "
+        "64:250,225,175,100/10,37,17 65:250,225,175,100/10,38,17 66:250,225,175,100/10,38,18 "
+        "67:250,225,175,100/10,39,18 68:250,225,175,100/10,40,18 69:250,225,175,100/10,40,19 "
+        "70:250,225,175,100/10,41,19 71:250,225,175,100/10,42,19 72:250,225,175,100/10,42,20 "
+        "73:250,225,175,100/10,43,20 74:250,225,175,100/10,44,20 75:250,225,175,100/10,44,21 "
+        "76:250,225,175,100/10,45,21 77:250,225,175,100/10,45,22 78:250,225,175,100/10,46,22 "
+        "79:250,225,175,100/10,47,22 80:250,225,175,100/10,47,23 81:250,225,175,100/10,48,23 "
+        "82:250,225,175,100/10,49,23 83:250,225,175,100/10,49,24 84:250,225,175,100/10,50,24 "
+        "85:250,225,175,100/10,51,24 86:250,225,175,100/10,51,25 87:250,225,175,100/10,52,25 "
+        "88:250,225,175,100/10,53,25 89:250,225,175,100/10,53,26 90:250,225,175,100/10,54,26 "
+        "91:250,225,175,100/10,55,26 92:250,225,175,100/10,55,27 93:250,225,175,100/10,56,27 "
+        "94:250,225,175,100/10,56,28 95:250,225,175,100/10,57,28 96:250,225,175,100/10,58,28 "
+        "97:250,225,175,100/10,58,29 98:250,225,175,100/10,59,29 99:250,225,175,100/10,60,29 "
+        "100:250,225,175,100/10,60,30 101:250,225,175,100/10,61,30 "
+        "102:250,225,175,100/10,62,30 103:250,225,175,100/10,62,31 "
+        "104:250,225,175,100/10,63,31 105:250,225,175,100/10,64,31 "
+        "106:250,225,175,100/10,64,32 107:250,225,175,100/10,65,32 "
+        "108:250,225,175,100/10,66,32 109:250,225,175,100/10,66,33 "
+        "110:250,225,175,100/10,67,33 111:250,225,175,100/10,67,34 "
+        "112:250,225,175,100/10,68,34 113:250,225,175,100/10,69,34 "
+        "114:250,225,175,100/10,69,35 115:250,225,175,100/10,70,35 "
+        "116:250,225,175,100/10,71,35 117:250,225,175,100/10,71,36 "
+        "118:250,225,175,100/10,72,36 119:250,225,175,100/10,73,36 "
+        "120:250,225,175,100/10,73,37"),
+}
+PINNED_CONFIGS = {  # (cell, grid step, R_in0_search, I, budgets)
+    "default-sweep": ({}, 5.0, False, 3, range(10, 101, 10)),
+    "r0-10m-I2": ({}, 10.0, True, 2, range(7, 120, 7)),
+    "k40m4-10m-I3": ({"K_irs_max": 40.0, "M1_max": 4}, 10.0, False, 3, range(10, 101, 10)),
+    "5m-I4": ({}, 5.0, False, 4, range(8, 121, 8)),
+    "r0-25m-I3": ({}, 25.0, True, 3, range(1, 121)),
+}
+
+
+class TestScreen:
+    """The shared-azimuth screen against the graded price that prices plans."""
+
+    def test_screen_tracks_the_graded_price(self, cell, radio, irs, monkeypatch):
+        table = _sweep_table(cell, radio, irs, range(10, 101, 10), monkeypatch)
+        rows = [(hi, m, a, lo) for (hi, m, a), vec in table._cache.items()
+                for lo in np.flatnonzero(np.isfinite(vec))]
+        assert len(rows) == 70849
+        worst = 0.0
+        for i in np.random.default_rng(7).choice(len(rows), 1500, replace=False):
+            hi, m, a, lo = rows[i]
+            r_lo, r_hi = table.radii[lo], table.radii[hi]
+            L = float(surface_circle(cell, a, r_lo, r_hi))
+            edges = _graded_edges(r_lo, r_hi, L, math.pi / m)
+            graded = ring_coefficients(radio, cell, irs, 0.95, m, np.array([L]),
+                                       lambda f: _sector_integrals(f, *edges, SECTOR_NODES))[0]
+            worst = max(worst, abs(table._cache[hi, m, a][lo] / graded - 1.0))
+        assert worst <= 5e-4
+
+    def test_rows_do_not_depend_on_the_top_budget(self, cell, radio, irs, monkeypatch):
+        small = _sweep_table(cell, radio, irs, [40], monkeypatch, radius_step=5.0)
+        large = _sweep_table(cell, radio, irs, [100], monkeypatch, radius_step=5.0)
+        shared = small._cache.keys() & large._cache.keys()
+        assert len(shared) > 400
+        for key in shared:
+            assert np.array_equal(small.ring_vec(*key), large.ring_vec(*key)), key
+
+    def test_sidecar_margin_is_the_plans_own(self, cell, radio, irs, monkeypatch):
+        # the largest screen error on the plans' rings, and the smallest gap
+        # between a budget's best and runner-up R_in[1] costs
+        import irsplan.planner
+        monkeypatch.setattr(RING_TABLE_STATS, "screen_max_rel_error", None)
+        monkeypatch.setattr(RING_TABLE_STATS, "min_runner_up_gap", None)
+        program, seen = irsplan.planner._ring_program, {}
+
+        def spy(table, *args):
+            V, found = program(table, *args)
+            seen.update(table=table, found=found)
+            return V, found
+
+        monkeypatch.setattr(irsplan.planner, "_ring_program", spy)
+        plans = line_search_budgets(cell, radio, irs, (30, 100), 3)
+        table = seen["table"]
+        index = {float(r): k for k, r in enumerate(table.radii)}
+        errors = []
+        for res in plans.values():
+            R_idx = [index[R] for R in res.plan.R_in]
+            graded = res.diagnostics["region_coefficients_J"]
+            errors += [abs(table.ring_vec(R_idx[i], m, i == 0)[R_idx[i + 1]]
+                           / graded[f"ring{i + 1}"] - 1.0) for i, m in enumerate(res.plan.M)]
+        costs = [np.sort(best)[:2] for best, _ in seen["found"].values()]
+        assert RING_TABLE_STATS.screen_max_rel_error == max(errors) > 0.0
+        assert RING_TABLE_STATS.min_runner_up_gap == min(b / a - 1.0 for a, b in costs) > 0.0
+
+    @pytest.mark.parametrize("name", sorted(PINNED_CONFIGS))
+    def test_placements_are_pinned(self, radio, irs, name):
+        cell_args, step, search_r0, I, budgets = PINNED_CONFIGS[name]
+        plans = line_search_budgets(CellConfig(**cell_args), radio, irs, budgets, I,
+                                    grid=SearchGrid(radius_step=step, R_in0_search=search_r0))
+        want = dict(entry.split(":") for entry in PINNED_PLACEMENTS[name].split())
+        got = {str(M): ",".join(f"{r:g}" for r in p.plan.R_in) + "/"
+               + ",".join(map(str, p.plan.M)) for M, p in plans.items()}
+        assert got == want
 
 
 class TestMultiBudget:

@@ -103,7 +103,7 @@ class TestApCoefficient:
 
 class TestIrsCoefficient:
     def test_screen_vs_graded_price(self, radio, cell, irs):
-        # the planner's 16-point screen against the graded rule that prices plans
+        # the planner's shared-azimuth screen against the graded rule that prices plans
         plan = make_ring_plan(cell, (250.0, 230.0, 190.0), (10, 17))
         table = _RingCoefficientTable(cell, radio, irs, 0.95, 10.0, 17, 2)
         index = {float(r): k for k, r in enumerate(table.radii)}
