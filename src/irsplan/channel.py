@@ -22,15 +22,18 @@ convention), whose upper tail gives the NOP.  All gains and powers are linear
 
 Z / sqrt(g_d) has a law that depends on c^2 = g_i g_r / g_d alone, so the
 required power per unit W eta0, beta / q_alpha(p_no), is unit(c^2) / g_d.
-``_PowerFactorTable`` tabulates ln unit once per (N, p_no) from the exact
-inverse incomplete gamma; ``irs_power_factor`` reads it in the log domain,
-from squared distances, and ``required_power_irs`` through it.
+``_PowerFactorTable`` tabulates ln unit once per (N, p_no) from
+``numerics.inv_reg_upper_gamma``, Newton's method on the numpy incomplete
+gamma (no scipy); ``irs_power_factor`` reads it in the log domain, from
+squared distances, and ``required_power_irs`` through it.  ``POWER_TABLE_STATS``
+counts the tables built and their seconds, for the CLI's sidecars.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -198,6 +201,18 @@ def _unit_power_factor(N, c2, p_no):
     return beta / inv_reg_upper_gamma(alpha, p_no)
 
 
+@dataclass
+class PowerTableStats:
+    """Power-factor tables this process built (``builds``) and the seconds
+    the builds took (``build_s``).  Telemetry only."""
+
+    builds: int = 0
+    build_s: float = 0.0
+
+
+POWER_TABLE_STATS = PowerTableStats()
+
+
 class _PowerFactorTable:
     """ln unit(c^2), unit = ``_unit_power_factor``, over ln c^2 for one (N, p_no).
 
@@ -215,6 +230,7 @@ class _PowerFactorTable:
     def __init__(self, N, p_no):
         if not (0.0 < p_no < 1.0):
             raise ValueError("power-factor table: p_no must lie in (0, 1)")
+        start = time.perf_counter()
         self.N = N
         self.p_no = p_no
         h = (self.LOG_HI - self.LOG_LO) / (self.KNOTS - 1)
@@ -232,6 +248,8 @@ class _PowerFactorTable:
                          f1 - fm / 3.0 - 0.5 * f0 - f2 / 6.0,
                          f0], axis=1)
         self._cubics = coef.view(np.dtype((np.void, coef.itemsize * 4))).ravel()
+        POWER_TABLE_STATS.builds += 1
+        POWER_TABLE_STATS.build_s += time.perf_counter() - start
 
     def _inside(self, u):
         """The cubics at a 1-D array u of table coordinates in [0, KNOTS - 1);

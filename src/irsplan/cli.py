@@ -25,6 +25,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__
+from .channel import POWER_TABLE_STATS
 from .config import ExperimentConfig, load_config
 from .geometry import RingPlan, ap_spans, mean_ues_per_sector, validate_plan
 from .numerics import Refused
@@ -86,9 +87,10 @@ def write_json(path: Path, payload: dict, cfg: ExperimentConfig, meta=None):
     _write_sidecar(path, meta)
 
 
-def _ring_table_meta():
-    """This process's ring-table work counters, for a sidecar."""
-    return {"ring_table": asdict(RING_TABLE_STATS)}
+def _planning_meta():
+    """This process's ring-table and power-factor-table counters, for a sidecar."""
+    return {"ring_table": asdict(RING_TABLE_STATS),
+            "power_factor_table": asdict(POWER_TABLE_STATS)}
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +160,7 @@ def _ring_table_rows(cfg: ExperimentConfig, result: PlanResult):
 
 def cmd_plan(cfg: ExperimentConfig, out_dir: Path) -> int:
     result = _run_planner(cfg, cfg.plan.method, cfg.plan.M)
-    write_json(out_dir / "plan.json", _plan_payload(result), cfg, _ring_table_meta())
+    write_json(out_dir / "plan.json", _plan_payload(result), cfg, _planning_meta())
     write_csv(out_dir / "plan_rings.csv",
               ("region", "i", "R_out_m", "R_in_m", "M_i", "L_i_m",
                "rho_i", "Kbar_i", "C_J", "nu_bar_bps_hz"),
@@ -192,7 +194,7 @@ def cmd_sweep(cfg: ExperimentConfig, out_dir: Path) -> int:
                 nu = policy(cfg.radio, cfg.cell, cfg.irs, plans[M].plan).nu_bar
             rows.append((M, method, nu))
     write_csv(out_dir / "sweep.csv", ("M", "method", "nu_bar_bps_hz"),
-              rows, cfg, _ring_table_meta())
+              rows, cfg, _planning_meta())
     print(f"sweep: {len(rows)} rows -> {out_dir / 'sweep.csv'}")
     return 0
 

@@ -419,13 +419,15 @@ def _maxmin_over_rate(nops, n, seed):
       NOP_j(a) and NOP_k(eta0) >= NOP_k(b), so only positions with
       NOP_k(b) <= min_j NOP_j(a) can be the minimum inside the bracket.  The
       test carries a relative margin of 1e-9, because computed NOPs are
-      monotone only up to rounding: gammaincc's values rose against the
-      trend by at most 4.3e-14 relative when measured over 400 shapes of the
-      sweep's grids (alpha 1.09 to 235), and by at most 2.8e-15 at alpha = 1
-      (the AP radii; 2e5 points of x in [1e-8, 700]), at steps of 1 to 4096
-      ulps in x.  The margin keeps every position that a rounding error of
-      that size could make the minimum, with four orders of magnitude to
-      spare.  A rate the section evaluates outside
+      monotone only up to rounding: ``reg_upper_gamma``'s values rose against
+      the trend by at most 3.7e-15 relative over 400 shapes of the default
+      sweep's grids (alpha 1.07 to 248, 500 points of x in [1e-8,
+      max(700, 8 alpha)] each), and by at most 3.7e-15 at alpha = 1 (the AP
+      radii; 2e5 points of x in [1e-8, 700]), at steps of 1 to 4096 ulps in
+      x (scipy's gammaincc, measured the same way: 1.1e-13 and 1.9e-15).
+      The margin keeps every position that a rounding error of that size
+      could make the minimum, with five orders of magnitude to spare; a
+      test pins the rise below 1e-11.  A rate the section evaluates outside
       [a, b] (exp of a rounded log endpoint) falls back to every position.
     """
     coarse = 240

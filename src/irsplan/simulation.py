@@ -52,7 +52,7 @@ from ._kernels import exact_unit_draws, unit_draw_bytes
 from .channel import (IrsSpec, RadioConfig, _cascade_moments, _gain_irs_links,
                       mean_gain_direct, required_power_irs)
 from .geometry import CellConfig, RingPlan, locate_ue_arrays
-from .numerics import Refused
+from .numerics import Refused, student_t_quantile
 from .planner import PlanResult
 from .powerctl import cipc_power
 
@@ -294,8 +294,7 @@ def validate_plan_mc(cell: CellConfig, cfg: RadioConfig, irs: IrsSpec,
     deciles = n_regions + np.flatnonzero(present[n_regions:])
 
     # both are means of T per-topology values: Student-t, T - 1 dof
-    from scipy.special import stdtrit  # imported on first use, as in numerics
-    t95 = float(stdtrit(T - 1, 0.975))
+    t95 = student_t_quantile(T - 1, 0.975)
     common_hw = t95 * float(v.std(ddof=1)) / math.sqrt(T)
     e_rel_hw = t95 * float(e_model.std(ddof=1)) / math.sqrt(T) / float(e_model.mean())
     return McEstimate(

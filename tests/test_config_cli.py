@@ -2,7 +2,11 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +14,8 @@ from irsplan.channel import LinkGeometry, composite_stats
 from irsplan.cli import _load_plan_file, _plan_payload, main, write_json
 from irsplan.config import (ConfigError, ExperimentConfig, load_config,
                             parse_unit_scalar)
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 class TestUnitParsing:
@@ -255,6 +261,24 @@ class TestPlanCommand:
         doc = json.loads((tmp_path / "plan.json").read_text(encoding="utf-8"))
         assert "ring_table" not in json.dumps(doc)
 
+    def test_cold_plan_counts_one_power_table_build(self, tmp_path):
+        # a fresh process, so no (N, p_no) table is cached from other tests
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+        script = ("import sys; from irsplan.cli import main; sys.exit(main(sys.argv[1:]))")
+        done = subprocess.run([sys.executable, "-c", script, "plan", "--out", str(tmp_path),
+                               "--set", "plan.M=12", "--set", "grid.radius_step=12.5"],
+                              env=env, capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        meta = json.loads((tmp_path / "plan.json.meta.json").read_text(encoding="utf-8"))
+        table = meta["power_factor_table"]
+        assert table["builds"] == 1
+        # the build runs inside the first ring-table fill
+        assert 0.0 < table["build_s"] < meta["ring_table"]["fill_s"]
+        doc = (tmp_path / "plan.json").read_text(encoding="utf-8")
+        assert "power_factor_table" not in doc
+
     def test_runaway_radius_grid_is_refused(self, tmp_path, capsys):
         # 250,001 radii would ask c0_grid for as many quadratures and the
         # dynamic program for a 600 MB array; refused before either
@@ -404,6 +428,7 @@ class TestSweepCommand:
         ring = meta["ring_table"]
         assert ring["rows"] >= ring["rings"] > 0 and ring["points"] >= 36 * ring["rings"]
         assert ring["screen_max_rel_error"] < 5e-4
+        assert set(meta["power_factor_table"]) == {"builds", "build_s"}
 
     @pytest.mark.parametrize("budgets", ["[true]", "[true, 1]", "[10, false]"])
     def test_boolean_budgets_are_rejected(self, tmp_path, capsys, budgets):

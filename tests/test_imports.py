@@ -8,9 +8,11 @@ is called from the one ring coefficient and the required power alone; no
 module imports another's private names beyond a pinned set; and the only
 process-wide caches (``lru_cache`` decorators) in src/ are a pinned pair.
 
-A cold ``plan`` and ``validate`` also must not import ``scipy.interpolate``:
-it would add about a third of a second to every such process.  A cold
-``coverage`` must not import ``scipy`` at all: it needs no special function.
+No cold command imports ``scipy``: the incomplete gamma and the Student-t
+quantile are numpy code in ``numerics``, and a ``scipy.special`` import alone
+took about a third of a second.  The cold ``plan``, ``sweep`` and
+``validate`` runs are checked twice: nothing named ``scipy`` ends up in
+``sys.modules``, and they still succeed when ``import scipy`` raises.
 
 No linter runs with the tests, so these stdlib-``ast`` scans are the guard
 against dead imports and dead parameters.  A name counts as used when it
@@ -337,12 +339,29 @@ COLD_RUN = """
 import sys
 from irsplan.cli import main
 out = sys.argv[1]
-assert main(["plan", "--method", "algorithm1", "--set", "plan.M=20", "--out", out]) == 0
-assert main(["validate", out + "/plan.json", "--out", out + "/mc",
-             "--set", "mc.element_draws=gaussian-surrogate",
-             "--set", "mc.n_topologies=2", "--set", "mc.n_fading=50"]) == 0
-print(sorted(m for m in sys.modules if m.startswith("scipy.interpolate")))
+for args in (["plan", "--set", "plan.M=20", "--set", "grid.radius_step=10", "--out", out + "/ls"],
+             ["plan", "--method", "algorithm1", "--set", "plan.M=20", "--out", out],
+             ["sweep", "--set", "sweep.M_values=[10,20]", "--out", out + "/sweep"],
+             ["validate", out + "/plan.json", "--out", out + "/mc",
+              "--set", "mc.element_draws=gaussian-surrogate",
+              "--set", "mc.n_topologies=2", "--set", "mc.n_fading=50"]):
+    assert main(args) == 0, args
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
 """
+
+# the same run with every scipy import failing, as where scipy is not installed
+WITHOUT_SCIPY = """
+import importlib.abc
+import sys
+
+class NoScipy(importlib.abc.MetaPathFinder):
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError("scipy is not installed")
+        return None
+
+sys.meta_path.insert(0, NoScipy())
+""" + COLD_RUN
 
 
 def _cold_run(script, out_dir):
@@ -356,8 +375,12 @@ def _cold_run(script, out_dir):
     return done.stdout.splitlines()[-1]
 
 
-def test_cold_commands_skip_scipy_interpolate(tmp_path):
+def test_cold_commands_skip_scipy(tmp_path):
     assert _cold_run(COLD_RUN, tmp_path) == "[]"
+
+
+def test_cold_commands_run_without_scipy(tmp_path):
+    assert _cold_run(WITHOUT_SCIPY, tmp_path) == "[]"
 
 
 COLD_COVERAGE = """

@@ -1,19 +1,23 @@
 """Numerics suite: incomplete gamma, inverses, quadrature.
 
-Library code evaluates the incomplete gamma and its inverse with
-scipy.special, so the oracle here is mpmath's arbitrary-precision
-incomplete gamma, an implementation independent of scipy's.
+The incomplete gamma and its inverse are numpy code in irsplan.numerics.
+Two implementations independent of it are the oracles: mpmath's
+arbitrary-precision incomplete gamma, and scipy.special (DiDonato & Morris'
+algorithms), which the tests alone import.
 """
 
 import math
+import time
 
 import mpmath
 import numpy as np
 import pytest
+from scipy.special import gammaincc, gammainccinv, stdtrit
 
+from irsplan.channel import _PowerFactorTable, _z2_moment_arrays
 from irsplan.numerics import (NumericsError, Tolerance, bisect, get_tail_quantile,
                               integrate_polar_sector, integrate_radial,
-                              inv_reg_upper_gamma, reg_upper_gamma)
+                              inv_reg_upper_gamma, reg_upper_gamma, student_t_quantile)
 
 
 def mp_reg_upper_gamma(a, x):
@@ -55,6 +59,50 @@ class TestRegUpperGamma:
             reg_upper_gamma(-1.0, 2.0)
         with pytest.raises(ValueError):
             reg_upper_gamma(2.0, -3.0)
+
+    def test_against_scipy_on_the_sweep_regime(self, rng):
+        # the policy benchmarks' shapes and arguments: alpha in [1, 250],
+        # x in [1e-10, 2e6], with a band around x = alpha
+        alpha = np.exp(rng.uniform(0.0, np.log(250.0), 60000))
+        x = np.concatenate([np.exp(rng.uniform(np.log(1e-10), np.log(2e6), 40000)),
+                            alpha[40000:] * np.exp(rng.normal(0.0, 2.0, 20000)
+                                                   / np.sqrt(alpha[40000:]))])
+        ours, ref = reg_upper_gamma(alpha, x), gammaincc(alpha, x)
+        normal = ref > 1e-290
+        assert np.max(np.abs(ours[normal] / ref[normal] - 1.0)) <= 1e-12
+        assert np.max(np.abs(ours - ref)) <= 1e-14
+        # far tails underflow to 0 with scipy's, and never go negative
+        assert np.count_nonzero(ref == 0.0) > 1000
+        assert np.all((ours[~normal] >= 0.0) & (ours[~normal] <= 1e-290))
+
+    def test_rounding_rise_is_bounded(self, rng):
+        # the rate scan's bracket (powerctl._maxmin_over_rate) allows NOPs to
+        # rise against the trend by 1e-9 relative; keep two orders to spare
+        shapes = np.concatenate([[1.0], np.exp(rng.uniform(0.0, np.log(250.0), 39))])
+        for a in shapes:
+            x = np.geomspace(1e-8, max(700.0, 8.0 * a), 300)
+            q0 = reg_upper_gamma(np.full(x.size, a), x)
+            for k in (1, 16, 256, 4096):
+                q1 = reg_upper_gamma(np.full(x.size, a), x + k * np.spacing(x))
+                live = q0 > 0.0
+                assert np.all(q1[live] - q0[live] <= 1e-11 * q0[live]), (a, k)
+
+    def test_element_depends_on_itself_alone(self, rng):
+        # the series pass count, the continued fraction's active set and
+        # Temme's region are per call; no value may depend on them
+        alpha = np.exp(rng.uniform(np.log(0.05), np.log(1e5), 3000))
+        x = alpha * np.exp(rng.normal(0.0, 1.5, 3000))
+        x[::7] = rng.uniform(0.0, 1e-3, x[::7].size)
+        whole = reg_upper_gamma(alpha, x)
+        for part in (slice(0, 1), slice(5, 900, 3), slice(1000, None)):
+            assert np.array_equal(reg_upper_gamma(alpha[part], x[part]), whole[part])
+        assert all(reg_upper_gamma(float(alpha[i]), float(x[i])) == whole[i]
+                   for i in range(0, 3000, 97))
+        grid = np.array([[0.3], [30.0], [300.0]])
+        assert np.array_equal(reg_upper_gamma(alpha[:50], grid * alpha[:50]),
+                              np.stack([reg_upper_gamma(alpha[:50], g * alpha[:50])
+                                        for g in grid[:, 0]]))
+        assert reg_upper_gamma(np.ones((2, 0)), 1.0).shape == (2, 0)
 
 
 class TestInverse:
@@ -99,6 +147,43 @@ class TestInverse:
         with pytest.raises(ValueError):
             inv_reg_upper_gamma(2.0, 0.0)
 
+    @pytest.mark.parametrize("n_elements", [0, 1, 10, 100, 2000, 100_000])
+    def test_against_scipy_on_table_knots(self, n_elements):
+        alpha = _knot_shapes(n_elements)
+        for p in (0.5, 0.9, 0.95, 0.99):
+            ours = inv_reg_upper_gamma(alpha, p)
+            assert np.max(np.abs(ours / gammainccinv(alpha, p) - 1.0)) <= 1e-13, p
+
+    def test_extreme_targets_converge(self):
+        # Newton keeps a bracket: far tails, subnormal roots and huge shapes
+        alpha = np.geomspace(1e-3, 1e6, 100)
+        for p in (1e-300, 1e-10, 0.3, 0.7, 1.0 - 2.0 ** -52):
+            x = inv_reg_upper_gamma(alpha, p)
+            ref = gammainccinv(alpha, p)
+            normal = ref > 1e-300
+            assert np.all(x[~normal] <= 1e-300)
+            assert np.max(np.abs(x[normal] / ref[normal] - 1.0)) <= 1e-11, p
+            # beyond 1e6 scipy's own inverse drifts (2.5e-6 at a = 1e8, p = 1 - 2^-52):
+            # x's relative error is the residual over dQ/d(ln x) = x^a e^-x / Gamma(a)
+            for a in (1e7, 1e8):
+                x = inv_reg_upper_gamma(a, p)
+                with mpmath.workdps(30):
+                    a_, x_ = mpmath.mpf(a), mpmath.mpf(x)
+                    slope = mpmath.exp(a_ * mpmath.log(x_) - x_ - mpmath.loggamma(a_))
+                    rel_x = abs(mp_reg_upper_gamma(a, x) - p) / slope
+                assert rel_x <= 1e-15, (a, p, float(rel_x))
+
+    def test_largest_table_finishes(self):
+        # irs.N = 1e8: shapes up to 4e7, where Temme's expansion serves
+        alpha = _knot_shapes(10 ** 8)
+        assert 3.9e7 < alpha.max() < 4.1e7
+        start = time.perf_counter()
+        x = inv_reg_upper_gamma(alpha, 0.95)
+        took = time.perf_counter() - start
+        # at a = 4e7 one ulp of x moves Q by about 3e-13
+        resid = np.abs(reg_upper_gamma(alpha, x) - 0.95)
+        assert np.max(resid) <= 1e-12, f"largest residual {np.max(resid):.2e} ({took:.3f} s)"
+
 
 class TestTailQuantile:
     def test_certified_against_direct_inverse(self, rng):
@@ -115,6 +200,32 @@ class TestTailQuantile:
         resid = [abs(mp_reg_upper_gamma(a, x) - mpmath.mpf("0.95"))
                  for a, x in zip(alpha, q(alpha))]
         assert max(resid) <= 1e-13
+
+
+def _knot_shapes(n_elements):
+    """The Gamma shapes at _PowerFactorTable's knots for N = n_elements."""
+    table = _PowerFactorTable
+    h = (table.LOG_HI - table.LOG_LO) / (table.KNOTS - 1)
+    c2 = np.exp(table.LOG_LO + h * np.arange(-1, table.KNOTS + 1))
+    mean, var = _z2_moment_arrays(n_elements, 1.0, c2, 1.0)
+    return mean ** 2 / var
+
+
+class TestStudentT:
+    def test_against_scipy(self):
+        # the closed-form sums lose about dof ulps in 1 - A: at dof = 12345,
+        # p = 0.999 the quantile is off by 2.5e-12, at p = 0.975 by 1e-13
+        for dof in (*range(1, 40), 99, 100, 999):
+            for p in (0.5, 0.9, 0.975, 0.999):
+                assert student_t_quantile(dof, p) == pytest.approx(
+                    stdtrit(dof, p), rel=1e-12, abs=1e-15)
+        assert student_t_quantile(12345, 0.975) == pytest.approx(stdtrit(12345, 0.975),
+                                                                 rel=1e-12)
+
+    def test_rejects_bad_domain(self):
+        for dof, p in ((0, 0.975), (3, 0.4), (3, 1.0)):
+            with pytest.raises(ValueError):
+                student_t_quantile(dof, p)
 
 
 class TestQuadrature:
