@@ -31,8 +31,9 @@ from .geometry import RingPlan, ap_spans, mean_ues_per_sector, validate_plan
 from .numerics import Refused
 from .planner import (RING_TABLE_STATS, PlanResult, algorithm1, coverage_range,
                       line_search, line_search_budgets)
-from .powerctl import (PowerAllocation, benchmark_cipc, benchmark_equal_power,
-                       benchmark_irs_equal_power, benchmark_irs_mean_cipc)
+from .powerctl import (POLICY_SCAN_STATS, PowerAllocation, benchmark_cipc,
+                       benchmark_equal_power, benchmark_irs_equal_power,
+                       benchmark_irs_mean_cipc)
 from .simulation import validate_plan_mc
 
 SCHEMA_VERSION = 2
@@ -88,9 +89,11 @@ def write_json(path: Path, payload: dict, cfg: ExperimentConfig, meta=None):
 
 
 def _planning_meta():
-    """This process's ring-table and power-factor-table counters, for a sidecar."""
+    """This process's ring-table, power-factor-table and policy rate-solve
+    counters, for a sidecar."""
     return {"ring_table": asdict(RING_TABLE_STATS),
-            "power_factor_table": asdict(POWER_TABLE_STATS)}
+            "power_factor_table": asdict(POWER_TABLE_STATS),
+            "policy_scan": asdict(POLICY_SCAN_STATS)}
 
 
 # ---------------------------------------------------------------------------

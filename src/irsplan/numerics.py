@@ -9,7 +9,8 @@ exp(1/2 ln(a / 2 pi) - Stirling's correction - a phi(x/a)), phi(t) = t - 1 - ln 
 (DiDonato & Morris, ACM TOMS 12, 1986; Gil, Segura & Temme, SIAM J. Sci.
 Comput. 34, 2012).  ``reg_upper_gamma`` is Q; ``inv_reg_upper_gamma`` solves
 through it by Newton's method on ln P or ln Q, and ``get_tail_quantile`` fixes
-its probability.  ``student_t_quantile`` serves the Monte Carlo intervals.
+its probability; ``upper_gamma_tail`` gives Q with D, its shape terms taken
+once.  ``student_t_quantile`` serves the Monte Carlo intervals.
 Quadrature is composite Gauss-Legendre on given panel breakpoints
 (``_gl_panels``; ``concat_ranges`` lays out batches of ragged panel sets); the
 public integrators refine dyadic panels and serve as references.  Root finding
@@ -36,10 +37,10 @@ class Refused(Exception):
 
 
 class NumericsError(Refused):
-    """Raised when an iteration fails to converge: an adaptive quadrature's
-    refinement (the message carries its last two estimates), or the incomplete
-    gamma's continued fraction or inverse, which converge on every finite
-    input tried.  No CLI command integrates adaptively."""
+    """Raised when an iteration fails to converge (an adaptive quadrature's
+    refinement, whose message carries its last two estimates, or the incomplete
+    gamma's continued fraction or inverse, which converge on every finite input
+    tried) or its premise fails.  No CLI command integrates adaptively."""
 
     def __init__(self, detail):
         super().__init__("numerics-error", detail)
@@ -329,6 +330,17 @@ def reg_upper_gamma(alpha, x):
         return np.ones(a.shape)
     out = _gamma_pq(a.ravel(), xx.ravel(), scale.ravel())[1].reshape(a.shape)
     return float(out) if scalar else out
+
+
+def upper_gamma_tail(alpha):
+    """(x, idx) -> (Q, ln D) over flat arrays x >= 0 and idx: the tails Q =
+    G_alpha[idx](x) of the shapes alpha (a flat array), as ``reg_upper_gamma``
+    gives them, and D = x^a e^-x / Gamma(a) = -dQ / d ln x."""
+    a = np.asarray(alpha, dtype=float)
+    if not np.all((a > 0.0) & np.isfinite(a)):
+        raise ValueError("upper_gamma_tail: alpha must be positive and finite")
+    scale = _log_scale(a)
+    return lambda x, idx: _gamma_pq(a[idx], x, scale[idx])[1:]
 
 
 def _normal_isf(q):

@@ -34,19 +34,19 @@ The fixed-placement policy benchmarks (``benchmark_irs_equal_power``,
 ``benchmark_irs_mean_cipc``) share one position model: Z^2 ~ Gamma(alpha,
 beta) at every worst-case grid position, exactly Gamma(1, 1/g_d) at the AP
 radii.  A policy picks each position's power p, and ``_policy_report`` tunes
-the common rate max-min on the one forward NOP G_alpha(beta W eta0 / p).
-``_maxmin_over_rate`` finds the same optimum as evaluating every position at
-every rate, but evaluates few: an upper bound from a small seed subset (the
-positions of extreme shape and scale, which ``_policy_report`` picks) rules
-out most of the 240 coarse rates before any full evaluation (bound and
-verify), and inside the golden-section bracket only positions that
-monotonicity in eta0 allows to be the minimum are kept, with a 1e-9 relative
-margin for rounding.
+the common rate max-min on the one forward NOP G_alpha(beta W eta0 / p), which
+``numerics.upper_gamma_tail`` gives with its hazard.  Each NOP is log-concave
+in ln eta0 for every shape, and so is R * min-NOP: its maximizer is the root
+of a derivative.  ``_maxmin_rate`` finds it by Newton's method on an active
+set of positions, then evaluates every position once there and adds any below
+the active minimum.  That minimum bounds the full one from above at every
+rate and equals it at the root, so the root is the global max-min.
 """
 
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -55,7 +55,7 @@ import numpy as np
 from .channel import (IrsSpec, RadioConfig, composite_stats_arrays,
                       irs_power_factor, mean_gain_direct)
 from .geometry import CellConfig, RingPlan, ap_spans, irs_distance, irs_distance2
-from .numerics import _gl_panels, concat_ranges, reg_upper_gamma
+from .numerics import NumericsError, _gl_panels, concat_ranges, upper_gamma_tail
 
 SECTOR_NODES = 10                     # Gauss-Legendre nodes per panel of the graded rule
 SECTOR_GRADING = 3.0 ** np.arange(6)  # breakpoints at L +- 3^k m and 3^k / L rad, k = 0..5
@@ -93,6 +93,21 @@ class RingTableStats:
 
 
 RING_TABLE_STATS = RingTableStats()
+
+
+@dataclass
+class PolicyScanStats:
+    """This process's policy rate solves (``_maxmin_rate``), for the CLI's
+    sidecars: ``reports``, ``full_evaluations`` of every grid position (one
+    per active-set pass), ``newton_steps`` (one rate each) and ``policy_s``."""
+
+    reports: int = 0
+    full_evaluations: int = 0
+    newton_steps: int = 0
+    policy_s: float = 0.0
+
+
+POLICY_SCAN_STATS = PolicyScanStats()
 
 
 @dataclass(frozen=True)
@@ -396,95 +411,68 @@ def _worst_case_grid(cfg, cell, irs, plan):
     return np.concatenate(parts, axis=1)
 
 
-def _maxmin_over_rate(nops, n, seed):
-    """Maximize R(eta0) * min-NOP(eta0) over the common threshold.
+def _maxmin_rate(tail, alpha, scale, active):
+    """(eta0, NOP) maximizing log2(1 + eta0) min_k Q_k over eta0 in [1e-4, 1e6],
+    Q_k = tail(scale[k] eta0, k)[0] (1 for no position), from ``active`` up.
 
-    nops(eta0, idx) returns the NOPs of grid positions idx (an index array
-    into 0..n-1) at threshold eta0, each nonincreasing in eta0; given a
-    column of thresholds it returns one row per threshold.  The NOP at eta0
-    is the minimum over all n positions, capped at 1.  The search is a
-    deterministic 240-point log-space scan of [1e-4, 1e6], then 60
-    golden-section steps around its argmax; returns (eta0, nop).  It finds the same numbers
-    as evaluating every position at every rate, while evaluating few:
-
-    * Bound and verify.  A minimum over the subset ``seed`` can only be
-      larger than or equal to the minimum over all positions, so
-      log2(1 + eta0) * min-over-seed is an upper bound on the objective at
-      every rate, exactly in floating point.  The bound is taken at all 240
-      rates; rates are then evaluated over every position in descending
-      bound order until the bound falls below the best exact value found.
-      No rate left out can be the argmax (first maximum, as np.argmax).
-      The seed sets the cost only, never the result.
-    * Monotone bracket.  For eta0 in [a, b], min_j NOP_j(eta0) <= min_j
-      NOP_j(a) and NOP_k(eta0) >= NOP_k(b), so only positions with
-      NOP_k(b) <= min_j NOP_j(a) can be the minimum inside the bracket.  The
-      test carries a relative margin of 1e-9, because computed NOPs are
-      monotone only up to rounding: ``reg_upper_gamma``'s values rose against
-      the trend by at most 3.7e-15 relative over 400 shapes of the default
-      sweep's grids (alpha 1.07 to 248, 500 points of x in [1e-8,
-      max(700, 8 alpha)] each), and by at most 3.7e-15 at alpha = 1 (the AP
-      radii; 2e5 points of x in [1e-8, 700]), at steps of 1 to 4096 ulps in
-      x (scipy's gammaincc, measured the same way: 1.1e-13 and 1.9e-15).
-      The margin keeps every position that a rounding error of that size
-      could make the minimum, with five orders of magnitude to spare; a
-      test pins the rise below 1e-11.  A rate the section evaluates outside
-      [a, b] (exp of a rounded log endpoint) falls back to every position.
+    In u = ln eta0, with x = scale_j e^u at the binding position j, h = D_j /
+    Q_j and g1 = e^u / ((1 + e^u) ln(1 + e^u)): phi = ln log2(1 + e^u) + ln Q_j
+    has phi' = g1 - h and phi'' = g1 (1 / (1 + e^u) - g1) - h (alpha_j - x + h)
+    < 0, as h > x - alpha_j for every shape (integrate t^(a-1) e^-t <=
+    -(t^a e^-t)' / (x - a) over t >= x > a).  Newton's method on phi' keeps a
+    bracket and bisects it when a step leaves it; Q_j = 0 reads as phi' =
+    -inf, and a step below 2^-30 ends it, as the next would be below an ulp.
     """
-    coarse = 240
-    grid = np.exp(np.linspace(math.log(1e-4), math.log(1e6), coarse))
-    everything = np.arange(n)
+    lo, hi = math.log(1e-4), math.log(1e6)
 
-    def min_nop(eta0, idx):
-        return float(np.min(nops(eta0, idx), initial=1.0))
+    def slopes(u, idx):  # phi' and phi'' at the rates e^u (an array)
+        eu = np.exp(u)
+        xs = scale[idx] * eu[:, None]
+        qs, lnds = (v.reshape(xs.shape) for v in tail(xs.ravel(), np.tile(idx, u.size)))
+        j = (np.arange(u.size), np.argmin(qs, axis=1))
+        q, x = qs[j], xs[j]
+        h = np.exp(lnds[j] - np.log(q, out=np.full(u.size, -math.inf), where=q > 0.0))
+        g1 = eu / ((1.0 + eu) * np.log1p(eu))
+        return g1 - h, g1 * (1.0 / (1.0 + eu) - g1) - h * (alpha[idx[j[1]]] - x + h)
 
-    seed_min = np.min(nops(grid[:, None], seed), axis=1, initial=1.0)
-    bound = [math.log2(1.0 + e) * float(m) for e, m in zip(grid, seed_min)]
-    k, best = -1, -math.inf
-    for i in sorted(range(coarse), key=lambda i: -bound[i]):
-        if bound[i] < best:
-            break
-        v = math.log2(1.0 + grid[i]) * min_nop(grid[i], everything)
-        if v > best or (v == best and i < k):
-            k, best = i, v
-    a = grid[max(k - 1, 0)]
-    b = grid[min(k + 1, coarse - 1)]
-    floor = float(np.min(nops(a, everything), initial=math.inf)) * (1.0 + 1e-9)
-    keep = everything[nops(b, everything) <= floor]
+    def root(u, idx):
+        d1, d2 = slopes(np.array([lo, hi, u]), idx)
+        if d1[0] <= 0.0 or d1[1] >= 0.0:
+            return lo if d1[0] <= 0.0 else hi
+        a, b, d1, d2 = lo, hi, d1[2], d2[2]
+        for _ in range(200):
+            POLICY_SCAN_STATS.newton_steps += 1
+            a, b = (u, b) if d1 > 0.0 else (a, u)
+            step = -d1 / d2 if math.isfinite(d1) and d2 < 0.0 else math.inf
+            if abs(step) <= 2.0 ** -30:
+                return u + step
+            u = u + step if a < u + step < b else 0.5 * (a + b)
+            if not a < u < b:  # a bracket of one ulp
+                return u
+            d1, d2 = (float(v[0]) for v in slopes(np.array([u]), idx))
+        raise NumericsError("policy rate: Newton iteration did not converge")
 
-    def nop_of_eta0(eta0):
-        return min_nop(eta0, keep if a <= eta0 <= b else everything)
-
-    def objective(eta0):
-        return math.log2(1.0 + eta0) * nop_of_eta0(eta0)
-
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    la, lb = math.log(a), math.log(b)
-    c = lb - invphi * (lb - la)
-    dd = la + invphi * (lb - la)
-    fc, fd = objective(math.exp(c)), objective(math.exp(dd))
-    for _ in range(60):
-        if fc >= fd:
-            lb, dd, fd = dd, c, fc
-            c = lb - invphi * (lb - la)
-            fc = objective(math.exp(c))
-        else:
-            la, c, fc = c, dd, fd
-            dd = la + invphi * (lb - la)
-            fd = objective(math.exp(dd))
-    eta0 = math.exp(0.5 * (la + lb))
-    return eta0, nop_of_eta0(eta0)
+    every, u = np.arange(alpha.size), 0.5 * (lo + hi)
+    while True:
+        u = root(u, active) if active.size else hi  # no position: phi' = g1 > 0
+        q = tail(scale * math.exp(u), every)[0]
+        POLICY_SCAN_STATS.full_evaluations += 1
+        below = np.flatnonzero(q < q[active].min(initial=1.0))
+        if not below.size:
+            return math.exp(u), float(q.min(initial=1.0))
+        active = np.union1d(active, below)
 
 
 def _policy_report(method, alpha, scale, details) -> ThroughputReport:
-    """Max-min common rate when position k has NOP G_alpha[k](scale[k] eta0).
-
-    The positions of smallest and largest shape and scale seed the rate
-    scan's bound (``_maxmin_over_rate``), which sets its cost only."""
-    def nops(eta0, idx):
-        return reg_upper_gamma(alpha[idx], scale[idx] * eta0)
-
+    """Max-min common rate when position k has NOP G_alpha[k](scale[k] eta0), from
+    the positions of extreme shape and scale up.  A shape not positive and finite is refused."""
+    if not np.all((alpha > 0.0) & np.isfinite(alpha)):
+        raise NumericsError(f"{method}: rate solve on Gamma shapes from {alpha.min():g}")
+    start = time.perf_counter()
     seed = np.unique([np.argmin(alpha), np.argmax(alpha), np.argmin(scale), np.argmax(scale)])
-    eta0, nop = _maxmin_over_rate(nops, alpha.size, seed)
+    eta0, nop = _maxmin_rate(upper_gamma_tail(alpha), alpha, scale, seed)
+    POLICY_SCAN_STATS.reports += 1
+    POLICY_SCAN_STATS.policy_s += time.perf_counter() - start
     return ThroughputReport(method=method, eta0=eta0, p_no=nop, details=details)
 
 

@@ -14,6 +14,7 @@ from irsplan.channel import LinkGeometry, composite_stats
 from irsplan.cli import _load_plan_file, _plan_payload, main, write_json
 from irsplan.config import (ConfigError, ExperimentConfig, load_config,
                             parse_unit_scalar)
+from irsplan.powerctl import POLICY_SCAN_STATS
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -429,6 +430,21 @@ class TestSweepCommand:
         assert ring["rows"] >= ring["rings"] > 0 and ring["points"] >= 36 * ring["rings"]
         assert ring["screen_max_rel_error"] < 5e-4
         assert set(meta["power_factor_table"]) == {"builds", "build_s"}
+
+    def test_rerun_is_byte_identical(self, tmp_path):
+        a, b = tmp_path / "a", tmp_path / "b"
+        for out in (a, b):
+            assert main(["sweep", "--out", str(out), "--set", "sweep.M_values=[10,20]"]) == 0
+        assert (a / "sweep.csv").read_bytes() == (b / "sweep.csv").read_bytes()
+
+    def test_sidecar_carries_policy_scan_counters(self, tmp_path):
+        before = dict(vars(POLICY_SCAN_STATS))
+        assert main(["sweep", "--out", str(tmp_path), "--set", "sweep.M_values=[10,20]"]) == 0
+        meta = json.loads((tmp_path / "sweep.csv.meta.json").read_text(encoding="utf-8"))
+        scan = {k: v - before[k] for k, v in meta["policy_scan"].items()}
+        assert scan["reports"] == 4  # two policies at each of two budgets
+        assert scan["full_evaluations"] >= scan["reports"]
+        assert scan["newton_steps"] > 0 and scan["policy_s"] > 0.0
 
     @pytest.mark.parametrize("budgets", ["[true]", "[true, 1]", "[10, false]"])
     def test_boolean_budgets_are_rejected(self, tmp_path, capsys, budgets):

@@ -2,7 +2,8 @@
 every private module-level name in src/ is referenced somewhere in src/; every
 exception class in src/ derives from ``numerics.Refused``, so ``cli.main``
 needs one refusal handler (exit code 2) beside its crash handler; the
-policy benchmarks of ``powerctl`` reach ``reg_upper_gamma`` from one function;
+policy benchmarks of ``powerctl`` reach their forward NOP, ``upper_gamma_tail``,
+from one function;
 no module but ``numerics`` calls its adaptive integrators; ``irs_power_factor``
 is called from the one ring coefficient and the required power alone; no
 module imports another's private names beyond a pinned set; and the only
@@ -207,7 +208,8 @@ def callers(name, tree):
 def test_policy_benchmarks_share_one_forward_nop():
     # a tail-model option must reach every policy through one place
     tree = ast.parse((ROOT / "src" / "irsplan" / "powerctl.py").read_text(encoding="utf-8"))
-    assert callers("reg_upper_gamma", tree) == ["_policy_report"]
+    assert callers("upper_gamma_tail", tree) == ["_policy_report"]
+    assert callers("reg_upper_gamma", tree) == []
 
 
 def test_scan_flags_a_second_caller():

@@ -3,6 +3,7 @@
 import math
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate
@@ -11,9 +12,10 @@ from scipy.optimize import brentq
 from irsplan.channel import (composite_stats_arrays, irs_power_factor,
                              mean_gain_direct, nop_direct)
 from irsplan.geometry import irs_distance, irs_distance2, make_ring_plan
-from irsplan.numerics import integrate_radial, reg_upper_gamma
+from irsplan import powerctl
+from irsplan.numerics import NumericsError, integrate_radial, reg_upper_gamma, upper_gamma_tail
 from irsplan.planner import PlanCheckError, _finalize, _RingCoefficientTable, line_search
-from irsplan.powerctl import (RING_TABLE_STATS, _maxmin_over_rate,
+from irsplan.powerctl import (RING_TABLE_STATS, _maxmin_rate,
                               _policy_report, _worst_case_grid,
                               ap_region_coefficient, benchmark_cipc,
                               benchmark_equal_power, benchmark_irs_equal_power,
@@ -281,18 +283,19 @@ class TestIrsBaselines:
 
 
 # ---------------------------------------------------------------------------
-# the pruned max-min rate scan against the brute-force scan it replaced
+# the max-min rate solve against the golden-section scan it replaced, and
+# against a 50-digit root of its stationarity condition
 # ---------------------------------------------------------------------------
 
-RATES = np.exp(np.linspace(math.log(1e-4), math.log(1e6), 240))
+ULP = 2.0 ** -52
 
 
 def unpruned_scan(nop_of_eta0):
-    """Oracle: every position at all 240 rates, then 60 golden-section steps.
+    """The golden section the Newton root replaced, kept verbatim: every
+    position at all 240 rates, then 60 golden-section steps.
 
     nop_of_eta0 maps a scalar threshold to the minimum NOP over every
-    position; this is the scan before bound-and-verify pruning, kept
-    verbatim so the pruned one can be held to its exact numbers.
+    position.  Its optimum lies below the root's but for rounding.
     """
     coarse = 240
     grid = np.exp(np.linspace(math.log(1e-4), math.log(1e6), coarse))
@@ -322,43 +325,42 @@ def unpruned_scan(nop_of_eta0):
     return eta0, objective(eta0), nop_of_eta0(eta0)
 
 
-def unpruned_policy(alpha, scale):
-    """Oracle scan when position k has NOP G_alpha[k](scale[k] eta0)."""
-    return unpruned_scan(
-        lambda eta0: float(np.min(reg_upper_gamma(alpha, scale * eta0), initial=1.0)))
+def assert_at_least_the_scan(alpha, scale, eta0, nop):
+    """nop is the minimum NOP over every position at eta0, and the throughput
+    there is at least the golden section's less 4 ulps of rounding.
+
+    Both throughputs take the rate as log1p: log2(1 + eta0) errs by up to
+    2^-53 / ln(1 + eta0) relative (6e-13 at eta0 = 3.6e-4), and the section's
+    comparisons pick that rounding up."""
+    assert nop == float(np.min(reg_upper_gamma(alpha, scale * eta0), initial=1.0))
+    eta_s, _, nop_s = unpruned_scan(
+        lambda e: float(np.min(reg_upper_gamma(alpha, scale * e), initial=1.0)))
+    assert nop * math.log1p(eta0) >= nop_s * math.log1p(eta_s) * (1.0 - 4.0 * ULP)
 
 
-def unpruned_equal_power(radio, cell, irs, plan):
-    p = radio.E_total / (cell.K * radio.t0)
-    alpha, beta, _ = _worst_case_grid(radio, cell, irs, plan)
-    return unpruned_policy(alpha, beta * radio.W / p)
-
-
-def unpruned_mean_cipc(radio, cell, irs, plan, gamma_bar):
+def policy_inputs(radio, cell, irs, plan):
+    """(method, alpha, scale) of the two policy reports on plan."""
     alpha, beta, mean_z2 = _worst_case_grid(radio, cell, irs, plan)
-    return unpruned_policy(alpha, beta * mean_z2 / gamma_bar)
+    p = radio.E_total / (cell.K * radio.t0)
+    gamma_bar = benchmark_irs_mean_cipc(radio, cell, irs, plan).details["gamma_bar"]
+    return [("irs-equal-power", alpha, beta * radio.W / p),
+            ("irs-mean-cipc", alpha, beta * mean_z2 / gamma_bar)]
 
 
-def unpruned_synthetic(nops, n):
-    """Oracle (eta0, nop) of ``_maxmin_over_rate``."""
-    every = np.arange(n)
-    eta0, _, nop = unpruned_scan(lambda e: float(np.min(nops(e, every), initial=1.0)))
-    return eta0, nop
+def mp_stationary_rate(a, s, eta0):
+    """The root near eta0 of d/du [ln ln(1 + e^u) + ln Q_a(s e^u)], u = ln eta0,
+    to 50 digits."""
+    with mpmath.workdps(50):
+        a, s = mpmath.mpf(a), mpmath.mpf(s)
 
+        def slope(u):
+            eu = mpmath.exp(u)
+            x = s * eu
+            d = mpmath.exp(a * mpmath.log(x) - x - mpmath.loggamma(a))
+            h = d / mpmath.gammainc(a, x, mpmath.inf, regularized=True)
+            return eu / ((1 + eu) * mpmath.log1p(eu)) - h
 
-def gamma_nops(alpha, beta):
-    """Positions with NOP G_alpha(beta eta0), the equal-power form."""
-    def nops(eta0, idx):
-        return reg_upper_gamma(alpha[idx], beta[idx] * eta0)
-    return nops
-
-
-def step_nops(*positions):
-    """Positions given as NOP functions of a rate array."""
-    def nops(eta0, idx):
-        e = np.asarray(eta0, dtype=float).reshape(np.shape(eta0)[:1])  # () or (rates,)
-        return np.stack([f(e) + np.zeros(e.shape) for f in positions], axis=-1)[..., idx]
-    return nops
+        return float(mpmath.exp(mpmath.findroot(slope, mpmath.log(eta0))))
 
 
 @pytest.fixture(scope="module", params=[10, 20, 50, 100])
@@ -373,16 +375,18 @@ def _plans(cell):
 
 
 class TestPrunedRateScan:
+    """The policies' rate: a Newton root on an active set of positions."""
+
     @staticmethod
-    def assert_both_policies_exact(radio, cell, irs, plan):
-        ep = benchmark_irs_equal_power(radio, cell, irs, plan)
-        assert (ep.eta0, ep.nu_bar, ep.p_no) == unpruned_equal_power(radio, cell, irs, plan)
-        mc = benchmark_irs_mean_cipc(radio, cell, irs, plan)
-        assert (mc.eta0, mc.nu_bar, mc.p_no) == unpruned_mean_cipc(
-            radio, cell, irs, plan, mc.details["gamma_bar"])
+    def assert_both_policies_optimal(radio, cell, irs, plan):
+        reports = (benchmark_irs_equal_power(radio, cell, irs, plan),
+                   benchmark_irs_mean_cipc(radio, cell, irs, plan))
+        for rep, (method, alpha, scale) in zip(reports, policy_inputs(radio, cell, irs, plan)):
+            assert rep.method == method
+            assert_at_least_the_scan(alpha, scale, rep.eta0, rep.p_no)
 
     def test_line_search_plans(self, radio, cell, irs, line_search_plan):
-        self.assert_both_policies_exact(radio, cell, irs, line_search_plan)
+        self.assert_both_policies_optimal(radio, cell, irs, line_search_plan)
 
     @pytest.mark.parametrize("name", ["ap-only", "no-ap-span", "two-rings"])
     def test_edge_plans(self, radio, cell, irs, name):
@@ -392,7 +396,63 @@ class TestPrunedRateScan:
             assert not (alpha == 1.0).any()
         if name == "ap-only":
             assert (alpha == 1.0).all()
-        self.assert_both_policies_exact(radio, cell, irs, plan)
+        self.assert_both_policies_optimal(radio, cell, irs, plan)
+
+    def test_root_against_mpmath(self, radio, cell, irs, line_search_plan):
+        # eta0 is the stationary point of the binding position's throughput
+        for method, alpha, scale in policy_inputs(radio, cell, irs, line_search_plan):
+            eta0 = _policy_report(method, alpha, scale, {}).eta0
+            j = int(np.argmin(reg_upper_gamma(alpha, scale * eta0)))
+            want = mp_stationary_rate(alpha[j], scale[j], eta0)
+            assert abs(eta0 / want - 1.0) < 1e-12, method
+
+    def test_one_ulp_moves_the_root_below_1e_12(self, radio, cell, irs, line_search_plan,
+                                                 monkeypatch):
+        # every scale, then every NOP, one ulp up; the golden section's eta0
+        # moved by 3.4e-8 under the NOP's ulp
+        inputs = policy_inputs(radio, cell, irs, line_search_plan)
+        base = np.array([_policy_report(m, a, s, {}).eta0 for m, a, s in inputs])
+        scaled = [_policy_report(m, a, s * (1.0 + ULP), {}).eta0 for m, a, s in inputs]
+        tail = powerctl.upper_gamma_tail
+
+        def raised(alpha):
+            exact = tail(alpha)
+
+            def tail_up(x, idx):
+                q, lnd = exact(x, idx)
+                return q * (1.0 + ULP), lnd
+
+            return tail_up
+
+        monkeypatch.setattr(powerctl, "upper_gamma_tail", raised)
+        nops = [_policy_report(m, a, s, {}).eta0 for m, a, s in inputs]
+        for moved in (scaled, nops):
+            assert np.all(np.abs(np.array(moved) / base - 1.0) < 1e-12), moved
+
+    def test_shapes_below_one_are_solved(self):
+        # ln Q_a(s e^u) is concave in u for every shape a > 0, not only a >= 1:
+        # the root at a = 1/2 is the stationary point, and beats the section
+        alpha, scale = np.array([0.5, 0.5, 3.0]), np.array([0.2, 0.1, 0.01])
+        rep = _policy_report("synthetic", alpha, scale, {})
+        assert int(np.argmin(reg_upper_gamma(alpha, scale * rep.eta0))) == 0
+        assert abs(rep.eta0 / mp_stationary_rate(0.5, 0.2, rep.eta0) - 1.0) < 1e-12
+        assert_at_least_the_scan(alpha, scale, rep.eta0, rep.p_no)
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+    def test_shapes_without_a_gamma_law_are_refused(self, bad):
+        with pytest.raises(NumericsError, match="rate solve on Gamma shapes"):
+            _policy_report("synthetic", np.array([bad, 2.0]), np.array([1.0, 1.0]), {})
+
+    @pytest.mark.parametrize("N", [0, 1, 10, 2000, 100_000])
+    def test_grid_shapes_are_at_least_one(self, radio, cell, irs, line_search_plan, N):
+        # the Gamma fit of Z^2 = |X + Y|^2 is never more spread than Y^2's
+        # exponential law (shape 1); with no elements it is that law, whose
+        # fitted shape rounds to 1 - 2 ulps
+        for plan in [line_search_plan, *_plans(cell).values()]:
+            alpha = _worst_case_grid(radio, cell, replace(irs, N=N), plan)[0]
+            assert alpha.min() >= 1.0 - 4.0 * ULP
+            if N:
+                assert alpha.min() >= 1.0
 
     def test_ap_radii_are_exponential_positions(self, radio, cell, irs):
         # Z^2 = g_d E at an AP radius: Gamma(1, 1/g_d), so the equal-power NOP
@@ -409,10 +469,10 @@ class TestPrunedRateScan:
     @pytest.mark.parametrize("case", ["duplicated", "all-equal", "underflow",
                                       "all-underflow"])
     def test_synthetic_positions(self, radio, cell, irs, case, seed_kind):
-        # the seed sets the cost only: any subset, even none, gives the
-        # brute-force numbers; "pareto" is the tightest bound's seed (no other
-        # position has both a lower alpha and a higher beta), "policy" the
-        # policy benchmarks' own
+        # the seed sets the cost, not the optimum: any subset, even none,
+        # finds it; "pareto" is the tightest bound's seed (no other position
+        # has both a lower alpha and a higher beta), "policy" the policy
+        # benchmarks' own
         if case == "duplicated":
             alpha, beta, _ = _worst_case_grid(radio, cell, irs, _plans(cell)["two-rings"])
             thr_per_eta0 = radio.W * cell.K * radio.t0 / radio.E_total
@@ -424,42 +484,21 @@ class TestPrunedRateScan:
             beta = np.geomspace(1e2, 1e4, 40)
         else:
             alpha, beta = np.full(30, 1.0), np.geomspace(1e10, 1e12, 30)
-        nops, n = gamma_nops(alpha, beta), alpha.size
+        n, tail = alpha.size, upper_gamma_tail(alpha)
         if case.endswith("underflow"):
-            assert nops(1e6, np.arange(n)).max() == 0.0
+            assert reg_upper_gamma(alpha, beta * 1e6).max() == 0.0
         if seed_kind == "policy":
             rep = _policy_report("synthetic", alpha, beta, {})
-            assert (rep.eta0, rep.p_no) == unpruned_synthetic(nops, n)
-            return
-        order = np.lexsort((-beta, alpha))  # by alpha, ties by beta descending
-        b = beta[order]
-        pareto = order[b > np.maximum.accumulate(np.r_[-np.inf, b[:-1]])]
-        seed = {"pareto": pareto, "empty": np.empty(0, int),
-                "first": np.array([0]), "all": np.arange(n)}[seed_kind]
-        assert _maxmin_over_rate(nops, n, seed) == unpruned_synthetic(nops, n)
-
-    def test_margin_covers_rounding_inversions(self):
-        # one position, monotone but for a 2e-12 relative rise at the top
-        # rate, as rounding can produce; without the 1e-9 margin the bracket
-        # [RATES[-2], RATES[-1]] would drop it and read the capped NOP 1
-        top = RATES[-1]
-        nops = step_nops(lambda e: np.where(e < top, 0.5 * (1.0 - 2e-12), 0.5))
-        got = _maxmin_over_rate(nops, 1, np.array([0]))
-        assert got == unpruned_synthetic(nops, 1)
-        assert got[1] == 0.5 * (1.0 - 2e-12)
-
-    def test_rates_outside_the_bracket_see_every_position(self, monkeypatch):
-        # an exp that errs 1e-12 high pushes the section's last rates past
-        # the bracket end b = RATES[-1]; a position with a high NOP at b
-        # that collapses just beyond it must still be seen there
-        top = RATES[-1]
-        nops = step_nops(
-            lambda e: np.full(e.shape, 0.5),
-            lambda e: np.where(e <= top, 0.9,
-                               1e-3 * np.exp(-np.maximum(e / top - 1.0, 0.0) * 1e13)))
-        exp = math.exp
-        monkeypatch.setattr(math, "exp", lambda x: exp(x) * (1.0 + 1e-12))
-        got = _maxmin_over_rate(nops, 2, np.array([0]))
-        want = unpruned_synthetic(nops, 2)
-        monkeypatch.undo()
-        assert got == want
+            eta0, nop = rep.eta0, rep.p_no
+        else:
+            order = np.lexsort((-beta, alpha))  # by alpha, ties by beta descending
+            b = beta[order]
+            pareto = order[b > np.maximum.accumulate(np.r_[-np.inf, b[:-1]])]
+            seed = {"pareto": pareto, "empty": np.empty(0, int),
+                    "first": np.array([0]), "all": np.arange(n)}[seed_kind]
+            eta0, nop = _maxmin_rate(tail, alpha, beta, seed)
+        assert_at_least_the_scan(alpha, beta, eta0, nop)
+        assert eta0 == pytest.approx(_maxmin_rate(tail, alpha, beta, np.arange(n))[0],
+                                     rel=1e-12)
+        if case == "all-underflow":  # every NOP 0 at every rate: the lowest rate
+            assert (eta0, nop) == (pytest.approx(1e-4, rel=1e-15), 0.0)
