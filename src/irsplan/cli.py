@@ -341,8 +341,10 @@ def _build_parser():
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        cfg = load_config(args.config, args.overrides, seed=args.seed,
-                          method=getattr(args, "method", None))
+        # the flags go after --set, so they win
+        flags = {"mc.seed": args.seed, "plan.method": getattr(args, "method", None)}
+        cfg = load_config(args.config, args.overrides + [
+            f"{key}={value}" for key, value in flags.items() if value is not None])
         out_dir = _output_dir(args.out)
         if args.command == "coverage":
             return cmd_coverage(cfg, out_dir)

@@ -205,12 +205,9 @@ def _parse_override(text):
     return section, field, _apply_units(value)
 
 
-def load_config(path=None, overrides=(), seed=None, method=None) -> ExperimentConfig:
-    """Resolve a config file plus --set overrides into an ExperimentConfig.
-
-    ``seed`` (from --seed) lands in mc.seed and ``method`` (from --method)
-    in plan.method.
-    """
+def load_config(path=None, overrides=()) -> ExperimentConfig:
+    """Resolve a config file plus --set overrides into an ExperimentConfig;
+    a later override of a field wins."""
     data = {}
     if path is not None:
         try:
@@ -240,10 +237,6 @@ def load_config(path=None, overrides=(), seed=None, method=None) -> ExperimentCo
         if section not in _SECTIONS:
             raise ConfigError(f"--set: unknown section '{section}'")
         data.setdefault(section, {})[field] = value
-    if seed is not None:
-        data.setdefault("mc", {})["seed"] = seed
-    if method is not None:
-        data.setdefault("plan", {})["method"] = method
 
     sections = {}
     for name, cls in _SECTIONS.items():

@@ -37,10 +37,11 @@ class Refused(Exception):
 
 
 class NumericsError(Refused):
-    """Raised when an iteration fails to converge (an adaptive quadrature's
-    refinement, whose message carries its last two estimates, or the incomplete
-    gamma's continued fraction or inverse, which converge on every finite input
-    tried) or its premise fails.  No CLI command integrates adaptively."""
+    """Raised when an iteration fails to converge (an adaptive quadrature,
+    whose message carries its last two estimates; the incomplete gamma's
+    continued fraction or inverse; the policy rate's Newton solve) or its
+    premise fails.  No CLI command integrates adaptively; ``plan``, ``sweep``
+    and ``validate`` can raise the others, though no input tried does."""
 
     def __init__(self, detail):
         super().__init__("numerics-error", detail)
@@ -100,14 +101,10 @@ def _log_scale(a):
     and scaled by z^-10 before its logarithm, so no term exceeds about 10.
     """
     small = a < 10.0
-    n_small = np.count_nonzero(small)
-    if n_small == a.size:  # the usual call: shapes of a few units
-        return _log_scale_below_10(a)
-    if n_small == 0:
-        return 0.5 * np.log(a) - _LN_SQRT_2PI - _stirling(a, a * a)
     out = np.empty_like(a)
     out[small] = _log_scale_below_10(a[small])
-    out[~small] = _log_scale(a[~small])
+    big = a[~small]
+    out[~small] = 0.5 * np.log(big) - _LN_SQRT_2PI - _stirling(big, big * big)
     return out
 
 
@@ -183,37 +180,27 @@ def _gamma_pq(a, x, scale):
     tm1 = t - 1.0
     with np.errstate(divide="ignore"):
         aphi = tm1 - np.log(t)
-    a_max = a.max()
-    if a_max >= 10.0:
-        near = (np.abs(tm1) < 0.5) & (a >= 10.0)
-        if near.any():
-            aphi[near] = _phi_near((x[near] - a[near]) / a[near])
+    near = (np.abs(tm1) < 0.5) & (a >= 10.0)
+    if near.any():
+        aphi[near] = _phi_near((x[near] - a[near]) / a[near])
     aphi *= a
     lnd = scale - aphi
     d = np.exp(lnd)
-    series = x < a + 1.0
-    temme = None
-    if a_max >= _TEMME_MIN_SHAPE:
-        temme = (a >= _TEMME_MIN_SHAPE) & (aphi <= (0.5 * _TEMME_MAX_ETA2) * a)
-        series &= ~temme
-    if np.count_nonzero(series) == series.size:  # every point; the usual call
-        p = _p_series(a, x)
-        p *= d
-        p /= a
-        return p, 1.0 - p, lnd
+    temme = (a >= _TEMME_MIN_SHAPE) & (aphi <= (0.5 * _TEMME_MAX_ETA2) * a)
+    series = (x < a + 1.0) & ~temme
     p = np.zeros_like(x)
     q = np.ones_like(x)
     if series.any():
         p[series] = _p_series(a[series], x[series]) * d[series] / a[series]
         q[series] = 1.0 - p[series]
-    fraction = ~series if temme is None else ~(series | temme)
+    fraction = ~(series | temme)
     q[fraction] = 0.0
     p[fraction] = 1.0
     fraction &= d > 0.0
     if fraction.any():
         q[fraction] = _q_fraction(a[fraction], x[fraction]) * d[fraction]
         p[fraction] = 1.0 - q[fraction]
-    if temme is not None and temme.any():
+    if temme.any():
         p[temme], q[temme] = _temme_pq(a[temme], x[temme], aphi[temme])
     return p, q, lnd
 

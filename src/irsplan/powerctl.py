@@ -253,7 +253,12 @@ def _screen_groups(L, ring, m):
 
 def _screen_sizes(L, m, first, count):
     """Azimuth nodes of each ring of ``screen_coefficients``: its groups'
-    base panels and steps, counted from prefix sums over m."""
+    base panels and steps, counted from prefix sums over m.
+
+    ``_screen_groups`` over all reads gives the same sizes, but its per-read
+    arrays span the whole fill: sized that way, the tracemalloc peak of
+    ``line_search`` (I=3, 5 m grid) rose from 6.8 to 11.4 MiB at M=200 and
+    from 33.6 to 68.0 MiB at M=1000."""
     k = np.frexp(m - 1.0)[1]
     new = np.diff(k, prepend=-1) != 0  # a group starts here unless at a ring's first read
     end, after = first + count, first + 1

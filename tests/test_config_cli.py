@@ -75,7 +75,7 @@ class TestLoadConfig:
         assert load_config(p, overrides=["cell.K=300"]).cell.K == 300
 
     def test_seed(self):
-        cfg = load_config(seed=42)
+        cfg = load_config(overrides=["mc.seed=42"])
         assert cfg.mc.seed == 42
 
     def test_full_scale_flag_is_gone(self, tmp_path):
@@ -598,6 +598,14 @@ class TestValidateCommand:
         assert err["kind"] == "too-expensive"
         assert "2500048156600" in err["detail"] and "2147483648" in err["detail"]
         assert not (out / "mc_report.json").exists()
+
+    def test_seed_flag_beats_set(self, tmp_path, plan_file):
+        # --seed wins over --set mc.seed wherever either stands on the line
+        out = tmp_path / "mc"
+        assert main(["validate", str(plan_file), "--out", str(out), "--seed", "7",
+                     "--set", "mc.seed=5"] + VALIDATE_MC) == 0
+        doc = json.loads((out / "mc_report.json").read_text(encoding="utf-8"))
+        assert doc["config"]["mc"]["seed"] == 7
 
     def test_rerun_is_byte_identical(self, tmp_path, plan_file):
         a, b = tmp_path / "a", tmp_path / "b"
