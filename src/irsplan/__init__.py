@@ -20,7 +20,7 @@ Layout:
 * :mod:`irsplan.cli`        -- reproducible experiment artifacts
 
 Exact element-level fading is drawn by one vectorized numpy routine,
-``irsplan._kernels.exact_unit_draws``; the Monte Carlo bank and
+``irsplan._kernels.exact_unit_draws``; the exact Monte Carlo bank and
 ``exact_tail_stats`` both read it.
 """
 

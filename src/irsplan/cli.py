@@ -34,7 +34,7 @@ from .planner import (RING_TABLE_STATS, PlanResult, algorithm1, coverage_range,
 from .powerctl import (POLICY_SCAN_STATS, PowerAllocation, benchmark_cipc,
                        benchmark_equal_power, benchmark_irs_equal_power,
                        benchmark_irs_mean_cipc)
-from .simulation import validate_plan_mc
+from .simulation import MC_STATS, validate_plan_mc
 
 SCHEMA_VERSION = 2
 MAX_COVERAGE_ROWS = 100_000  # each l-row bisects its own radius (about 0.4 ms)
@@ -288,7 +288,7 @@ def cmd_validate(cfg: ExperimentConfig, plan_file: Path, out_dir: Path) -> int:
                 est.energy_mean_with_overflow / cfg.radio.E_total,
         },
     }
-    write_json(out_dir / "mc_report.json", payload, cfg)
+    write_json(out_dir / "mc_report.json", payload, cfg, {"mc": asdict(MC_STATS)})
     print(f"validate: analytical nu_bar={est.analytical_nu_bar:.4f}, "
           f"MC {est.common_throughput:.4f} +/- {est.common_half_width:.4f} "
           f"bps/Hz, verdict {verdict} -> {out_dir / 'mc_report.json'}")

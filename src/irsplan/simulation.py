@@ -8,20 +8,24 @@ target), applies the plan's slow power policies, and measures empirical
 non-outage probabilities, common throughput, and frame energy.
 
 Randomness is counter-based: each (seed, topology) owns two Philox streams,
-one for positions and one for a fading bank, so results are bit-identical
-for any worker count and the workload can be sharded freely.  The bank holds
-n_fading geometry-free unit draws (X, sqrt(E)), the root taken over E in
-place: Z = sqrt(g_i g_r) X + sqrt(g_d E), so every surface-served UE of the
-topology reads its success count off the same bank (common random numbers);
-AP-served and overflow UEs draw independent binomial counts from the bank's
-stream after it.  Draws come in two flavours:
+one for positions and one for fading, so results are bit-identical for any
+worker count and the workload can be sharded freely.  The composite amplitude
+is Z = sqrt(g_i g_r) X + sqrt(g_d E), and X and E do not depend on geometry.
+Surface-served UEs are priced in one of two flavours:
 
-* ``exact``        -- element-level Rayleigh products through the kernel's
-                      one draw routine (2N+1 exponentials per realization,
-                      X = sum_j sqrt(e1 e2));
+* ``exact``        -- a bank of n_fading element-level unit draws (X, sqrt(E))
+                      from the fading stream through the kernel's one draw
+                      routine (2N+1 exponentials per realization,
+                      X = sum_j sqrt(e1 e2)), the root taken over E in place;
+                      every surface-served UE of the topology counts its
+                      successes off that bank (common random numbers);
 * ``gaussian-surrogate`` -- the CLT model itself (Gaussian cascade amplitude
-                      plus Rayleigh direct), matching the analytical
-                      derivation's distributional assumptions.
+                      plus Rayleigh direct), which the analytical derivation
+                      assumes; its success probability is closed form, so a
+                      UE's tally is n_fading times it, a float, with no draws.
+
+AP-served and overflow UEs draw independent binomial counts from the fading
+stream, after the exact bank or at its head.
 
 Each topology is tallied as arrays over one stratum axis: the service
 regions 0..I (0 = AP service, including overflow UEs; i = ring i's surfaces)
@@ -30,7 +34,8 @@ stacks these into (topology x stratum) success and UE-count matrices and
 reads every estimate off their columns.  UEs of one topology share its
 layout and fading stream, so the NOP half-widths are cluster intervals over
 topologies: the ratio estimator's spread across the T rows, floored by an
-Agresti-Coull binomial interval at n_fading draws per topology present.  The
+Agresti-Coull binomial interval at n_fading draws per topology whose stratum
+holds counted UEs (a stratum with none is floored only at zero spread).  The
 common throughput and the frame energy are means of T per-topology values,
 so their half-widths are Student-t intervals on T - 1 degrees of freedom.
 
@@ -43,6 +48,7 @@ from __future__ import annotations
 
 import math
 import os
+import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -124,18 +130,37 @@ class McEstimate:
     max_sector_load: int
 
 
-# Low 20 bits of a topology's key word: positions take slot 0, the fading bank
-# the top slot, so the two streams never share a key.
+@dataclass
+class McStats:
+    """The last ``validate_plan_mc`` run, for the ``validate`` sidecar; over all
+    topologies, the surface-served UEs priced in closed form and the UEs whose
+    successes were drawn as counts."""
+
+    topologies: int = 0
+    n_fading: int = 0
+    closed_form_ues: int = 0
+    counted_ues: int = 0
+    workers: int = 0
+    mc_s: float = 0.0
+
+
+MC_STATS = McStats()
+
+# Low 20 bits of a topology's key word: positions take slot 0, fading (the
+# exact bank and the binomial counts) the top slot, so the two streams never
+# share a key.
 _BANK_SLOT = (1 << 20) - 1
 
 # UE x draw elements per comparison block: larger blocks were slower and
 # raised peak memory.
 _BLOCK_ELEMS = 250_000
 
-# Bytes the workers' fading banks may hold at once, checked before any draw.
+# Bytes the workers' exact fading banks may hold at once, checked before any draw.
 MAX_BANK_BYTES = 2 << 30
 
 _Z95 = 1.96
+
+_ERFC = np.frompyfunc(math.erfc, 1, 1)
 
 
 def _philox(seed, topo_idx, slot):
@@ -143,17 +168,36 @@ def _philox(seed, topo_idx, slot):
         key=np.array([seed, (topo_idx << 20) | slot], dtype=np.uint64))
 
 
+def _fading_stream(mc: McConfig, topo_idx):
+    return np.random.Generator(_philox(mc.seed, topo_idx, _BANK_SLOT))
+
+
 def _fading_bank(mc: McConfig, n_elems, topo_idx):
-    """One topology's n_fading unit draws (X, sqrt(E)) in the configured
-    flavour, and the bank's stream, left where the bank ends."""
-    rng = np.random.Generator(_philox(mc.seed, topo_idx, _BANK_SLOT))
-    if mc.element_draws == "exact":
-        x, e = exact_unit_draws(rng.bit_generator, mc.n_fading, n_elems)
-    else:
-        mu, s2 = _cascade_moments(n_elems, 1.0, 1.0)
-        x = mu + math.sqrt(s2) * rng.standard_normal(mc.n_fading)
-        e = rng.standard_exponential(mc.n_fading)
+    """One topology's n_fading exact unit draws (X, sqrt(E)), and its fading
+    stream, left where the bank ends."""
+    rng = _fading_stream(mc, topo_idx)
+    x, e = exact_unit_draws(rng.bit_generator, mc.n_fading, n_elems)
     return x, np.sqrt(e, out=e), rng
+
+
+def _surrogate_success(c, t, n_elems):
+    """P(c X + sqrt(E) >= t) for the CLT cascade X ~ N(mu, s2) of
+    ``_cascade_moments(n_elems, 1, 1)`` and E ~ Exp(1).
+
+    This is E_X[exp(-(t - c X)_+^2)]; with m = t - c mu, v = c^2 s2 and
+    w = 1 + 2 v, completing the square gives
+    Phi(-m / sqrt(v)) + exp(-m^2 / w) / sqrt(w) Phi(m / sqrt(v w)), a sum of
+    two positive terms, so it keeps its relative precision deep in the tail.
+    """
+    mu, s2 = _cascade_moments(n_elems, 1.0, 1.0)
+    m = t - c * mu
+    if s2 == 0.0:    # no elements: the direct link alone
+        return np.exp(-np.square(np.maximum(m, 0.0)))
+    v = c * c * s2
+    w = 1.0 + 2.0 * v
+    r = np.sqrt(2.0 * v)  # Phi(z) = erfc(-z / sqrt(2)) / 2
+    return 0.5 * (_ERFC(m / r).astype(float)
+                  + np.exp(-m * m / w) / np.sqrt(w) * _ERFC(-m / (r * np.sqrt(w))).astype(float))
 
 
 def sample_topology(cell: CellConfig, cfg: RadioConfig, irs: IrsSpec,
@@ -192,9 +236,15 @@ def sample_topology(cell: CellConfig, cfg: RadioConfig, irs: IrsSpec,
 
 def simulate_ue_successes(cfg: RadioConfig, irs: IrsSpec, topo: Topology,
                           eta0, mc: McConfig, topo_idx):
-    """Per-UE non-outage success counts out of the topology's mc.n_fading draws."""
-    x, s, rng = _fading_bank(mc, irs.N, topo_idx)
-    counts = np.empty(topo.K, dtype=np.int64)
+    """Per-UE non-outage successes out of the topology's mc.n_fading draws:
+    counts, except that a surrogate surface-served UE tallies its expected
+    count n_fading P, a float."""
+    exact = mc.element_draws == "exact"
+    if exact:
+        x, s, rng = _fading_bank(mc, irs.N, topo_idx)
+    else:
+        rng = _fading_stream(mc, topo_idx)
+    counts = np.empty(topo.K)
     g_d = mean_gain_direct(cfg, topo.r)
     z2_min = cfg.W * eta0 / topo.power
 
@@ -208,6 +258,9 @@ def simulate_ue_successes(cfg: RadioConfig, irs: IrsSpec, topo: Topology,
     g_i, g_r = _gain_irs_links(cfg, topo.l[irs_ue], topo.d[irs_ue])
     c = np.sqrt(g_i * g_r / g_d[irs_ue])
     t = np.sqrt(z2_min[irs_ue] / g_d[irs_ue])
+    if not exact:
+        counts[irs_ue] = mc.n_fading * _surrogate_success(c, t, irs.N)
+        return counts
     block = max(1, _BLOCK_ELEMS // mc.n_fading)
     buf = np.empty((min(block, irs_ue.size), mc.n_fading))
     hit = np.empty(buf.shape, dtype=bool)
@@ -235,13 +288,17 @@ def _run_topology(args):
     labels = np.concatenate((region, plan.I + 1 + decile))
     n_strata = plan.I + 11
     successes = np.bincount(labels, weights=np.concatenate((counts, counts)),
-                            minlength=n_strata).astype(np.int64)
+                            minlength=n_strata)
     n_ue = np.bincount(labels, minlength=n_strata)
+    # UEs whose successes are drawn counts: all in exact mode, AP service in the surrogate
+    counted = ~topo.served_by_irs | (mc.element_draws == "exact")
+    n_counted = np.bincount(labels[np.concatenate((counted, counted))], minlength=n_strata)
     served = topo.sector[topo.served_by_irs]
     load = int(np.bincount(served).max()) if served.size else 0
     energy_model = float(topo.power_model.sum()) * cfg.t0
     energy_actual = float(topo.power.sum()) * cfg.t0
-    return successes, n_ue, load, energy_model, energy_actual, int(topo.overflow.sum())
+    return (successes, n_ue, load, energy_model, energy_actual, int(topo.overflow.sum()),
+            n_counted)
 
 
 def _cpus_available():
@@ -253,20 +310,23 @@ def _cpus_available():
 def validate_plan_mc(cell: CellConfig, cfg: RadioConfig, irs: IrsSpec,
                      result: PlanResult, mc: McConfig) -> McEstimate:
     """Monte Carlo certification of a PlanResult's throughput promise."""
+    start = time.perf_counter()
     plan = result.plan
     alloc = result.allocation
     tasks = [(cell, cfg, irs, plan, alloc.eta0_star, alloc.p_no, mc, t)
              for t in range(mc.n_topologies)]
     workers = min(mc.n_workers, mc.n_topologies, _cpus_available())
-    # a worker holds X, sqrt(E), a comparison block and its mask, and the kernel's buffers
-    kernel = unit_draw_bytes(mc.n_fading, irs.N) if mc.element_draws == "exact" else 0
-    need = workers * (16 * mc.n_fading + 9 * max(mc.n_fading, _BLOCK_ELEMS) + kernel)
-    if need > MAX_BANK_BYTES:
-        raise Refused("too-expensive", f"{workers} worker(s) drawing {mc.n_fading}-draw fading "
-                      f"banks need about {need} bytes; at most {MAX_BANK_BYTES} are allowed")
+    if mc.element_draws == "exact":
+        # a worker holds X, sqrt(E), a comparison block and its mask, and the kernel's buffers
+        need = workers * (16 * mc.n_fading + 9 * max(mc.n_fading, _BLOCK_ELEMS)
+                          + unit_draw_bytes(mc.n_fading, irs.N))
+        if need > MAX_BANK_BYTES:
+            raise Refused("too-expensive", f"{workers} worker(s) drawing {mc.n_fading}-draw "
+                          f"fading banks need about {need} bytes; at most {MAX_BANK_BYTES} "
+                          "are allowed")
     with ThreadPoolExecutor(max_workers=workers) as pool:
         rows = list(pool.map(_run_topology, tasks))
-    successes, n_ue, load, e_model, e_actual, n_over = map(np.array, zip(*rows))
+    successes, n_ue, load, e_model, e_actual, n_over, n_counted = map(np.array, zip(*rows))
     max_load = int(load.max())
     if max_load > cfg.n_t:
         raise SlotLimitError(max_load, cfg.n_t)
@@ -285,10 +345,14 @@ def validate_plan_mc(cell: CellConfig, cfg: RadioConfig, irs: IrsSpec,
     # cluster interval: the ratio estimator's variance across topologies ...
     resid2 = np.square(successes - hat * trials).sum(axis=0)
     hw = _Z95 * np.sqrt(resid2 * T / (T - 1)) / n
-    # ... floored by Agresti-Coull at n_fading draws per topology present
-    n_ac = (trials > 0).sum(axis=0) * mc.n_fading + _Z95 ** 2
+    # ... floored by Agresti-Coull at n_fading draws per topology with counted
+    # UEs in the stratum; a stratum priced in closed form alone has no binomial
+    # error, and is floored (per topology present) only where its spread is 0
+    counted = (n_counted > 0).sum(axis=0)
+    n_ac = np.where(counted > 0, counted, (trials > 0).sum(axis=0)) * mc.n_fading + _Z95 ** 2
     p_ac = (hat * (n_ac - _Z95 ** 2) + _Z95 ** 2 / 2.0) / n_ac
-    hw = np.maximum(hw, _Z95 * np.sqrt(p_ac * (1.0 - p_ac) / n_ac))
+    hw = np.where((counted > 0) | (hw == 0.0),
+                  np.maximum(hw, _Z95 * np.sqrt(p_ac * (1.0 - p_ac) / n_ac)), hw)
     regions = {("ap" if i == 0 else f"ring{i}"): i
                for i in np.flatnonzero(present[:n_regions])}
     deciles = n_regions + np.flatnonzero(present[n_regions:])
@@ -297,6 +361,10 @@ def validate_plan_mc(cell: CellConfig, cfg: RadioConfig, irs: IrsSpec,
     t95 = student_t_quantile(T - 1, 0.975)
     common_hw = t95 * float(v.std(ddof=1)) / math.sqrt(T)
     e_rel_hw = t95 * float(e_model.std(ddof=1)) / math.sqrt(T) / float(e_model.mean())
+    counted_ues = int(n_counted[:, :n_regions].sum())
+    vars(MC_STATS).update(topologies=T, n_fading=mc.n_fading, workers=workers,
+                          closed_form_ues=int(n_ue[:, :n_regions].sum()) - counted_ues,
+                          counted_ues=counted_ues, mc_s=time.perf_counter() - start)
     return McEstimate(
         analytical_nu_bar=alloc.nu_bar,
         common_throughput=float(v.mean()),

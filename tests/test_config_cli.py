@@ -490,6 +490,36 @@ class TestValidateCommand:
         assert abs(d["common_minus_analytical"]) < 0.2
         assert isinstance(d["analytical_within_interval"], bool)
 
+    @pytest.mark.parametrize("draws", ["gaussian-surrogate", "exact"])
+    def test_sidecar_says_where_the_time_went(self, tmp_path, plan_file, draws):
+        out = tmp_path / "mc"
+        assert main(["validate", str(plan_file), "--out", str(out)] + VALIDATE_MC
+                    + ["--set", f"mc.element_draws={draws}", "--set", "mc.n_fading=10"]) == 0
+        doc = json.loads((out / "mc_report.json").read_text(encoding="utf-8"))
+        meta = json.loads((out / "mc_report.json.meta.json").read_text(encoding="utf-8"))
+        mc = meta["mc"]
+        assert set(mc) == {"topologies", "n_fading", "closed_form_ues", "counted_ues",
+                           "workers", "mc_s"}
+        assert (mc["topologies"], mc["n_fading"], mc["workers"]) == (2, 10, 1)
+        assert mc["closed_form_ues"] + mc["counted_ues"] == 2 * doc["config"]["cell"]["K"]
+        # the surrogate prices surface-served UEs in closed form; exact counts all
+        assert (mc["closed_form_ues"] > 0) == (draws == "gaussian-surrogate")
+        assert mc["mc_s"] > 0.0
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_no_elements_validates_cleanly(self, tmp_path):
+        # irs.N=0: the surrogate cascade has zero variance, and the closed
+        # form must not divide by it; the planner still places rings
+        plan_dir, out = tmp_path / "planner", tmp_path / "mc"
+        no_elements = ["--set", "irs.N=0"]
+        assert main(["plan", "--out", str(plan_dir), "--method", "line-search",
+                     "--set", "plan.M=20"] + no_elements) == 0
+        assert main(["validate", str(plan_dir / "plan.json"), "--out", str(out)]
+                    + VALIDATE_MC + no_elements) == 0
+        doc = json.loads((out / "mc_report.json").read_text(encoding="utf-8"))
+        nop = doc["mc"]["nop_by_region"]
+        assert len(nop) > 1 and all(0.0 < v <= 1.0 for v in nop.values())
+
     def test_report_is_strict_json(self, tmp_path, plan_file):
         def refuse(constant):
             raise ValueError(f"non-standard JSON constant {constant}")
