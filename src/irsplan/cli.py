@@ -202,6 +202,15 @@ def cmd_sweep(cfg: ExperimentConfig, out_dir: Path) -> int:
     return 0
 
 
+def _json_numbers(values, cast=float):
+    """A plan file's list of JSON numbers as a tuple of cast (float or int).
+    A bool, a string or, for int, a number with a fraction raises ValueError."""
+    if any(type(x) not in (int, float) or (cast is int and not float(x).is_integer())
+           for x in values):
+        raise ValueError(f"{values!r} is not a list of {cast.__name__}s")
+    return tuple(cast(x) for x in values)
+
+
 def _load_plan_file(path: Path, cfg: ExperimentConfig) -> PlanResult:
     try:
         doc = json.loads(path.read_text(encoding="utf-8"))
@@ -213,14 +222,13 @@ def _load_plan_file(path: Path, cfg: ExperimentConfig) -> PlanResult:
         embedded = doc["config"]
         body = doc["plan"]
         alloc = doc["allocation"]
-        plan = RingPlan(R_in=tuple(float(x) for x in body["R_in_m"]),
-                        M=tuple(int(x) for x in body["M"]),
-                        L=tuple(float(x) for x in body["L_m"]))
-        allocation = PowerAllocation(rho=tuple(float(x) for x in body["rho"]),
+        plan = RingPlan(R_in=_json_numbers(body["R_in_m"]), M=_json_numbers(body["M"], int),
+                        L=_json_numbers(body["L_m"]))
+        allocation = PowerAllocation(rho=_json_numbers(body["rho"]),
                                      eta0_star=float(alloc["eta0_star"]),
                                      p_no=float(alloc["p_no"]))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise Refused("plan-file-error", f"{path} is missing fields: {exc}")
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise Refused("plan-file-error", f"{path} is missing fields or holds bad values: {exc}")
     if not isinstance(embedded, dict):
         raise Refused("plan-file-error", f"{path}: config is not a mapping")
     if not (math.isfinite(allocation.eta0_star) and allocation.eta0_star > 0.0):

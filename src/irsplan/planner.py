@@ -172,8 +172,8 @@ class _RingCoefficientTable:
 
     BATCH_POINTS = 262_144  # integrand points a batch of rings: 22k azimuths laid out at once
     MAX_RADII = 1001  # rows grow as radii^2: the default sweep fills 70,849 at 51 radii
-    # 140k rows/s cold (1 m grid, M=40: 11 rows a ring) to 710k (5 m grid,
-    # M=1000: 917) on a 2-core Xeon: at most about 30 s at the limit
+    # 260k rows/s cold (1 m grid, M=40: 11 rows a ring) to 950k (5 m grid,
+    # M=1000: 917) on a 2-core Xeon: at most about 15 s at the limit
     MAX_ROWS = 4_000_000
 
     def __init__(self, cell, cfg, irs, p_no, step, M, I):

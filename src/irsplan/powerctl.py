@@ -28,7 +28,8 @@ and one of two rules integrates it.  The graded rule, ``_sector_integrals``
 mean-CIPC inverse-gain integral.  The shared-azimuth screen
 (``screen_coefficients``) fills the planner's ring table: it integrates
 each ring once for all of its surface counts m, reading the azimuth
-integral at every pi/m from one running sum.
+integral up to pi/m as a base shared by the m of one power-of-two octave
+plus one tail panel of that m's own.
 
 The fixed-placement policy benchmarks (``benchmark_irs_equal_power``,
 ``benchmark_irs_mean_cipc``) share one position model: Z^2 ~ Gamma(alpha,
@@ -59,7 +60,10 @@ from .numerics import NumericsError, _gl_panels, concat_ranges, upper_gamma_tail
 
 SECTOR_NODES = 10                     # Gauss-Legendre nodes per panel of the graded rule
 SECTOR_GRADING = 3.0 ** np.arange(6)  # breakpoints at L +- 3^k m and 3^k / L rad, k = 0..5
-SCREEN_NODES = (6, 3, 2)  # the screen's GL nodes a radial, base azimuth and [pi/(m+1), pi/m] panel
+# the screen's GL nodes a radial panel, a base azimuth panel and a read's tail
+# [pi/2^k, pi/m]: on the m = 17 ring of test_powerctl's screen check (bound
+# 2e-6), a 2-node tail errs by 5.9e-5 and a 3-node tail by 1.15e-6
+SCREEN_NODES = (6, 3, 3)
 SCREEN_CHUNK_POINTS = 16_384  # integrand points a call: its arrays (128 KB) stay in a core's L2
 
 
@@ -209,15 +213,14 @@ def screen_coefficients(cfg: RadioConfig, cell: CellConfig, irs: IrsSpec, p_no,
 
     Radius: two SCREEN_NODES[0]-node GL panels split at L, clipped to the
     ring.  Azimuth up to pi/m, with k = ceil(log2 m): the base [0, pi/2^k],
-    graded at 3^j/L (SECTOR_GRADING) with SCREEN_NODES[1] nodes a panel, plus
-    the SCREEN_NODES[2]-node panels [pi/(m'+1), pi/m'] for m <= m' < 2^k,
-    added to it in one running sum from m' = 2^k - 1 down.  A read's terms
-    depend on its ring and m alone and are added in a fixed order, so its
-    bits do not depend on the other reads.  The rings are laid out in
-    batches of similar azimuth node counts, of at most max_points integrand
-    points (or one ring) each.  Yields (rings b, reads t into m, ring by
-    ring, and their coefficients) per batch, and counts the rings in
-    RING_TABLE_STATS.
+    graded at 3^j/L (SECTOR_GRADING) with SCREEN_NODES[1] nodes a panel and
+    shared by the ring's reads of one k, plus the read's own
+    SCREEN_NODES[2]-node tail panel [pi/2^k, pi/m].  A read's terms depend
+    on its ring and m alone, so its bits do not depend on the other reads.
+    The rings are laid out in batches of similar azimuth node counts, of at
+    most max_points integrand points (or one ring) each.  Yields (rings b,
+    reads t into m, ring by ring, and their coefficients) per batch, and
+    counts the rings in RING_TABLE_STATS.
     """
     size = _screen_sizes(L, m, first, count)
     order = np.argsort(size, kind="stable")
@@ -237,9 +240,8 @@ def _base_panels(L, k):
 
 def _screen_groups(L, ring, m):
     """The screen's (ring, k) groups of the reads (ring[t], m[t]), sorted by
-    ring, then m: each read's group, and each group's ring, k, base
-    breakpoints (0, the 3^j/L below pi/2^k, then pi/2^k repeated), base
-    panels and [pi/(m'+1), pi/m'] panels (steps) down to its least m."""
+    ring, then m: each read's group, and each group's ring, base breakpoints
+    (0, the 3^j/L below pi/2^k, then pi/2^k repeated) and base panels."""
     k = np.frexp(m - 1.0)[1]  # ceil(log2 m)
     new = np.ones(m.size, dtype=bool)
     new[1:] = (ring[1:] != ring[:-1]) | (k[1:] != k[:-1])
@@ -248,30 +250,23 @@ def _screen_groups(L, ring, m):
     top = np.ldexp(math.pi, -k)[:, None]
     edges = np.sort(np.concatenate([np.zeros_like(top), top,
                                     np.minimum(SECTOR_GRADING / L[:, None], top)], axis=1))
-    return np.cumsum(new) - 1, owner, k, edges, _base_panels(L, k), (1 << k) - m[first]
+    return np.cumsum(new) - 1, owner, edges, _base_panels(L, k)
 
 
 def _screen_sizes(L, m, first, count):
-    """Azimuth nodes of each ring of ``screen_coefficients``: its groups'
-    base panels and steps, counted from prefix sums over m.
+    """Azimuth nodes of each ring of ``screen_coefficients``: a tail a read,
+    and the base panels of each k its reads hold, counted from prefix sums
+    over m.
 
     ``_screen_groups`` over all reads gives the same sizes, but its per-read
     arrays span the whole fill: sized that way, the tracemalloc peak of
     ``line_search`` (I=3, 5 m grid) rose from 6.8 to 11.4 MiB at M=200 and
     from 33.6 to 68.0 MiB at M=1000."""
     k = np.frexp(m - 1.0)[1]
-    new = np.diff(k, prepend=-1) != 0  # a group starts here unless at a ring's first read
-    end, after = first + count, first + 1
-
-    def inside(v):  # sums of v over each ring's reads after its first
-        c = np.concatenate([[0], np.cumsum(v)])
-        return c[end] - c[after]
-
-    steps = (1 << k) - m
-    size = SCREEN_NODES[2] * (steps[first] + inside(new * steps))
+    size = SCREEN_NODES[2] * count
     for kv in range(int(k.max()) + 1):
-        present = (k[first] == kv) | (inside(new & (k == kv)) > 0)
-        size += SCREEN_NODES[1] * present * _base_panels(L, kv)
+        reads = np.concatenate([[0], np.cumsum(k == kv)])  # prefix counts of the reads at kv
+        size += SCREEN_NODES[1] * (reads[first + count] > reads[first]) * _base_panels(L, kv)
     return size
 
 
@@ -293,27 +288,26 @@ def _screen_batch(lo, hi, L, ring, m):
     most SCREEN_CHUNK_POINTS points, each padded to its widest ring with
     azimuths that no read sums, and contracted over radius first.  Counts
     the points in RING_TABLE_STATS."""
-    n_r, n_base, n_step = SCREEN_NODES
+    n_r, n_base, n_tail = SCREEN_NODES
     r, r_w = _gl_panels(np.stack([lo, np.clip(L, lo, hi), hi], axis=1), n_r)
     r_w *= r
-    group, owner, k, edges, n_panels, steps = _screen_groups(L, ring, m)
-    g_size = n_base * n_panels + n_step * steps
+    group, owner, edges, n_panels = _screen_groups(L, ring, m)
+    reads = np.bincount(group)
+    g_size = n_base * n_panels + n_tail * reads
     size = np.bincount(owner, g_size)
     width = int(size.max())
-    at = np.cumsum(g_size) - g_size  # each group's first azimuth: its base, then its steps
+    at = np.cumsum(g_size) - g_size  # each group's first azimuth: its base, then its tails
     at += owner * width - at[np.flatnonzero(np.diff(owner, prepend=-1))][owner]  # padded rows
     base_of, slot = np.nonzero(np.arange(edges.shape[1] - 1) < n_panels[:, None])
     base_az, base_w = _gl_panels(np.stack([edges[base_of, slot], edges[base_of, slot + 1]],
                                           axis=1), n_base)
     base_at = (at[base_of] + n_base * slot)[:, None] + np.arange(n_base)
-    step_of = np.repeat(np.arange(steps.size), steps)
-    j = concat_ranges(np.zeros_like(steps), steps)
-    mp = ((1 << k[step_of]) - 1 - j).astype(float)  # the panel [pi/(m'+1), pi/m']
-    step_az, step_w = _gl_panels(np.stack([math.pi / (mp + 1.0), math.pi / mp], axis=1), n_step)
-    step_at = (at[step_of] + n_base * n_panels[step_of] + n_step * j)[:, None] + np.arange(n_step)
+    tail_az, tail_w = _gl_panels(np.stack([edges[group, -1], math.pi / m], axis=1), n_tail)
+    j = np.arange(m.size) - (np.cumsum(reads) - reads)[group]  # a read's place in its group
+    tail_at = (at[group] + n_base * n_panels[group] + n_tail * j)[:, None] + np.arange(n_tail)
     az = np.zeros((lo.size, width))
     az.reshape(-1)[base_at] = base_az
-    az.reshape(-1)[step_at] = step_az
+    az.reshape(-1)[tail_at] = tail_az
 
     def integrals(f):
         h = np.empty((lo.size, width))
@@ -323,11 +317,8 @@ def _screen_batch(lo, hi, L, ring, m):
             h[rows, :w] = np.einsum("bar,br->ba", vals, r_w[rows])
             RING_TABLE_STATS.points += vals.size
         h = h.reshape(-1)
-        run = np.zeros((steps.size, 1 + int(steps.max())))  # base, then steps m' = 2^k - 1 down
-        run[:, 0] = np.add.reduceat((h[base_at] * base_w).sum(axis=1),
-                                    np.cumsum(n_panels) - n_panels)
-        run[step_of, 1 + j] = (h[step_at] * step_w).sum(axis=1)
-        return np.cumsum(run, axis=1)[group, (1 << k[group]) - m]
+        base = np.add.reduceat((h[base_at] * base_w).sum(axis=1), np.cumsum(n_panels) - n_panels)
+        return base[group] + (h[tail_at] * tail_w).sum(axis=1)
 
     return integrals
 

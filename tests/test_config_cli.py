@@ -718,9 +718,16 @@ class TestValidateCommand:
         lambda doc: doc["allocation"].update(nu_bar_bps_hz=1.0),
         lambda doc: doc["allocation"].update(p_no=0.5),
         lambda doc: doc.update(nu_bar_bps_hz=99.0),
+        lambda doc: doc["plan"]["M"].__setitem__(1, doc["plan"]["M"][1] + 0.5),
+        lambda doc: doc["plan"]["M"].__setitem__(1, str(doc["plan"]["M"][1])),
+        lambda doc: doc["plan"]["M"].__setitem__(0, True),
+        lambda doc: doc["plan"]["R_in_m"].__setitem__(1, str(doc["plan"]["R_in_m"][1])),
+        lambda doc: doc["plan"]["L_m"].__setitem__(0, str(doc["plan"]["L_m"][0])),
+        lambda doc: doc["plan"]["rho"].__setitem__(0, str(doc["plan"]["rho"][0])),
     ], ids=["config-not-mapping", "p_no-out-of-range", "nan-radius", "nan-threshold",
             "rate-off-threshold", "throughput-off-rate", "p_no-off-target",
-            "top-level-throughput-off-allocation"])
+            "top-level-throughput-off-allocation", "fractional-M", "string-M", "bool-M",
+            "string-radius", "string-circle", "string-power-ratio"])
     def test_malformed_plan_values_rejected(self, tmp_path, plan_file, capsys, mutate):
         doc = json.loads(plan_file.read_text(encoding="utf-8"))
         mutate(doc)

@@ -469,6 +469,14 @@ class TestScreen:
             worst = max(worst, abs(table._cache[hi, m, a][lo] / graded - 1.0))
         assert worst <= 5e-4
 
+    def test_sparse_reads_pay_per_read(self, cell, radio, irs):
+        # each ring here is read at a few m near 3000: one tail panel a read,
+        # not every [pi/(m'+1), pi/m'] panel up to 4095 (6,249,780 points)
+        points = RING_TABLE_STATS.points
+        res = line_search(cell, radio, irs, 3000, 2, grid=SearchGrid(radius_step=5.0))
+        assert RING_TABLE_STATS.points - points < 100_000
+        assert res.plan.R_in == (250.0, 225.0, 155.0) and res.plan.M == (10, 2990)
+
     def test_rows_do_not_depend_on_the_top_budget(self, cell, radio, irs, monkeypatch):
         small = _sweep_table(cell, radio, irs, [40], monkeypatch, radius_step=5.0)
         large = _sweep_table(cell, radio, irs, [100], monkeypatch, radius_step=5.0)
