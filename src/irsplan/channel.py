@@ -276,7 +276,9 @@ class _PowerFactorTable:
         # every point inside is the usual call, and its own return pays: the
         # masked path alone took an in-process round (line-search and
         # algorithm1 plans, default sweep, surrogate validate) from 0.68 to
-        # 0.91 s at best of 10 on a 2-core Xeon
+        # 0.91 s at best of 10 on a 2-core Xeon; one clip-and-patch path read
+        # all-inside calls in 25 / 127-139 / 5300 us against 22 / 125 / 2400
+        # at 2,000 / 16,384 / 200,000 points (best of 7, numpy 2.4)
         if u.size and u.min() >= 0.0 and u.max() < self._n:
             return self._inside(u).reshape(np.shape(ln_c2))
         inside = (u >= 0.0) & (u < self._n)

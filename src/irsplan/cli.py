@@ -329,8 +329,6 @@ def _build_parser():
         p.add_argument("--set", dest="overrides", action="append", default=[],
                        metavar="KEY=VALUE", help="override a config field "
                        "(dotted key, repeatable)")
-        p.add_argument("--seed", type=int, default=None,
-                       help="Monte Carlo seed (overrides mc.seed)")
         p.add_argument("--out", type=Path, default=Path("."),
                        help="output directory")
 
@@ -342,6 +340,8 @@ def _build_parser():
     common(sub.add_parser("sweep", help="nu_bar vs M for all methods"))
     p_val = sub.add_parser("validate", help="Monte Carlo plan certification")
     common(p_val)
+    p_val.add_argument("--seed", type=int, default=None,
+                       help="Monte Carlo seed (overrides mc.seed)")
     p_val.add_argument("plan_file", type=Path, help="plan.json from 'plan'")
     return parser
 
@@ -350,7 +350,8 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         # the flags go after --set, so they win
-        flags = {"mc.seed": args.seed, "plan.method": getattr(args, "method", None)}
+        flags = {"mc.seed": getattr(args, "seed", None),
+                 "plan.method": getattr(args, "method", None)}
         cfg = load_config(args.config, args.overrides + [
             f"{key}={value}" for key, value in flags.items() if value is not None])
         out_dir = _output_dir(args.out)

@@ -76,12 +76,13 @@ class RingTableStats:
     ring coefficients computed in them, ``rings`` the rings the screen
     integrated for them, ``points`` its integrand points, ``fill_s`` the
     fills' seconds, ``dp_s`` the line searches' seconds less fills and
-    pricing, ``priced_rings`` / ``priced_points`` the graded rule's sector
-    integrals and integrand points.  ``screen_max_rel_error`` is the largest
-    |screen / graded - 1| on the rings of the line searches' plans, and
-    ``min_runner_up_gap`` the smallest relative gap between a budget's best
-    and runner-up R_in[1] costs (None before any line search): a gap below
-    the error marks a pick the screen could flip.
+    pricing, ``priced_rings`` / ``priced_points`` the rings the graded rule
+    priced (``irs_region_coefficient``; the mean-CIPC benchmark's integrals
+    price no ring) and their integrand points.  ``screen_max_rel_error`` is
+    the largest |screen / graded - 1| on the rings of the line searches'
+    plans, and ``min_runner_up_gap`` the smallest relative gap between a
+    budget's best and runner-up R_in[1] costs (None before any line
+    search): a gap below the error marks a pick the screen could flip.
     """
 
     fills: int = 0
@@ -185,6 +186,8 @@ def irs_region_coefficient(cfg: RadioConfig, cell: CellConfig, irs: IrsSpec,
         return 0.0
     L, m = plan.L[i - 1], plan.M[i - 1]
     edges = _graded_edges(lo, hi, L, math.pi / m)
+    RING_TABLE_STATS.priced_rings += 1
+    RING_TABLE_STATS.priced_points += (edges[0].size - 1) * (edges[1].size - 1) * SECTOR_NODES ** 2
     return float(ring_coefficients(cfg, cell, irs, p_no, m, np.array([L]),
                                    lambda f: _sector_integrals(f, *edges, SECTOR_NODES))[0])
 
@@ -217,57 +220,45 @@ def screen_coefficients(cfg: RadioConfig, cell: CellConfig, irs: IrsSpec, p_no,
     shared by the ring's reads of one k, plus the read's own
     SCREEN_NODES[2]-node tail panel [pi/2^k, pi/m].  A read's terms depend
     on its ring and m alone, so its bits do not depend on the other reads.
-    The rings are laid out in batches of similar azimuth node counts, of at
-    most max_points integrand points (or one ring) each.  Yields (rings b,
-    reads t into m, ring by ring, and their coefficients) per batch, and
-    counts the rings in RING_TABLE_STATS.
+    The reads fall into (ring, k) groups (``_screen_groups``), found once
+    from the keys m: a group's base is integrated once and read by each of
+    its reads.  A ring's azimuth nodes are its groups' base panels and one
+    tail a read.  The rings are laid out in batches of similar azimuth node
+    counts, of at most max_points integrand points (or one ring) each, and
+    each batch takes its rings' groups.  Yields (rings b, reads t into m,
+    ring by ring, and their coefficients) per batch, and counts the rings
+    in RING_TABLE_STATS.
     """
-    size = _screen_sizes(L, m, first, count)
+    # held across the batches: three arrays a group and none a read (the
+    # fill's memory peak, which test_line_search_memory_is_bounded pins)
+    n_groups, k, reads = _screen_groups(m, first, count)
+    g_first = np.cumsum(n_groups) - n_groups
+    panels = 1 + (SECTOR_GRADING / np.repeat(L, n_groups)[:, None]
+                  < np.ldexp(math.pi, -k)[:, None]).sum(axis=1)
+    size = np.add.reduceat(SCREEN_NODES[1] * panels + SCREEN_NODES[2] * reads, g_first)
     order = np.argsort(size, kind="stable")
     for batch in _runs(size[order], max_points // (2 * SCREEN_NODES[0])):
         b = order[batch]
-        t = concat_ranges(first[b], count[b])
-        integrals = _screen_batch(lo[b], hi[b], L[b], np.repeat(np.arange(b.size), count[b]), m[t])
+        g, t = concat_ranges(g_first[b], n_groups[b]), concat_ranges(first[b], count[b])
+        integrals = _screen_batch(lo[b], hi[b], L[b], np.repeat(np.arange(b.size), n_groups[b]),
+                                  k[g], reads[g], panels[g], m[t])
         yield b, t, ring_coefficients(cfg, cell, irs, p_no, m[t], L[b], integrals)
         RING_TABLE_STATS.rings += b.size
 
 
-def _base_panels(L, k):
-    """Panels of the screen's base [0, pi/2^k] on the circle L: one more
-    than the breakpoints 3^j/L below pi/2^k (L and k broadcast)."""
-    return 1 + (SECTOR_GRADING / L[..., None] < np.ldexp(math.pi, -k)[..., None]).sum(axis=-1)
-
-
-def _screen_groups(L, ring, m):
-    """The screen's (ring, k) groups of the reads (ring[t], m[t]), sorted by
-    ring, then m: each read's group, and each group's ring, base breakpoints
-    (0, the 3^j/L below pi/2^k, then pi/2^k repeated) and base panels."""
+def _screen_groups(m, first, count):
+    """The screen's (ring, k) groups of the reads m[first[b]:first[b] +
+    count[b]] of each ring b (ascending m): the runs of equal k = ceil(log2
+    m) over the keys m, clipped to each ring's reads.  Returns each ring's
+    group count, and each group's k and read count, ring by ring, then by
+    k (a group's reads follow those of the group before it)."""
     k = np.frexp(m - 1.0)[1]  # ceil(log2 m)
-    new = np.ones(m.size, dtype=bool)
-    new[1:] = (ring[1:] != ring[:-1]) | (k[1:] != k[:-1])
-    first = np.flatnonzero(new)
-    k, owner, L = k[first], ring[first], L[ring[first]]
-    top = np.ldexp(math.pi, -k)[:, None]
-    edges = np.sort(np.concatenate([np.zeros_like(top), top,
-                                    np.minimum(SECTOR_GRADING / L[:, None], top)], axis=1))
-    return np.cumsum(new) - 1, owner, edges, _base_panels(L, k)
-
-
-def _screen_sizes(L, m, first, count):
-    """Azimuth nodes of each ring of ``screen_coefficients``: a tail a read,
-    and the base panels of each k its reads hold, counted from prefix sums
-    over m.
-
-    ``_screen_groups`` over all reads gives the same sizes, but its per-read
-    arrays span the whole fill: sized that way, the tracemalloc peak of
-    ``line_search`` (I=3, 5 m grid) rose from 6.8 to 11.4 MiB at M=200 and
-    from 33.6 to 68.0 MiB at M=1000."""
-    k = np.frexp(m - 1.0)[1]
-    size = SCREEN_NODES[2] * count
-    for kv in range(int(k.max()) + 1):
-        reads = np.concatenate([[0], np.cumsum(k == kv)])  # prefix counts of the reads at kv
-        size += SCREEN_NODES[1] * (reads[first + count] > reads[first]) * _base_panels(L, kv)
-    return size
+    run = np.flatnonzero(np.diff(k, prepend=-1))  # each run's first key
+    a = np.searchsorted(run, first, side="right") - 1  # the run of a ring's first read
+    n = np.searchsorted(run, first + count) - a
+    ring, g = np.repeat(np.arange(first.size), n), concat_ranges(a, n)
+    end = np.minimum(np.append(run[1:], m.size)[g], (first + count)[ring])
+    return n, k[run[g]], end - np.maximum(run[g], first[ring])
 
 
 def _runs(size, bound):
@@ -281,18 +272,21 @@ def _runs(size, bound):
         a = b
 
 
-def _screen_batch(lo, hi, L, ring, m):
+def _screen_batch(lo, hi, L, owner, k, reads, n_panels, m):
     """The screen's integrals(f) for one batch of rings [lo, hi] on the
-    circles L, with reads (ring[t], m[t]) sorted by ring, then m, and rings
-    of ascending azimuth node counts.  f is called on runs of rings of at
-    most SCREEN_CHUNK_POINTS points, each padded to its widest ring with
-    azimuths that no read sums, and contracted over radius first.  Counts
-    the points in RING_TABLE_STATS."""
+    circles L, of ascending azimuth node counts, with (ring, k) groups of
+    ring owner, octave k, `reads` reads and n_panels base panels, ring by
+    ring, then by k, and the reads m of those groups in order.  f is called
+    on runs of rings of at most SCREEN_CHUNK_POINTS points, each padded to
+    its widest ring with azimuths that no read sums, and contracted over
+    radius first.  Counts the points in RING_TABLE_STATS."""
     n_r, n_base, n_tail = SCREEN_NODES
     r, r_w = _gl_panels(np.stack([lo, np.clip(L, lo, hi), hi], axis=1), n_r)
     r_w *= r
-    group, owner, edges, n_panels = _screen_groups(L, ring, m)
-    reads = np.bincount(group)
+    top = np.ldexp(math.pi, -k)[:, None]  # base breakpoints: 0, the 3^j/L below pi/2^k, pi/2^k...
+    edges = np.sort(np.concatenate([np.zeros_like(top), top,
+                                    np.minimum(SECTOR_GRADING / L[owner, None], top)], axis=1))
+    group = np.repeat(np.arange(reads.size), reads)
     g_size = n_base * n_panels + n_tail * reads
     size = np.bincount(owner, g_size)
     width = int(size.max())
@@ -338,14 +332,10 @@ def _graded_edges(lo, hi, L, half):
     """Breakpoints (one row each) of the graded rule on [lo, hi] x [0, half]:
     L +- 3^k m and 3^k / L rad, clipped to the box, grade the panels toward
     (L, 0), where the IRS-UE distance falls to H_I (Davis & Rabinowitz,
-    Methods of Numerical Integration, 1984).  Each call counts one priced
-    ring in RING_TABLE_STATS."""
+    Methods of Numerical Integration, 1984)."""
     r_edges = np.concatenate(([lo, hi], L - SECTOR_GRADING, L + SECTOR_GRADING))
     az_edges = np.concatenate(([0.0, half], SECTOR_GRADING / L))
-    edges = np.unique(np.clip(r_edges, lo, hi))[None], np.unique(np.clip(az_edges, 0, half))[None]
-    RING_TABLE_STATS.priced_rings += 1
-    RING_TABLE_STATS.priced_points += (edges[0].size - 1) * (edges[1].size - 1) * SECTOR_NODES ** 2
-    return edges
+    return np.unique(np.clip(r_edges, lo, hi))[None], np.unique(np.clip(az_edges, 0, half))[None]
 
 
 def equalize_power(coeffs, cfg: RadioConfig, p_no) -> PowerAllocation:

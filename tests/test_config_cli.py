@@ -85,6 +85,13 @@ class TestLoadConfig:
                   "--out", str(tmp_path)])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("command", ["coverage", "plan", "sweep"])
+    def test_seed_flag_is_validate_only(self, tmp_path, command):
+        # no Monte Carlo runs outside validate, so a seed there sets nothing
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--seed", "1", "--out", str(tmp_path)])
+        assert exc.value.code == 2
+
     def test_rejections(self, tmp_path):
         with pytest.raises(ConfigError, match="unknown section"):
             load_config(overrides=["bogus.x=1"])

@@ -15,7 +15,7 @@ from irsplan.geometry import (CellConfig, coverage_area_accounting,
 from irsplan.planner import (PlanInfeasibleError, SearchGrid, _RingCoefficientTable,
                              algorithm1, coverage_range, line_search,
                              line_search_budgets)
-from irsplan.powerctl import (RING_TABLE_STATS, SECTOR_NODES, _graded_edges,
+from irsplan.powerctl import (RING_TABLE_STATS, SECTOR_NODES, _graded_edges, _screen_groups,
                               _sector_integrals, ap_region_coefficient, ring_coefficients)
 
 ETA_MIN = 10.0  # linear mean-SNR threshold for the coverage study
@@ -344,19 +344,20 @@ class TestBatchedFill:
         for key in self.KEYS:
             assert np.array_equal(small.ring_vec(*key), whole.ring_vec(*key)), key
 
-    def test_line_search_memory_is_bounded(self, cell, radio, irs):
-        # a fill holds its keys' vectors, a few arrays per ring and one
-        # batch of rings at a time, not one DP layer's reads: layer 1 here
-        # reads 185,633 rows (the one-off power-factor table is built first:
-        # it is not the fill's)
+    @pytest.mark.parametrize("M, MiB", [(200, 12), (1000, 40)], ids=["M200", "M1000"])
+    def test_line_search_memory_is_bounded(self, cell, radio, irs, M, MiB):
+        # a fill holds its keys' vectors, a few arrays per ring and per (ring,
+        # k) group and one batch of rings at a time, not one DP layer's reads:
+        # layer 1 reads 185,633 rows at M=200 (the one-off power-factor table
+        # is built first: it is not the fill's)
         _power_factor_table(irs.N, 0.95)
         tracemalloc.start()
         try:
-            line_search(cell, radio, irs, 200, 3, grid=SearchGrid(radius_step=5.0))
+            line_search(cell, radio, irs, M, 3, grid=SearchGrid(radius_step=5.0))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 12 * 2 ** 20
+        assert peak <= MiB * 2 ** 20
 
 
 def _sweep_table(cell, radio, irs, budgets, monkeypatch, **grid):
@@ -468,6 +469,20 @@ class TestScreen:
                                        lambda f: _sector_integrals(f, *edges, SECTOR_NODES))[0]
             worst = max(worst, abs(table._cache[hi, m, a][lo] / graded - 1.0))
         assert worst <= 5e-4
+
+    def test_groups_are_each_rings_runs_of_k(self):
+        # the groups found from the keys are those of grouping every read by
+        # k = ceil(log2 m), ring by ring: two families of keys (ascending m,
+        # the first ending and the second starting at k = 7), rings reading
+        # ranges that cross octaves, and one read a ring
+        m = np.array([1, 2, 3, 4, 5, 8, 9, 64, 65, 100, 120, 128, 129, 1000])
+        first = np.array([0, 3, 6, 8, 9, 10, 12, 13])
+        count = np.array([9, 4, 3, 1, 5, 3, 2, 1])
+        n, k, reads = _screen_groups(m, first, count)
+        expected = [[(key, len(list(run))) for key, run in itertools.groupby(
+            math.ceil(math.log2(x)) for x in m[f:f + c])] for f, c in zip(first, count)]
+        assert n.tolist() == [len(groups) for groups in expected]
+        assert list(zip(k.tolist(), reads.tolist())) == sum(expected, [])
 
     def test_sparse_reads_pay_per_read(self, cell, radio, irs):
         # each ring here is read at a few m near 3000: one tail panel a read,

@@ -171,6 +171,17 @@ class TestIrsCoefficient:
         assert RING_TABLE_STATS.priced_rings - before.priced_rings == 1
         assert RING_TABLE_STATS.priced_points - before.priced_points == 70 * 40
 
+    def test_only_ring_prices_are_counted(self, radio, cell, irs):
+        # the mean-CIPC benchmark integrates on the graded rule too, but it
+        # prices no ring; _finalize prices each of a plan's rings once
+        R_in, M = (250.0, 225.0, 185.0, 120.0), (10, 30, 17)
+        before = replace(RING_TABLE_STATS)
+        benchmark_irs_mean_cipc(radio, cell, irs, make_ring_plan(cell, R_in, M))
+        assert RING_TABLE_STATS.priced_rings == before.priced_rings
+        assert RING_TABLE_STATS.priced_points == before.priced_points
+        _finalize(cell, radio, irs, 0.95, R_in, M, sum(M), "line-search")
+        assert RING_TABLE_STATS.priced_rings - before.priced_rings == 3
+
     def test_empty_ring_has_zero_cost(self, radio, cell, irs):
         plan = make_ring_plan(cell, (250.0, 250.0, 190.0), (10, 17))
         assert irs_region_coefficient(radio, cell, irs, plan, 1, 0.95) == 0.0
