@@ -39,6 +39,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .channel import IrsSpec, RadioConfig, composite_stats_arrays
 from .geometry import (CellConfig, RingPlan, ap_spans, make_ring_plan, min_surfaces,
@@ -252,14 +253,21 @@ class _RingCoefficientTable:
 # exact line search over ring counts up to I
 # ---------------------------------------------------------------------------
 
-def _finalize(cell, cfg, irs, p_no, R_in, M, total_irs, method) -> PlanResult:
+def _finalize(cell, cfg, irs, p_no, R_in, M, total_irs, method, prices=None) -> PlanResult:
     """Price a candidate's rings with the graded rule, check it against the
-    budget of total_irs surfaces, and package it."""
+    budget of total_irs surfaces, and package it.  A dict `prices` keeps each
+    ring's price by its bounds, circle and surface count, for the caller's
+    next candidates."""
     plan = make_ring_plan(cell, R_in, M)
     C0 = sum(ap_region_coefficient(cfg, cell, p_no, hi)
              - ap_region_coefficient(cfg, cell, p_no, lo) for lo, hi in ap_spans(cell, plan))
-    coeffs = [C0] + [irs_region_coefficient(cfg, cell, irs, plan, i, p_no)
-                     for i in range(1, plan.I + 1)]
+    prices = {} if prices is None else prices
+    coeffs = [C0]
+    for i in range(1, plan.I + 1):
+        ring = (plan.ring_bounds(i), plan.L[i - 1], plan.M[i - 1])
+        if ring not in prices:
+            prices[ring] = irs_region_coefficient(cfg, cell, irs, plan, i, p_no)
+        coeffs.append(prices[ring])
     alloc = equalize_power(coeffs, cfg, p_no)
     violations = validate_plan(cell, plan, total_irs=total_irs, rho=alloc.rho)
     if violations:
@@ -275,6 +283,24 @@ def _ring_moves(lo_min, k, hi, j):
     return ((m, max(lo_min[hi, m], k - 1)) for m in range(1, j - k + 2))
 
 
+def _layer_moves(lo_min, k, reach, finite):
+    """(hi, m, lo) of every ring of ``_ring_moves`` at depth k, hi ascending,
+    then m, that joins a state reach[hi, j] to a finite state finite[lo', j -
+    m] (j - m >= k - 1) of some lo' in [lo, hi).  Once per hi: below[lo] is
+    the reverse cumulative OR of finite over [lo, hi), and row m of a stride
+    view of reach[hi] holds reach[hi, j + m] at j."""
+    moves, top = [], reach.shape[1]
+    for hi in np.flatnonzero(reach.any(axis=1)):
+        below = np.zeros((hi + 1, top), dtype=bool)  # row hi: no ring
+        np.logical_or.accumulate(finite[:hi][::-1], axis=0, out=below[:hi][::-1])
+        m = np.arange(1, np.flatnonzero(reach[hi])[-1] - k + 2)
+        lo = np.minimum(np.maximum(lo_min[hi, m], k - 1), hi)
+        shifted = sliding_window_view(np.append(reach[hi], np.zeros(top, dtype=bool)), top)
+        live = (below[lo, k - 1:] & shifted[1:m.size + 1, k - 1:]).any(axis=1)
+        moves += zip([int(hi)] * int(live.sum()), m[live].tolist(), lo[live].tolist())
+    return moves
+
+
 def _ring_program(table, tops, I, m1_max):
     """The dynamic program behind line_search, for every budget in `tops` at once.
 
@@ -285,8 +311,9 @@ def _ring_program(table, tops, I, m1_max):
     values that budget's own program would compute (+inf at states no
     budget reaches).  V and reach hold min(I, M, n - 1) ring depths: ring 1
     above k deeper rings needs k <= lo < R_in[0] index <= n - 1, so no plan
-    on n radii uses a deeper layer.  Each layer first collects its moves,
-    then fills their coefficients in one batch, then takes the minima.
+    on n radii uses a deeper layer.  Each layer first collects its moves
+    (``_layer_moves``), then fills their coefficients in one batch, then
+    takes the minima.
     Returns (V, found) with found[M] = (best, choice): best[lo] the cheapest
     total whose ring 1 ends at R_in[1] = radii[lo], choice[lo] its (deeper
     ring count, R_in[0] index, M_1).
@@ -319,12 +346,7 @@ def _ring_program(table, tops, I, m1_max):
     V = np.full((depth, n, top_M + 1), math.inf)
     V[0, :, 0] = c0
     for k in range(1, depth):
-        moves = []
-        for hi in np.flatnonzero(reach[k].any(axis=1)):
-            want = reach[k, hi]
-            for m, lo in _ring_moves(lo_min, k, hi, np.flatnonzero(want)[-1]):
-                if np.isfinite(V[k - 1, lo:hi, k - 1:top_M + 1 - m][:, want[k - 1 + m:]]).any():
-                    moves.append((hi, m, lo))
+        moves = _layer_moves(lo_min, k, reach[k], np.isfinite(V[k - 1]))
         table.fill((hi, m, False) for hi, m, _ in moves)
         for hi, m, lo in moves:
             vec = table.ring_vec(hi, m, near_ap=False)[lo:hi, None]
@@ -414,8 +436,9 @@ def line_search_budgets(cell: CellConfig, cfg: RadioConfig, irs: IrsSpec, budget
                 f"of M={M} over ring counts 1..{I} on the {grid.radius_step:g} m grid"])
     paths = {M: _recover_path(table, V, M, *found[M]) for M in budgets}
     RING_TABLE_STATS.dp_s += (time.perf_counter() - start) - (RING_TABLE_STATS.fill_s - fill_s)
-    plans = {M: _finalize(cell, cfg, irs, p_no, [radii[i] for i in R_idx], Ms, M, "line-search")
-             for M, (R_idx, Ms) in paths.items()}
+    prices = {}  # budgets share rings: ring 1 most of all
+    plans = {M: _finalize(cell, cfg, irs, p_no, [radii[i] for i in R_idx], Ms, M, "line-search",
+                          prices) for M, (R_idx, Ms) in paths.items()}
     _record_screen_margin(table, found, paths, plans)
     return plans
 
@@ -509,7 +532,7 @@ def algorithm1(cell: CellConfig, cfg: RadioConfig, irs: IrsSpec, M, I_max,
         kbar_rest = cell.K_irs_max
     area_rest = kbar_rest / lam
 
-    best, tried = None, []
+    best, tried, prices = None, [], {}  # ring 1 is the same for every I
     for I in range(1, I_max + 1):
         if rest < I - 1 or (I == 1 and rest):
             continue  # ring 1 alone takes every surface; each deeper ring needs one
@@ -528,7 +551,7 @@ def algorithm1(cell: CellConfig, cfg: RadioConfig, irs: IrsSpec, M, I_max,
             Ms.append(m_i)
             budget -= m_i
             r_prev = r_i
-        result = _finalize(cell, cfg, irs, p_no, Rs, Ms, M, "algorithm1")
+        result = _finalize(cell, cfg, irs, p_no, Rs, Ms, M, "algorithm1", prices)
         if best is None or result.nu_bar > best.nu_bar * (1.0 + 1e-9):
             best = result
     if best is None:  # surfaces remain (I = 2 takes any rest >= 1), but I_max < 2

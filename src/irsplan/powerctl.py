@@ -28,8 +28,10 @@ and one of two rules integrates it.  The graded rule, ``_sector_integrals``
 mean-CIPC inverse-gain integral.  The shared-azimuth screen
 (``screen_coefficients``) fills the planner's ring table: it integrates
 each ring once for all of its surface counts m, reading the azimuth
-integral up to pi/m as a base shared by the m of one power-of-two octave
-plus one tail panel of that m's own.
+integral up to pi/m as a base [0, pi/2^k] shared by the m of one octave
+(2^(k-1), 2^k] plus the tail [pi/2^k, pi/m], which each m takes as the exact
+integral of one interpolant of the integrand on the octave [pi/2^k,
+pi/2^(k-1)], shared too: a read costs weights, not integrand points.
 
 The fixed-placement policy benchmarks (``benchmark_irs_equal_power``,
 ``benchmark_irs_mean_cipc``) share one position model: Z^2 ~ Gamma(alpha,
@@ -60,10 +62,9 @@ from .numerics import NumericsError, _gl_panels, concat_ranges, upper_gamma_tail
 
 SECTOR_NODES = 10                     # Gauss-Legendre nodes per panel of the graded rule
 SECTOR_GRADING = 3.0 ** np.arange(6)  # breakpoints at L +- 3^k m and 3^k / L rad, k = 0..5
-# the screen's GL nodes a radial panel, a base azimuth panel and a read's tail
-# [pi/2^k, pi/m]: on the m = 17 ring of test_powerctl's screen check (bound
-# 2e-6), a 2-node tail errs by 5.9e-5 and a 3-node tail by 1.15e-6
-SCREEN_NODES = (6, 3, 3)
+# the screen's GL nodes a radial panel, a base azimuth panel and an octave
+# [pi/2^k, pi/2^(k-1)], whose interpolant gives every read's tail
+SCREEN_NODES = (6, 3, 8)
 SCREEN_CHUNK_POINTS = 16_384  # integrand points a call: its arrays (128 KB) stay in a core's L2
 
 
@@ -74,10 +75,13 @@ class RingTableStats:
     Telemetry only (the CLI writes them to the ``.meta.json`` sidecars):
     ``fills`` (hi, m, near_ap) keys filled in the planner's tables, ``rows``
     ring coefficients computed in them, ``rings`` the rings the screen
-    integrated for them, ``points`` its integrand points, ``fill_s`` the
+    integrated for them, ``points`` its integrand points (radial times
+    azimuth nodes, padding included: each (ring, k) group's base panels and
+    octave interpolation nodes; a read adds none), ``fill_s`` the
     fills' seconds, ``dp_s`` the line searches' seconds less fills and
     pricing, ``priced_rings`` / ``priced_points`` the rings the graded rule
-    priced (``irs_region_coefficient``; the mean-CIPC benchmark's integrals
+    priced (``irs_region_coefficient``, once a distinct ring per
+    ``algorithm1`` call or line search; the mean-CIPC benchmark's integrals
     price no ring) and their integrand points.  ``screen_max_rel_error`` is
     the largest |screen / graded - 1| on the rings of the line searches'
     plans, and ``min_runner_up_gap`` the smallest relative gap between a
@@ -216,32 +220,38 @@ def screen_coefficients(cfg: RadioConfig, cell: CellConfig, irs: IrsSpec, p_no,
 
     Radius: two SCREEN_NODES[0]-node GL panels split at L, clipped to the
     ring.  Azimuth up to pi/m, with k = ceil(log2 m): the base [0, pi/2^k],
-    graded at 3^j/L (SECTOR_GRADING) with SCREEN_NODES[1] nodes a panel and
-    shared by the ring's reads of one k, plus the read's own
-    SCREEN_NODES[2]-node tail panel [pi/2^k, pi/m].  A read's terms depend
-    on its ring and m alone, so its bits do not depend on the other reads.
-    The reads fall into (ring, k) groups (``_screen_groups``), found once
-    from the keys m: a group's base is integrated once and read by each of
-    its reads.  A ring's azimuth nodes are its groups' base panels and one
-    tail a read.  The rings are laid out in batches of similar azimuth node
-    counts, of at most max_points integrand points (or one ring) each, and
-    each batch takes its rings' groups.  Yields (rings b, reads t into m,
-    ring by ring, and their coefficients) per batch, and counts the rings
-    in RING_TABLE_STATS.
+    graded at 3^j/L (SECTOR_GRADING) with SCREEN_NODES[1] nodes a panel, plus
+    the tail [pi/2^k, pi/m], the exact integral of the polynomial that
+    interpolates the integrand at the SCREEN_NODES[2] GL nodes of the octave
+    [pi/2^k, pi/2^(k-1)] (product integration, Davis & Rabinowitz, Methods
+    of Numerical Integration, 1984).  Base and octave are shared by the
+    ring's reads of one k; a read at m = 2^k has no tail, and a group whose
+    one read is that m has no octave.  A read's terms depend on its ring and
+    m alone, so its bits do not depend on the other reads.  The reads fall
+    into (ring, k) groups (``_screen_groups``), found once from the keys m.
+    The rings are laid out in batches of similar azimuth node and read
+    counts, of at most max_points integrand points and as many reads (or one
+    ring) each, and each batch takes its rings' groups.  Yields (rings b,
+    reads t into m, ring by ring, and their coefficients) per batch, and
+    counts the rings in RING_TABLE_STATS.
     """
-    # held across the batches: three arrays a group and none a read (the
-    # fill's memory peak, which test_line_search_memory_is_bounded pins)
-    n_groups, k, reads = _screen_groups(m, first, count)
+    # held across the batches: a few arrays a group, the tail weights a key
+    # and none a read (the fill's memory peak, which
+    # test_line_search_memory_is_bounded pins)
+    n_groups, k, start, reads = _screen_groups(m, first, count)
     g_first = np.cumsum(n_groups) - n_groups
     panels = 1 + (SECTOR_GRADING / np.repeat(L, n_groups)[:, None]
                   < np.ldexp(math.pi, -k)[:, None]).sum(axis=1)
-    size = np.add.reduceat(SCREEN_NODES[1] * panels + SCREEN_NODES[2] * reads, g_first)
+    octave = m[start] < 2 ** k  # some read of the group is below 2^k
+    tail_w = _tail_weights(m, SCREEN_NODES[2])
+    n_az = SCREEN_NODES[1] * panels + SCREEN_NODES[2] * octave
+    size = np.add.reduceat(n_az, g_first) + count  # a read holds about an azimuth's memory
     order = np.argsort(size, kind="stable")
     for batch in _runs(size[order], max_points // (2 * SCREEN_NODES[0])):
         b = order[batch]
         g, t = concat_ranges(g_first[b], n_groups[b]), concat_ranges(first[b], count[b])
         integrals = _screen_batch(lo[b], hi[b], L[b], np.repeat(np.arange(b.size), n_groups[b]),
-                                  k[g], reads[g], panels[g], m[t])
+                                  k[g], reads[g], panels[g], octave[g], tail_w[t])
         yield b, t, ring_coefficients(cfg, cell, irs, p_no, m[t], L[b], integrals)
         RING_TABLE_STATS.rings += b.size
 
@@ -250,15 +260,16 @@ def _screen_groups(m, first, count):
     """The screen's (ring, k) groups of the reads m[first[b]:first[b] +
     count[b]] of each ring b (ascending m): the runs of equal k = ceil(log2
     m) over the keys m, clipped to each ring's reads.  Returns each ring's
-    group count, and each group's k and read count, ring by ring, then by
-    k (a group's reads follow those of the group before it)."""
+    group count, and each group's k, first read and read count, ring by
+    ring, then by k (a group's reads follow those of the group before it)."""
     k = np.frexp(m - 1.0)[1]  # ceil(log2 m)
     run = np.flatnonzero(np.diff(k, prepend=-1))  # each run's first key
     a = np.searchsorted(run, first, side="right") - 1  # the run of a ring's first read
     n = np.searchsorted(run, first + count) - a
     ring, g = np.repeat(np.arange(first.size), n), concat_ranges(a, n)
+    start = np.maximum(run[g], first[ring])
     end = np.minimum(np.append(run[1:], m.size)[g], (first + count)[ring])
-    return n, k[run[g]], end - np.maximum(run[g], first[ring])
+    return n, k[run[g]], start, end - start
 
 
 def _runs(size, bound):
@@ -272,36 +283,39 @@ def _runs(size, bound):
         a = b
 
 
-def _screen_batch(lo, hi, L, owner, k, reads, n_panels, m):
+def _screen_batch(lo, hi, L, owner, k, reads, n_panels, octave, tail_w):
     """The screen's integrals(f) for one batch of rings [lo, hi] on the
-    circles L, of ascending azimuth node counts, with (ring, k) groups of
-    ring owner, octave k, `reads` reads and n_panels base panels, ring by
-    ring, then by k, and the reads m of those groups in order.  f is called
-    on runs of rings of at most SCREEN_CHUNK_POINTS points, each padded to
-    its widest ring with azimuths that no read sums, and contracted over
-    radius first.  Counts the points in RING_TABLE_STATS."""
-    n_r, n_base, n_tail = SCREEN_NODES
+    circles L, with (ring, k) groups of ring owner, octave k, `reads` reads,
+    n_panels base panels and, where `octave`, the octave's SCREEN_NODES[2]
+    interpolation nodes, ring by ring, then by k, and the tail weights
+    tail_w on those nodes of the groups' reads, in order: a read is its
+    group's base plus its weights times the octave's values.  f is called on runs of rings of at most SCREEN_CHUNK_POINTS
+    points, each padded to its widest ring with azimuths that no read sums,
+    and contracted over radius first.  Counts the points in
+    RING_TABLE_STATS."""
+    n_r, n_base, q = SCREEN_NODES
     r, r_w = _gl_panels(np.stack([lo, np.clip(L, lo, hi), hi], axis=1), n_r)
     r_w *= r
     top = np.ldexp(math.pi, -k)[:, None]  # base breakpoints: 0, the 3^j/L below pi/2^k, pi/2^k...
     edges = np.sort(np.concatenate([np.zeros_like(top), top,
                                     np.minimum(SECTOR_GRADING / L[owner, None], top)], axis=1))
-    group = np.repeat(np.arange(reads.size), reads)
-    g_size = n_base * n_panels + n_tail * reads
+    g_size = n_base * n_panels + q * octave
     size = np.bincount(owner, g_size)
     width = int(size.max())
-    at = np.cumsum(g_size) - g_size  # each group's first azimuth: its base, then its tails
+    at = np.cumsum(g_size) - g_size  # each group's first azimuth: its base, then its octave
     at += owner * width - at[np.flatnonzero(np.diff(owner, prepend=-1))][owner]  # padded rows
     base_of, slot = np.nonzero(np.arange(edges.shape[1] - 1) < n_panels[:, None])
     base_az, base_w = _gl_panels(np.stack([edges[base_of, slot], edges[base_of, slot + 1]],
                                           axis=1), n_base)
     base_at = (at[base_of] + n_base * slot)[:, None] + np.arange(n_base)
-    tail_az, tail_w = _gl_panels(np.stack([edges[group, -1], math.pi / m], axis=1), n_tail)
-    j = np.arange(m.size) - (np.cumsum(reads) - reads)[group]  # a read's place in its group
-    tail_at = (at[group] + n_base * n_panels[group] + n_tail * j)[:, None] + np.arange(n_tail)
+    # a group without an octave points its reads (m = 2^k, weights 0) at its first azimuth
+    oct_at = np.where(octave[:, None], (at + n_base * n_panels)[:, None] + np.arange(q),
+                      at[:, None])
     az = np.zeros((lo.size, width))
     az.reshape(-1)[base_at] = base_az
-    az.reshape(-1)[tail_at] = tail_az
+    az.reshape(-1)[oct_at[octave]] = _gl_panels(np.concatenate([top, 2.0 * top], axis=1)[octave],
+                                                q)[0]
+    group = np.repeat(np.arange(reads.size), reads)
 
     def integrals(f):
         h = np.empty((lo.size, width))
@@ -312,9 +326,28 @@ def _screen_batch(lo, hi, L, owner, k, reads, n_panels, m):
             RING_TABLE_STATS.points += vals.size
         h = h.reshape(-1)
         base = np.add.reduceat((h[base_at] * base_w).sum(axis=1), np.cumsum(n_panels) - n_panels)
-        return base[group] + (h[tail_at] * tail_w).sum(axis=1)
+        return base[group] + (h[oct_at[group]] * tail_w).sum(axis=1)
 
     return integrals
+
+
+def _tail_weights(m, q):
+    """Weights, one row per surface count m, on the q GL nodes of the octave
+    [pi/2^k, pi/2^(k-1)], k = ceil(log2 m), that integrate the polynomial
+    interpolating there over the tail [pi/2^k, pi/m]: [-1, u], u = 2^(k+1)/m
+    - 3, on the nodes x of [-1, 1], with weights w_i sum_j (2j + 1) / 2
+    P_j(x_i) int_-1^u P_j, as the nodes make P_0..P_(q-1) discretely
+    orthogonal, int_-1^u P_0 = u + 1 and int_-1^u P_j = (P_(j+1)(u) -
+    P_(j-1)(u)) / (2j + 1).  Every weight is 0 at m = 2^k (u = -1)."""
+    k = np.frexp(m - 1.0)[1]
+    u = np.ldexp(2.0, k) / m - 3.0
+    x, w = _gl_panels(np.array([-1.0, 1.0]), q)
+    P_u = np.polynomial.legendre.legvander(u, q)
+    P_x = np.polynomial.legendre.legvander(x, q - 1)
+    out = np.multiply.outer(0.5 * (u + 1.0), P_x[:, 0])
+    for j in range(1, q):
+        out += np.multiply.outer(0.5 * (P_u[:, j + 1] - P_u[:, j - 1]), P_x[:, j])
+    return out * w * np.ldexp(0.5 * math.pi, -k)[:, None]  # half the octave's width
 
 
 def _sector_integrals(f, r_edges, az_edges, nodes):
@@ -335,7 +368,15 @@ def _graded_edges(lo, hi, L, half):
     Methods of Numerical Integration, 1984)."""
     r_edges = np.concatenate(([lo, hi], L - SECTOR_GRADING, L + SECTOR_GRADING))
     az_edges = np.concatenate(([0.0, half], SECTOR_GRADING / L))
-    return np.unique(np.clip(r_edges, lo, hi))[None], np.unique(np.clip(az_edges, 0, half))[None]
+    return (_sorted_unique(np.clip(r_edges, lo, hi))[None],
+            _sorted_unique(np.clip(az_edges, 0, half))[None])
+
+
+def _sorted_unique(x):
+    """np.unique(x) of a 1-d array, without the numpy.ma import that np.unique
+    (and np.union1d) pull in through np.ma.is_masked on first use."""
+    x = np.sort(x)
+    return x[np.append(True, x[1:] != x[:-1])]
 
 
 def equalize_power(coeffs, cfg: RadioConfig, p_no) -> PowerAllocation:
@@ -446,7 +487,7 @@ def _maxmin_rate(tail, alpha, scale, active):
         below = np.flatnonzero(q < q[active].min(initial=1.0))
         if not below.size:
             return math.exp(u), float(q.min(initial=1.0))
-        active = np.union1d(active, below)
+        active = np.sort(np.concatenate([active, below]))  # disjoint: below is under q[active]
 
 
 def _policy_report(method, alpha, scale, details) -> ThroughputReport:
@@ -455,7 +496,8 @@ def _policy_report(method, alpha, scale, details) -> ThroughputReport:
     if not np.all((alpha > 0.0) & np.isfinite(alpha)):
         raise NumericsError(f"{method}: rate solve on Gamma shapes from {alpha.min():g}")
     start = time.perf_counter()
-    seed = np.unique([np.argmin(alpha), np.argmax(alpha), np.argmin(scale), np.argmax(scale)])
+    seed = _sorted_unique(np.array([np.argmin(alpha), np.argmax(alpha),
+                                    np.argmin(scale), np.argmax(scale)]))
     eta0, nop = _maxmin_rate(upper_gamma_tail(alpha), alpha, scale, seed)
     POLICY_SCAN_STATS.reports += 1
     POLICY_SCAN_STATS.policy_s += time.perf_counter() - start

@@ -13,7 +13,8 @@ No cold command imports ``scipy``: the incomplete gamma and the Student-t
 quantile are numpy code in ``numerics``, and a ``scipy.special`` import alone
 took about a third of a second.  The cold ``plan``, ``sweep`` and
 ``validate`` runs are checked twice: nothing named ``scipy`` ends up in
-``sys.modules``, and they still succeed when ``import scipy`` raises.
+``sys.modules``, and they still succeed when ``import scipy`` raises.  They
+leave ``numpy.ma`` unimported too.
 
 No linter runs with the tests, so these stdlib-``ast`` scans are the guard
 against dead imports and dead parameters.  A name counts as used when it
@@ -337,7 +338,7 @@ def test_scan_flags_a_private_import():
         "m: os._x", "m: numerics._gl_panels", "m: _kernels", "m: _kernels.draw"]
 
 
-COLD_RUN = """
+COLD_COMMANDS = """
 import sys
 from irsplan.cli import main
 out = sys.argv[1]
@@ -348,7 +349,14 @@ for args in (["plan", "--set", "plan.M=20", "--set", "grid.radius_step=10", "--o
               "--set", "mc.element_draws=gaussian-surrogate",
               "--set", "mc.n_topologies=2", "--set", "mc.n_fading=50"]):
     assert main(args) == 0, args
+"""
+COLD_RUN = COLD_COMMANDS + """
 print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+# np.unique and np.union1d import numpy.ma on first use (np.ma.is_masked),
+# 10-30 ms of a cold process; the planning path sorts instead
+COLD_RUN_NUMPY_MA = COLD_COMMANDS + """
+print("numpy.ma" in sys.modules)
 """
 
 # the same run with every scipy import failing, as where scipy is not installed
@@ -383,6 +391,10 @@ def test_cold_commands_skip_scipy(tmp_path):
 
 def test_cold_commands_run_without_scipy(tmp_path):
     assert _cold_run(WITHOUT_SCIPY, tmp_path) == "[]"
+
+
+def test_cold_commands_skip_numpy_ma(tmp_path):
+    assert _cold_run(COLD_RUN_NUMPY_MA, tmp_path) == "False"
 
 
 COLD_COVERAGE = """

@@ -9,14 +9,17 @@ import weakref
 import numpy as np
 import pytest
 
-from irsplan.channel import IrsSpec, LinkGeometry, _power_factor_table, composite_stats
-from irsplan.geometry import (CellConfig, coverage_area_accounting,
+from irsplan.channel import (IrsSpec, LinkGeometry, _power_factor_table, composite_stats,
+                             irs_power_factor)
+from irsplan.geometry import (CellConfig, coverage_area_accounting, irs_distance2,
                               make_ring_plan, surface_circle, validate_plan)
+from irsplan.numerics import _gl_panels
 from irsplan.planner import (PlanInfeasibleError, SearchGrid, _RingCoefficientTable,
-                             algorithm1, coverage_range, line_search,
+                             _ring_moves, algorithm1, coverage_range, line_search,
                              line_search_budgets)
-from irsplan.powerctl import (RING_TABLE_STATS, SECTOR_NODES, _graded_edges, _screen_groups,
-                              _sector_integrals, ap_region_coefficient, ring_coefficients)
+from irsplan.powerctl import (RING_TABLE_STATS, SECTOR_GRADING, SECTOR_NODES, _graded_edges,
+                              _screen_groups, _sector_integrals, _tail_weights,
+                              ap_region_coefficient, ring_coefficients, screen_coefficients)
 
 ETA_MIN = 10.0  # linear mean-SNR threshold for the coverage study
 P_TX = 0.01    # [W]
@@ -478,19 +481,70 @@ class TestScreen:
         m = np.array([1, 2, 3, 4, 5, 8, 9, 64, 65, 100, 120, 128, 129, 1000])
         first = np.array([0, 3, 6, 8, 9, 10, 12, 13])
         count = np.array([9, 4, 3, 1, 5, 3, 2, 1])
-        n, k, reads = _screen_groups(m, first, count)
-        expected = [[(key, len(list(run))) for key, run in itertools.groupby(
-            math.ceil(math.log2(x)) for x in m[f:f + c])] for f, c in zip(first, count)]
+        n, k, start, reads = _screen_groups(m, first, count)
+        expected = []
+        for f, c in zip(first, count):
+            runs = [(key, len(list(run))) for key, run in itertools.groupby(
+                math.ceil(math.log2(x)) for x in m[f:f + c])]
+            starts = f + np.cumsum([0] + [size for _, size in runs[:-1]])
+            expected.append([(key, int(s), size) for (key, size), s in zip(runs, starts)])
         assert n.tolist() == [len(groups) for groups in expected]
-        assert list(zip(k.tolist(), reads.tolist())) == sum(expected, [])
+        assert list(zip(k.tolist(), start.tolist(), reads.tolist())) == sum(expected, [])
 
     def test_sparse_reads_pay_per_read(self, cell, radio, irs):
-        # each ring here is read at a few m near 3000: one tail panel a read,
-        # not every [pi/(m'+1), pi/m'] panel up to 4095 (6,249,780 points)
+        # each ring here is read at a few m near 3000: one octave interpolant
+        # a ring, not every [pi/(m'+1), pi/m'] panel up to 4095 (6,249,780
+        # points)
         points = RING_TABLE_STATS.points
         res = line_search(cell, radio, irs, 3000, 2, grid=SearchGrid(radius_step=5.0))
         assert RING_TABLE_STATS.points - points < 100_000
         assert res.plan.R_in == (250.0, 225.0, 155.0) and res.plan.M == (10, 2990)
+
+    def test_tails_match_a_30_node_reference(self, cell, radio, irs):
+        # each read's tail [pi/2^k, pi/m] (the read less its octave's read at
+        # m = 2^k) against 30-node GL in azimuth on the screen's radial rule,
+        # over k = 2..7 on sampled rings: within 1e-6 of the read's coefficient
+        radii = np.arange(0.0, 250.1, 5.0)
+        rng = np.random.default_rng(11)
+        m = np.arange(3, 129)
+        worst = 0.0
+        for _ in range(12):
+            lo_i, hi_i = np.sort(rng.choice(radii.size, 2, replace=False))
+            lo, hi = radii[lo_i], radii[hi_i]
+            L = float(surface_circle(cell, bool(rng.integers(2)), lo, hi))
+            ((_, _, C),) = screen_coefficients(
+                radio, cell, irs, 0.95, np.array([lo]), np.array([hi]), np.array([L]), m,
+                np.array([0]), np.array([m.size]), 1 << 30)
+            F = C / (2.0 * m * cell.ue_density * radio.W * radio.t0)  # per half sector
+            k = np.ceil(np.log2(m)).astype(int)
+            tail = F - F[(1 << k) - 3]
+            r, r_w = _gl_panels(np.array([lo, min(max(L, lo), hi), hi]), 6)
+            az, az_w = _gl_panels(np.stack([np.ldexp(math.pi, -k), math.pi / m], axis=1), 30)
+            f = irs_power_factor(radio, irs, r[:, None] ** 2, L * L,
+                                 irs_distance2(r[:, None], L, az.ravel()), 0.95)
+            want = (((r_w * r) @ f).reshape(az.shape) * az_w).sum(axis=1)
+            worst = max(worst, float(np.max(np.abs(tail - want) / F)))
+        assert worst <= 1e-6
+
+    def test_reads_at_a_power_of_two_are_their_base(self, cell, radio, irs):
+        # a read at m = 2^k has no tail: read alone, its ring evaluates the
+        # base panels and no octave, and read with the octave's other m it
+        # keeps its bits (its tail weights are exactly 0)
+        lo, hi, L = np.array([150.0]), np.array([185.0]), np.array([167.5])
+        base = {}
+        for k in range(1, 8):
+            points = RING_TABLE_STATS.points
+            ((_, _, C),) = screen_coefficients(radio, cell, irs, 0.95, lo, hi, L,
+                                               np.array([1 << k]), np.array([0]),
+                                               np.array([1]), 1 << 30)
+            panels = 1 + int(np.sum(SECTOR_GRADING / L[0] < np.ldexp(math.pi, -k)))
+            assert RING_TABLE_STATS.points - points == 2 * 6 * 3 * panels
+            base[1 << k] = C[0]
+        m = np.arange(2, 129)
+        ((_, _, C),) = screen_coefficients(radio, cell, irs, 0.95, lo, hi, L, m,
+                                           np.array([0]), np.array([m.size]), 1 << 30)
+        assert {int(x): c for x, c in zip(m, C) if x in base} == base
+        assert np.array_equal(_tail_weights(np.array(list(base)), 8), np.zeros((len(base), 8)))
 
     def test_rows_do_not_depend_on_the_top_budget(self, cell, radio, irs, monkeypatch):
         small = _sweep_table(cell, radio, irs, [40], monkeypatch, radius_step=5.0)
@@ -536,6 +590,58 @@ class TestScreen:
         got = {str(M): ",".join(f"{r:g}" for r in p.plan.R_in) + "/"
                + ",".join(map(str, p.plan.M)) for M, p in plans.items()}
         assert got == want
+
+
+def brute_force_moves(lo_min, k, reach, finite):
+    """``planner._layer_moves`` one (hi, m) at a time: a move is kept when
+    some state below it that a reached state reads is finite."""
+    moves, top_M = [], reach.shape[1] - 1
+    for hi in np.flatnonzero(reach.any(axis=1)):
+        want = reach[hi]
+        for m, lo in _ring_moves(lo_min, k, hi, np.flatnonzero(want)[-1]):
+            if finite[lo:hi, k - 1:top_M + 1 - m][:, want[k - 1 + m:]].any():
+                moves.append((int(hi), m, int(lo)))
+    return moves
+
+
+class TestMoveFilter:
+    """The DP's vectorized move filter against the per-(hi, m) brute force."""
+
+    CONFIGS = {  # (grid step, R_in0_search, I, budgets, programs run)
+        "M100-I3-5m": (5.0, False, 3, [100], 1),
+        "M40-I3-1m": (1.0, False, 3, [40], 1),
+        "M60-I4-5m": (5.0, False, 4, [60], 1),
+        "r0-search-10m-I2": (10.0, True, 2, range(7, 120, 7), 2),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CONFIGS))
+    def test_filter_matches_brute_force(self, cell, radio, irs, monkeypatch, name):
+        import irsplan.planner
+        step, search_r0, I, budgets, runs = self.CONFIGS[name]
+        fast, program, Vs = irsplan.planner._layer_moves, irsplan.planner._ring_program, []
+
+        def checked(*args):
+            moves = fast(*args)
+            assert moves == brute_force_moves(*args)
+            return moves
+
+        def kept(*args):
+            V, found = program(*args)
+            Vs.append(V)
+            return V, found
+
+        monkeypatch.setattr(irsplan.planner, "_ring_program", kept)
+
+        def search(filter_moves):
+            monkeypatch.setattr(irsplan.planner, "_layer_moves", filter_moves)
+            plans = line_search_budgets(cell, radio, irs, budgets, I, grid=SearchGrid(
+                radius_step=step, R_in0_search=search_r0))
+            return {M: (p.plan.R_in, p.plan.M) for M, p in plans.items()}
+
+        assert search(checked) == search(brute_force_moves)
+        assert len(Vs) == 2 * runs
+        for fast_V, brute_V in zip(Vs[:runs], Vs[runs:]):
+            assert np.array_equal(fast_V, brute_V)
 
 
 class TestMultiBudget:
@@ -617,6 +723,24 @@ class TestAlgorithm1:
         ls = line_search(cell, radio, irs, 15, 3)
         gap = (plan_m15_a1.nu_bar - ls.nu_bar) / ls.nu_bar
         assert abs(gap) < 0.02
+
+    @pytest.mark.parametrize("M", [20, 100])
+    def test_each_ring_is_priced_once(self, cell, radio, irs, monkeypatch, M):
+        # ring 1 is the same for every ring count I, and at M=20 deeper rings
+        # repeat across ring counts too: each distinct ring is priced once
+        import irsplan.planner
+        price, priced = irsplan.planner.irs_region_coefficient, []
+
+        def spy(cfg, cell, irs, plan, i, p_no):
+            priced.append((plan.ring_bounds(i), plan.L[i - 1], plan.M[i - 1]))
+            return price(cfg, cell, irs, plan, i, p_no)
+
+        monkeypatch.setattr(irsplan.planner, "irs_region_coefficient", spy)
+        res = algorithm1(cell, radio, irs, M, I_max=10)
+        assert len(res.diagnostics["I_candidates"]) > 1
+        assert len(priced) == len(set(priced))
+        ring1 = ((res.plan.R_in[1], res.plan.R_in[0]), res.plan.L[0], res.plan.M[0])
+        assert priced.count(ring1) == 1
 
 
 class TestMonotonicity:
